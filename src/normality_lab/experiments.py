@@ -8,6 +8,7 @@ for a fixed (config, seed) regardless of pool size.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,6 +35,7 @@ from .ifs import (
 )
 from .martingale import martingale_gaps
 from .sampling import (
+    DigitStream,
     SequenceSample,
     WordStream,
     beta_orbit,
@@ -78,13 +80,19 @@ def system_hash(system: SelfSimilarSystem) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _orbit_sample(system: SelfSimilarSystem, base: int, length: int,
-                  seed: int, task: int = 0, guard: int = 16) -> SequenceSample:
+def _orbit_digits(system: SelfSimilarSystem, base: int, length: int,
+                  seed: int, task: int = 0, guard: int = 16) -> DigitStream:
+    """Certified digits enough for `length` orbit values of one sample."""
     stream = WordStream(system, seed, spawn_key=(task,) if task else ())
     tail = 1
     while base ** tail < (1 << 60):
         tail += 1
-    ds = digits(system, stream, base, length + tail + 1, guard=guard)
+    return digits(system, stream, base, length + tail + 1, guard=guard)
+
+
+def _orbit_sample(system: SelfSimilarSystem, base: int, length: int,
+                  seed: int, task: int = 0, guard: int = 16) -> SequenceSample:
+    ds = _orbit_digits(system, base, length, seed, task=task, guard=guard)
     return orbit_sequence(ds, length, seed=seed)
 
 
@@ -243,11 +251,11 @@ def run_normality(system: SelfSimilarSystem, base: int, length: int,
                   q_max: int, samples: int, seed: int, guard: int,
                   disc_threshold: float, weyl_threshold: float):
     def one(task: int):
-        sam = _orbit_sample(system, base, length, seed, task=task,
-                            guard=guard)
-        stream = WordStream(system, seed, spawn_key=(task,) if task else ())
-        ds = digits(system, stream, base, min(length, 4096), guard=guard)
-        freq = digit_frequencies(ds, 1)
+        ds = _orbit_digits(system, base, length, seed, task=task, guard=guard)
+        sam = orbit_sequence(ds, length, seed=seed)
+        # the first digits of the orbit's own certified stream
+        head = dataclasses.replace(ds, certified_length=min(length, 4096))
+        freq = digit_frequencies(head, 1)
         wr = weyl_report(sam, q_max, threshold=weyl_threshold)
         return {
             "sample": task,

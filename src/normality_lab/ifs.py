@@ -220,16 +220,53 @@ def check_word(system: SelfSimilarSystem, word: Sequence) -> None:
 def compose(system: SelfSimilarSystem, word: Sequence) -> AffineMap:
     """Exact composition f_{w_1} o f_{w_2} o ... o f_{w_m}.
 
-    The empty word gives the identity. Internally carried as an integer
-    triple (A, B, C) for x -> (A x + B) / C to avoid per-step gcd cost.
+    The empty word gives the identity.  The map is built as an integer
+    triple by :func:`compose_triples` (no gcd until the final Fractions, and
+    a balanced product tree instead of one big-integer step per symbol).
     """
     check_word(system, word)
-    A, B, C = 1, 0, 1
-    triples = _integer_triples(system)
-    for s in word:
-        a, b, c = triples[s - 1]
-        A, B, C = A * a, A * b + B * c, C * c
+    A, B, C = compose_triples(_integer_triples(system), word)
     return AffineMap(Fraction(A, C), Fraction(B, C))
+
+
+#: Symbols folded one at a time before the product tree takes over.
+_LEAF_SYMBOLS = 32
+
+
+def join_triples(left: tuple, right: tuple) -> tuple:
+    """Triple of left o right, each (A, B, C) meaning x -> (A x + B) / C."""
+    A1, B1, C1 = left
+    A2, B2, C2 = right
+    return A1 * A2, A1 * B2 + B1 * C2, C1 * C2
+
+
+def compose_triples(triples: Sequence, word: Sequence) -> tuple:
+    """Uncancelled integer triple (A, B, C) of f_{w_1} o ... o f_{w_m}.
+
+    `triples[s - 1]` is the triple of map s (see :func:`_integer_triples`).
+    Symbols are folded in order within leaves of `_LEAF_SYMBOLS`; the leaf
+    triples are then joined pairwise in a balanced tree (binary splitting),
+    so the big products pair operands of similar size and the cost is a few
+    multiplications of the final size rather than one per symbol, which is
+    quadratic in the word length.  Integer products are exact and
+    associative, so the triple equals the one-symbol-at-a-time fold's.
+    """
+    level = []
+    for i in range(0, len(word), _LEAF_SYMBOLS):
+        A, B, C = 1, 0, 1
+        for s in word[i:i + _LEAF_SYMBOLS]:
+            a, b, c = triples[s - 1]
+            A, B, C = A * a, A * b + B * c, C * c
+        level.append((A, B, C))
+    if not level:
+        return 1, 0, 1
+    while len(level) > 1:
+        paired = [join_triples(level[j], level[j + 1])
+                  for j in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 def _integer_triples(system: SelfSimilarSystem):

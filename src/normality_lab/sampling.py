@@ -1,9 +1,15 @@
 """Sampling from the coding space and certified orbit machinery.
 
 Points are produced as exact rational enclosures of x_w = lim f_{w|m}(x0) for
-lazily sampled words w.  Integer-base orbits are read off a certified digit
-stream (one pass, shift-based) rather than by repeated big-rational
-multiplication; non-integer bases go through ball arithmetic.
+lazily sampled words w.  The word prefix is composed into one integer triple
+by a balanced product tree over 32-symbol leaves (:func:`ifs.compose_triples`),
+so a certified digit stream costs a few big-integer products of its final
+size instead of one product per symbol; a deeper word only composes the new
+segment and joins it on the right.  Digits come out of that integer in
+machine-word chunks split by one numpy broadcast, and integer-base orbits are
+read off the digit stream as shifted tail windows, one vector step per tail
+digit, rather than by repeated big-rational multiplication.  Non-integer
+bases go through ball arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +31,13 @@ from .errors import (
     PrecisionExhausted,
     StreamExhausted,
 )
-from .ifs import SelfSimilarSystem, _integer_triples, compose
+from .ifs import (
+    SelfSimilarSystem,
+    _integer_triples,
+    compose,
+    compose_triples,
+    join_triples,
+)
 
 GENERATOR_ID = "philox"
 
@@ -64,7 +76,7 @@ class WordStream:
             k = max(256, m - len(self._symbols))
             u = self._rng.random(k)
             syms = np.searchsorted(self._cum, u, side="right") + 1
-            self._symbols.extend(int(s) for s in syms)
+            self._symbols.extend(syms.tolist())
 
     def symbol(self, i: int) -> int:
         self._extend_to(i + 1)
@@ -171,22 +183,46 @@ class DigitStream:
         return self.certified_length
 
 
-def _int_to_digits(m: int, base: int, count: int) -> np.ndarray:
-    out = np.zeros(count, dtype=np.int64)
-    chunk = 512
-    big = base ** chunk
-    pos = count
-    while pos > 0 and m:
-        if pos >= chunk:
+def _chunk_digits(base: int) -> int:
+    """Largest k >= 1 with base**k < 2**62 (1 for larger bases), so that a
+    chunk of k digits is an int64."""
+    k = 1
+    while base ** (k + 1) < (1 << 62):
+        k += 1
+    return k
+
+
+_SPLIT_LEAF_CHUNKS = 32
+
+
+def _split_chunks(m: int, big: int, n: int, powers: dict) -> list:
+    """The n lowest base-`big` limbs of m, least significant first.
+
+    Halving keeps the two sides of each big division of similar size, which
+    CPython divides several times faster than peeling one limb at a time.
+    """
+    if n <= _SPLIT_LEAF_CHUNKS:
+        out = []
+        for _ in range(n):
             m, rem = divmod(m, big)
-            stop = pos - chunk
-        else:
-            rem, m, stop = m, 0, 0
-        for i in range(pos - 1, stop - 1, -1):
-            rem, d = divmod(rem, base)
-            out[i] = d
-        pos = stop
-    return out
+            out.append(rem)
+        return out
+    half = n // 2
+    if half not in powers:
+        powers[half] = big ** half
+    hi, lo = divmod(m, powers[half])
+    return (_split_chunks(lo, big, half, powers)
+            + _split_chunks(hi, big, n - half, powers))
+
+
+def _int_to_digits(m: int, base: int, count: int) -> np.ndarray:
+    """The last `count` base-b digits of m >= 0, most significant first."""
+    k = _chunk_digits(base)
+    n_chunks = -(-count // k)
+    chunks = _split_chunks(m, base ** k, n_chunks, {})
+    col = np.array(chunks[::-1], dtype=np.int64)[:, None]
+    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return (col // powers % base).ravel()[n_chunks * k - count:]
 
 
 def digits_of_rational(x, base: int, count: int) -> DigitStream:
@@ -230,22 +266,17 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     h_lo, h_hi = system.hull
     b_pow = base ** count
 
+    word: tuple = ()
     A, B, C = 1, 0, 1
-    consumed = 0
-
-    def fold_to(m: int):
-        nonlocal A, B, C, consumed
-        while consumed < m:
-            a, b, c = triples[stream.symbol(consumed) - 1]
-            A, B, C = A * a, A * b + B * c, C * c
-            consumed += 1
-
     while True:
         try:
-            fold_to(depth)
+            segment = stream.prefix(depth)[len(word):]
         except StreamExhausted as exc:
             raise PrecisionExhausted(
-                f"word stream refused extension at depth {consumed}") from exc
+                "word stream refused extension at depth "
+                f"{_reach(stream, len(word))}") from exc
+        word += segment
+        A, B, C = join_triples((A, B, C), compose_triples(triples, segment))
         e0 = Fraction(A * h_lo.numerator + B * h_lo.denominator,
                       C * h_lo.denominator)
         e1 = Fraction(A * h_hi.numerator + B * h_hi.denominator,
@@ -262,7 +293,6 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
         depth = min(2 * depth, cap)
 
     m_digits = k_lo - (lo.numerator // lo.denominator) * b_pow
-    word = stream.prefix(consumed)
     comp_slope = Fraction(A, C)
     x0 = (h_lo + h_hi) / 2 if x0 is None else Fraction(x0)
     center = Fraction(A * x0.numerator + B * x0.denominator,
@@ -271,7 +301,17 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
                                lo, hi, word, x0)
     return DigitStream(base, _int_to_digits(m_digits, base, count), count,
                        point, source=stream.describe(), guard=guard,
-                       depth=consumed)
+                       depth=len(word))
+
+
+def _reach(stream, start: int) -> int:
+    """Number of symbols a finite stream yields, counting on from `start`."""
+    try:
+        while True:
+            stream.symbol(start)
+            start += 1
+    except StreamExhausted:
+        return start
 
 
 @dataclass(frozen=True)
@@ -316,16 +356,26 @@ def orbit_sequence(digit_stream: DigitStream, n_points: int,
     ds = digit_stream.digits
     b_tail = base ** k_tail
     b_tail_f = float(b_tail)
-    m = 0
-    for d in ds[:k_tail]:
-        m = m * base + int(d)
-    cut = base ** (k_tail - 1)
-    values = np.empty(n_points, dtype=np.float64)
-    for n in range(n_points):
-        v = m / b_tail_f
-        values[n] = v if v < 1.0 else math.nextafter(1.0, 0.0)
-        if n + 1 < n_points:
-            m = (m % cut) * base + int(ds[n + k_tail])
+    below_one = math.nextafter(1.0, 0.0)
+    if b_tail < (1 << 64):
+        # window n holds digits n .. n+k_tail-1 as one machine integer
+        tail = ds[:n_points + k_tail - 1].astype(np.uint64)
+        windows = np.zeros(n_points, dtype=np.uint64)
+        for j in range(k_tail):
+            windows *= np.uint64(base)
+            windows += tail[j:j + n_points]
+        values = np.minimum(windows / b_tail_f, below_one)
+    else:
+        m = 0
+        for d in ds[:k_tail]:
+            m = m * base + int(d)
+        cut = base ** (k_tail - 1)
+        values = np.empty(n_points, dtype=np.float64)
+        for n in range(n_points):
+            v = m / b_tail_f
+            values[n] = v if v < 1.0 else below_one
+            if n + 1 < n_points:
+                m = (m % cut) * base + int(ds[n + k_tail])
     acc = base ** -float(k_tail) + _FLOAT_SLACK
     return SequenceSample(values, acc,
                           source=f"orbit(base={base}, {digit_stream.source})",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -158,3 +159,95 @@ class TestWorkerPool:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# sha256 of whole outputs for a fixed set of (system, base, length, seed),
+# recorded before the product-tree composition and the vectorised digit and
+# orbit read-off landed; any change to these bytes is a change of behaviour.
+GOLDEN_SYSTEMS = {
+    "cantor": [("1/3", "0"), ("1/3", "2/3")],
+    "mixed": [("1/2", "0"), ("1/4", "3/4")],
+    "flip": [("-1/2", "0"), ("-1/2", "1/2")],
+}
+GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"]}
+
+GOLDEN_CASES = {
+    "orbit-cantor-b2": (["orbit", "--base", "2", "--length", "300",
+                         "--seed", "1"], "cantor"),
+    "orbit-mixed-b10-x2": (["orbit", "--base", "10", "--length", "200",
+                            "--samples", "2", "--seed", "7"], "mixed"),
+    "orbit-flip-b3": (["orbit", "--base", "3", "--length", "250",
+                       "--seed", "5"], "flip"),
+    "orbit-cantor-b17": (["orbit", "--base", "17", "--length", "120",
+                          "--seed", "3"], "cantor"),
+    "orbit-mixed-b100": (["orbit", "--base", "100", "--length", "80",
+                          "--seed", "2"], "mixed"),
+    "digits-cantor-b3": (["digits", "--base", "3", "--count", "500",
+                          "--seed", "4"], "cantor"),
+    "digits-mixed-b2": (["digits", "--base", "2", "--count", "1000",
+                         "--seed", "11"], "mixed"),
+    "digits-flip-b10": (["digits", "--base", "10", "--count", "400",
+                         "--seed", "6"], "flip"),
+    "digits-cantor-b36": (["digits", "--base", "36", "--count", "200",
+                           "--seed", "9"], "cantor"),
+    "normality-cantor-b2": (["normality", "--base", "2", "--length", "2000",
+                             "--samples", "2", "--q-max", "4",
+                             "--seed", "1", "--format", "json"], "cantor"),
+    "normality-mixed-b10": (["normality", "--base", "10", "--length", "5000",
+                             "--samples", "2", "--q-max", "3",
+                             "--seed", "3", "--format", "json"], "mixed"),
+    "normality-flip-b3": (["normality", "--base", "3", "--length", "300",
+                           "--q-max", "3", "--guard", "8",
+                           "--seed", "8", "--format", "json"], "flip"),
+}
+
+GOLDEN_SHA256 = {
+    "digits-cantor-b3":
+        "ae2cdd3b9b368bc7d025faebbaeb1a549ba681c6d1d496c93b482c12d07c83e2",
+    "digits-cantor-b36":
+        "28c3237b255b7362db7c51c87acb02c4289203d8240c3a52ddd66973381f16f9",
+    "digits-flip-b10":
+        "675287909969b9492dd768586c23c74884a2042b5a5e71ff526a6feb548907c8",
+    "digits-mixed-b2":
+        "0d7455e98e550aa6132a4e21e09888abdc3d9d4125978ede7cd12f31bb55316e",
+    "normality-cantor-b2":
+        "19544969ed4126dd3c48d789006ae96cf8a7090bdaf6f643478c59132d3311cd",
+    "normality-flip-b3":
+        "5289c51f7f82a9f3f0ce7784a532c0d2f79c5c3e38d15d954dcb87798932b87b",
+    "normality-mixed-b10":
+        "a7b803e23a06a87f23d779c5b0cbfe3e0c9c1ca8a2de54ba1e1dd0832d8713a5",
+    "orbit-cantor-b17":
+        "65b05926ef3f24b495376045dde82184a5df986d8cda74ce622b4215a8f6a707",
+    "orbit-cantor-b2":
+        "51aee964219a6c896bef788b5aaa08089f6c9180a0c177ee6141832c1d96c989",
+    "orbit-flip-b3":
+        "023c29d3af3f26befd35e0564cb4f08c6578ab419619f1edb769e1725a0b673b",
+    "orbit-mixed-b10-x2":
+        "f302cfa9348cbe1d5d6e68c942abd841a60f0675eb0bf1778cb063e0f8e27d7f",
+    "orbit-mixed-b100":
+        "cfa050b3421b3a878ff9c01693e5e517c4ed25426d72227089f5c79493c7c68d",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    from normality_lab import make_system
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, maps in GOLDEN_SYSTEMS.items():
+        path = root / f"{name}.json"
+        save_system(make_system(maps, GOLDEN_WEIGHTS.get(name)), path)
+        paths[name] = str(path)
+    return paths
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_output_bytes_unchanged(self, case, golden_files, tmp_path):
+        argv, system = GOLDEN_CASES[case]
+        out = tmp_path / "out"
+        code = main(argv + ["--system", golden_files[system],
+                            "--out", str(out)])
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[case]

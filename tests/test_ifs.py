@@ -21,7 +21,14 @@ from normality_lab.errors import (
     SymbolOutOfRange,
     WeightSumError,
 )
-from normality_lab.ifs import as_fraction, frac_str, system_from_dict, system_to_dict
+from normality_lab.ifs import (
+    _integer_triples,
+    as_fraction,
+    compose_triples,
+    frac_str,
+    system_from_dict,
+    system_to_dict,
+)
 
 from oracles import iterated_hull
 
@@ -100,6 +107,47 @@ class TestCompose:
         assert abs(m.slope) == prod
         shorter = compose(system, word[:-1])
         assert abs(m.slope) < abs(shorter.slope)
+
+
+def _sequential_fold(triples, word):
+    A, B, C = 1, 0, 1
+    for s in word:
+        a, b, c = triples[s - 1]
+        A, B, C = A * a, A * b + B * c, C * c
+    return A, B, C
+
+
+TRIPLE_SYSTEMS = [
+    make_system([("1/3", "0"), ("1/3", "2/3")]),
+    make_system([("-1/2", "0"), ("-1/2", "1/2")]),
+    make_system([("2/5", "1/7"), ("-3/11", "5/6"), ("1/4", "-2/9")],
+                ["1/2", "1/3", "1/6"]),
+]
+
+
+class TestComposeTriples:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_sequential_fold(self, data):
+        system = data.draw(st.sampled_from(TRIPLE_SYSTEMS))
+        word = tuple(data.draw(st.lists(st.integers(1, system.n),
+                                        max_size=300)))
+        triples = _integer_triples(system)
+        assert compose_triples(triples, word) == _sequential_fold(triples,
+                                                                  word)
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 97, 300])
+    def test_leaf_boundaries(self, length):
+        system = TRIPLE_SYSTEMS[2]
+        word = tuple(1 + (7 * i * i + i) % 3 for i in range(length))
+        triples = _integer_triples(system)
+        assert compose_triples(triples, word) == _sequential_fold(triples,
+                                                                  word)
+        # and compose() agrees with the Fraction-level fold
+        expected = AffineMap(F(1), F(0))
+        for s in word:
+            expected = expected.after(system.maps[s - 1])
+        assert compose(system, word) == expected
 
 
 class TestAttractorHull:

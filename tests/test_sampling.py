@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,14 @@ from normality_lab.errors import (
     InvalidInput,
     PrecisionExhausted,
 )
-from normality_lab.sampling import FixedWord, exact_point, sampled_point
+from normality_lab.sampling import (
+    DigitStream,
+    FixedWord,
+    _int_to_digits,
+    _tail_digit_count,
+    exact_point,
+    sampled_point,
+)
 
 F = Fraction
 
@@ -129,6 +138,29 @@ class TestDigits:
         with pytest.raises(PrecisionExhausted):
             digits(cantor, (1, 2, 1), 2, 50)
 
+    @pytest.mark.parametrize("word,depth", [
+        ((1, 2, 1), 3),
+        ((1, 2) * 50 + (1,), 101),
+    ])
+    def test_finite_word_exhaustion_message(self, cantor, word, depth):
+        # x_{(12)^inf} = 1/4 is a base-2 cell boundary, so the longer word
+        # straddles at depth 43 and 86 and runs out while doubling to 172
+        with pytest.raises(PrecisionExhausted) as info:
+            digits(cantor, FixedWord(word), 2, 50)
+        assert str(info.value) == (
+            f"word stream refused extension at depth {depth}")
+
+    def test_depth_doubling_matches_long_division(self, cantor):
+        # (12)^22 pins the point within 3^-44 of the cell boundary 1/4:
+        # depth 43 straddles, and the doubled depth composes only the new
+        # segment onto the first one
+        word = (1, 2) * 22 + sample_word(cantor, 200, seed=3)
+        ds = digits(cantor, FixedWord(word), 2, 50)
+        assert ds.depth == 86
+        assert ds.point.word == word[:86]
+        exact = digits_of_rational(point_of_word(cantor, word).center, 2, 50)
+        assert list(ds.digits) == list(exact.digits)
+
     def test_negative_rational_wraps(self):
         ds = digits_of_rational(F(-1, 4), 2, 5)
         assert list(ds.digits) == [1, 1, 0, 0, 0]  # -1/4 mod 1 = 3/4
@@ -146,6 +178,61 @@ class TestDigits:
         deep = point_of_word(system, word)
         exact = digits_of_rational(deep.center, 2, 100)
         assert list(ds.digits[:100]) == list(exact.digits)
+
+
+def _reference_digits(m, base, count):
+    """Last `count` digits of m by long division, one digit at a time."""
+    out = []
+    for _ in range(count):
+        m, d = divmod(m, base)
+        out.append(d)
+    return out[::-1]
+
+
+def _reference_orbit(digit_list, base, n_points):
+    """Each orbit value from its own window of tail digits."""
+    k = _tail_digit_count(base)
+    scale = float(base ** k)
+    values = []
+    for n in range(n_points):
+        m = 0
+        for d in digit_list[n:n + k]:
+            m = m * base + d
+        values.append(min(m / scale, math.nextafter(1.0, 0.0)))
+    return values
+
+
+# 17 and 36 still fit their tail window in 64 bits; 100 and 1000 do not
+# and take the scalar orbit loop.
+READ_OFF_BASES = [2, 3, 10, 16, 17, 36, 100, 1000]
+
+
+class TestReadOffAgainstReference:
+    @pytest.mark.parametrize("base", READ_OFF_BASES)
+    def test_int_to_digits(self, base):
+        rng = random.Random(base)
+        for count in (1, 5, 17, 61, 62, 200, 2000, 5003):
+            top = base ** count
+            for m in (0, 1, top - 1, top, rng.randrange(top),
+                      rng.randrange(top, 5 * top)):
+                got = _int_to_digits(m, base, count)
+                assert len(got) == count
+                assert got.tolist() == _reference_digits(m, base, count)
+
+    @pytest.mark.parametrize("base", READ_OFF_BASES)
+    def test_orbit_sequence(self, base):
+        rng = random.Random(1000 + base)
+        k = _tail_digit_count(base)
+        n_points = 700
+        digit_list = [rng.randrange(base) for _ in range(n_points + k)]
+        # a run of top digits makes windows round up to 1.0 (the clamp)
+        digit_list[300:300 + 3 * k] = [base - 1] * (3 * k)
+        ds = DigitStream(base, np.array(digit_list, dtype=np.int64),
+                         len(digit_list), exact_point(0))
+        values = orbit_sequence(ds, n_points).values
+        assert values.tolist() == _reference_orbit(digit_list, base,
+                                                   n_points)
+        assert values.max() == math.nextafter(1.0, 0.0)
 
 
 class TestOrbitSequence:
