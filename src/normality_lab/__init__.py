@@ -45,9 +45,11 @@ from .ifs import (
     validate,
 )
 from .martingale import (
+    CylinderModes,
     GapSeries,
     StoppingRecord,
     cylinder_mode,
+    cylinder_modes,
     martingale_gap,
     r_factor,
     stopping_records,

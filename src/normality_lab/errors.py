@@ -85,10 +85,6 @@ class NonConvergence(PrecisionError):
     """Hull iteration/solving failed; a non-contracting input slipped through."""
 
 
-class BudgetExceeded(PrecisionError):
-    """A node or sample budget was hit before the target tolerance."""
-
-
 class BallStraddlesCut(PrecisionError):
     """A certified ball straddles an integer cut of the mod-1 map."""
 

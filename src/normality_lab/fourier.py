@@ -13,7 +13,6 @@ rigorous.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,23 +30,32 @@ DEFAULT_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 10 ** 7
 
 
-def unit_phase(x) -> complex:
-    """e^{2 pi i x} for rational x, reduced mod 1 exactly before rounding.
+def ratio_phase(num: int, den: int) -> complex:
+    """e^{2 pi i num/den} for integers num and den > 0, reduced mod 1 exactly.
 
-    Exact reduction keeps the phase accurate for astronomically large
-    arguments (q * p^n * offsets) and makes half-integer phases exact.
+    The ratio need not be in lowest terms: the special angles are tested on
+    num mod den against den, and int/int true division is correctly rounded,
+    so every representative of a rational gives the same float.  Exact
+    reduction keeps the phase accurate for astronomically large arguments
+    (q * p^n * offsets) and makes half and quarter phases exact.
     """
-    x = Fraction(x)
-    r = x - (x.numerator // x.denominator)
+    r = num % den
     if r == 0:
         return complex(1.0, 0.0)
-    if 2 * r == 1:
+    if 2 * r == den:
         return complex(-1.0, 0.0)
-    if 4 * r == 1:
+    if 4 * r == den:
         return complex(0.0, 1.0)
-    if 4 * r == 3:
+    if 4 * r == 3 * den:
         return complex(0.0, -1.0)
-    return cmath.exp(complex(0.0, _TWO_PI * float(r)))
+    arg = _TWO_PI * (r / den)
+    return complex(math.cos(arg), math.sin(arg))
+
+
+def unit_phase(x) -> complex:
+    """e^{2 pi i x} for rational x (see :func:`ratio_phase`)."""
+    x = Fraction(x)
+    return ratio_phase(x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)
@@ -83,64 +91,76 @@ def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
     budget : cap on distinct expanded frequencies; once exceeded, pending
         branches are closed with their coarse mean-value bound and the
         result is flagged, never silently truncated
-    cache : optional dict shared between calls on the same system, keyed by
-        exact reduced frequency
+    cache : optional dict shared between calls, keyed by the exact frequency
+        as a reduced ``(numerator, denominator)`` pair of ints.  The entries
+        depend on the system (and on `tol` and `budget`), so a cache may only
+        be shared between ``fourier_exact`` calls on one system.
 
     Frequencies in the expansion tree are exact rationals q * s_{w_1} * ...,
-    so memoization collisions are exact; homogeneous systems collapse to a
+    carried as reduced integer pairs, so memoization collisions are exact and
+    no Fraction is normalised per node; homogeneous systems collapse to a
     frequency chain and inherit the classical infinite-product evaluation.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
     q = Fraction(q)
+    # per-system data as integers: no Fraction arithmetic per call
     lo, hi = system.hull
-    center = (lo + hi) / 2
-    half_width = float(hi - lo) / 2.0
-    slopes = [m.slope for m in system.maps]
-    offsets = [m.offset for m in system.maps]
-    probs = [float(w) for w in system.weights]
+    lo_num, hi_num = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    hull_den = lo.denominator * hi.denominator
+    cnum, cden = lo_num + hi_num, 2 * hull_den   # hull midpoint, unreduced
+    half_width = ((hi_num - lo_num) / hull_den) / 2.0
+    slopes = [(m.slope.numerator, m.slope.denominator) for m in system.maps]
+    offsets = [(m.offset.numerator, m.offset.denominator)
+               for m in system.maps]
+    probs = [w.numerator / w.denominator for w in system.weights]
 
     memo = cache if cache is not None else {}
     budget_hit = False
     new_nodes = 0
 
-    def leaf(u: Fraction, bound: float):
-        return (unit_phase(u * center), bound)
-
-    stack = [q]
+    root = (q.numerator, q.denominator)
+    stack = [root]
     while stack:
         u = stack[-1]
         if u in memo:
             stack.pop()
             continue
-        bound = _TWO_PI * abs(float(u)) * half_width
+        num, den = u
+        bound = _TWO_PI * abs(num / den) * half_width
         if bound <= tol:
-            memo[u] = leaf(u, bound)
+            memo[u] = (ratio_phase(num * cnum, den * cden), bound)
             new_nodes += 1
             stack.pop()
             continue
         if new_nodes >= budget:
             budget_hit = True
-            memo[u] = leaf(u, min(bound, 2.0))
+            memo[u] = (ratio_phase(num * cnum, den * cden), min(bound, 2.0))
             new_nodes += 1
             stack.pop()
             continue
-        children = [u * s for s in slopes]
+        # u * s in lowest terms: both factors are reduced, so only the
+        # cross gcds can cancel
+        children = []
+        for snum, sden in slopes:
+            g1, g2 = math.gcd(num, sden), math.gcd(snum, den)
+            children.append(((num // g1) * (snum // g2),
+                             (den // g2) * (sden // g1)))
         missing = [v for v in children if v not in memo]
         if missing:
             stack.extend(missing)
             continue
         val = complex(0.0, 0.0)
         err = 0.0
-        for p, t, v in zip(probs, offsets, children):
+        for p, (tnum, tden), v in zip(probs, offsets, children):
             cv, ce = memo[v]
-            val += p * unit_phase(u * t) * cv
+            val += p * ratio_phase(num * tnum, den * tden) * cv
             err += p * ce
         memo[u] = (val, err)
         new_nodes += 1
         stack.pop()
 
-    val, err = memo[q]
+    val, err = memo[root]
     return FourierValue(val.real, val.imag, err, q, nodes=new_nodes,
                         budget_exceeded=budget_hit)
 

@@ -7,6 +7,15 @@ The Fourier mode of the pushforward T_p^n f_{w|beta_n} measure factors in
 closed form as a unit phase times the transform at the rescaled frequency
 q * r, which is what lets the orbit average be compared against cylinder
 averages without ever sampling the pushforward.
+
+No Fraction is normalised in the hot loops.  One walk over the word yields
+every stopping record as the raw integers of the composed prefix map
+(x -> (A x + B) / C, uncancelled); `cylinder_modes` then evaluates all
+records at all q in one call: each record's phase numerator p^n B mod C is
+computed once and shared by every q, the float product chain of a
+homogeneous system runs for all small frequencies at once in numpy, and the
+remaining modes go through `fourier_exact`, whose memo is keyed by reduced
+integer pairs.
 """
 
 from __future__ import annotations
@@ -19,26 +28,61 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .fourier import DEFAULT_NODE_BUDGET, FourierValue, fourier_exact
+from .fourier import (
+    _TWO_PI,
+    DEFAULT_NODE_BUDGET,
+    FourierValue,
+    fourier_exact,
+    ratio_phase,
+)
 from .ifs import SelfSimilarSystem, _integer_triples
-from .sampling import FixedWord, WordStream, digits, orbit_sequence
+from .sampling import (
+    FixedWord,
+    WordStream,
+    _tail_digit_count,
+    digits,
+    orbit_sequence,
+)
 
 
 @dataclass(frozen=True)
 class StoppingRecord:
-    """Exact data at the stopping time: n, beta_n, the signed slope product
-    of the beta_n-prefix, its offset, and the factor r = p^n * slope.
+    """Exact data at the stopping time n -> beta_n, as the raw integers of
+    the walk.
 
-    `prev_derivative` is the slope product at depth beta_n - 1 (1 for the
-    empty prefix), kept so minimality is checkable exactly."""
+    The beta_n-prefix composes to x -> (A x + B) / C with C > 0, and
+    prevA / prevC is the slope product one symbol earlier (1 for the empty
+    prefix), kept so minimality is checkable exactly.  The integers are not
+    reduced; the Fraction views below are built on demand."""
 
     n: int
     beta: int
     p: int
-    derivative: Fraction      # signed slope product at depth beta_n
-    prev_derivative: Fraction  # signed slope product at depth beta_n - 1
-    offset: Fraction          # offset of the composed prefix map
-    r: Fraction
+    A: int
+    B: int
+    C: int
+    prevA: int
+    prevC: int
+
+    @property
+    def derivative(self) -> Fraction:
+        """Signed slope product at depth beta_n."""
+        return Fraction(self.A, self.C)
+
+    @property
+    def prev_derivative(self) -> Fraction:
+        """Signed slope product at depth beta_n - 1."""
+        return Fraction(self.prevA, self.prevC)
+
+    @property
+    def offset(self) -> Fraction:
+        """Offset of the composed prefix map."""
+        return Fraction(self.B, self.C)
+
+    @property
+    def r(self) -> Fraction:
+        """The rescaling factor p^n * derivative."""
+        return Fraction(self.p ** self.n * self.A, self.C)
 
     @property
     def derivative_magnitude(self) -> Fraction:
@@ -56,7 +100,8 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
 
     beta_n is nondecreasing in n, so a single walk maintaining the exact
     composed map (as uncancelled integer triples) serves all n.  The
-    comparison |slope| < p^-n is |A| * p^n < C on integers, never floats.
+    comparison |slope| < p^-n is |A| * p^n < C on integers, never floats,
+    and each record keeps the triple as it stands: no gcd in the walk.
     """
     if not isinstance(p, int) or p < 2:
         raise InvalidInput("p must be an integer >= 2")
@@ -76,14 +121,7 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
             a, b, c = triples[stream.symbol(depth) - 1]
             A, B, C = A * a, A * b + B * c, C * c
             depth += 1
-        derivative = Fraction(A, C)
-        records.append(StoppingRecord(
-            n=n, beta=depth, p=p,
-            derivative=derivative,
-            prev_derivative=Fraction(prevA, prevC),
-            offset=Fraction(B, C),
-            r=p_pow * derivative,
-        ))
+        records.append(StoppingRecord(n, depth, p, A, B, C, prevA, prevC))
         p_pow *= p
     return records
 
@@ -126,6 +164,7 @@ _FREQ_ROUND_BITS = 48
 # small frequencies, where phase arguments stay far from the float cliff.
 _FLOAT_CHAIN_MAX_FREQ = 1024.0
 _FLOAT_CHAIN_SLACK = 1e-8
+_FLOAT_CHAIN_MAX_STEPS = 4000
 
 
 def _homogeneous_slope(system: SelfSimilarSystem):
@@ -133,104 +172,159 @@ def _homogeneous_slope(system: SelfSimilarSystem):
     return slopes.pop() if len(slopes) == 1 else None
 
 
-def _phase_from_ratio(num: int, den: int) -> complex:
-    """e^{2 pi i num/den} for 0 <= num < den, without Fraction reduction.
-
-    Big-integer true division is correctly rounded, so the phase argument is
-    accurate to one ulp no matter how large the reduced denominator is.
-    """
-    if num == 0:
-        return complex(1.0, 0.0)
-    if 2 * num == den:
-        return complex(-1.0, 0.0)
-    if 4 * num == den:
-        return complex(0.0, 1.0)
-    if 4 * num == 3 * den:
-        return complex(0.0, -1.0)
-    arg = 2.0 * math.pi * (num / den)
-    return complex(math.cos(arg), math.sin(arg))
-
-
-def _float_chain_value(system: SelfSimilarSystem, u: float, tol: float):
-    """F_u for a homogeneous system by the truncated product, in floats.
+def _float_chains(system: SelfSimilarSystem, slope: Fraction,
+                  u: Sequence[float], tol: float):
+    """F_u for a homogeneous system by the truncated product, in floats, for
+    every frequency in `u` at once; returns arrays (re, im, error bound).
 
     Valid for |u| <= _FLOAT_CHAIN_MAX_FREQ: phase arguments never exceed a
     few thousand radians, so accumulated rounding stays below the
-    _FLOAT_CHAIN_SLACK allowance added to the error bound.
+    _FLOAT_CHAIN_SLACK allowance added to the error bound.  A chain leaves
+    the batch once its truncation bound is within `tol`.  The complex
+    products are written out in real arithmetic in the order Python's
+    complex type rounds them (a float weight times a phase is (p + 0j) *
+    phase, and a sum starts from 0), so each value is the one a scalar loop
+    over Python complex numbers gives, bit for bit.
     """
-    s = float(_homogeneous_slope(system))
+    s = float(slope)
     lo, hi = float(system.hull[0]), float(system.hull[1])
     half = (hi - lo) / 2.0
     center = (lo + hi) / 2.0
-    offsets = [float(m.offset) for m in system.maps]
-    probs = [float(w) for w in system.weights]
-    two_pi = 2.0 * math.pi
-    val = complex(1.0, 0.0)
-    guard = 0
-    while two_pi * abs(u) * half > tol:
-        val *= sum(p * complex(math.cos(two_pi * u * t),
-                               math.sin(two_pi * u * t))
-                   for p, t in zip(probs, offsets))
-        u *= s
-        guard += 1
-        if guard > 4000:
+    terms = [(float(w), float(m.offset))
+             for w, m in zip(system.weights, system.maps)]
+    u = np.array(u, dtype=np.float64)
+    re = np.ones_like(u)
+    im = np.zeros_like(u)
+    live = np.flatnonzero(_TWO_PI * np.abs(u) * half > tol)
+    steps = 0
+    while live.size:
+        steps += 1
+        if steps > _FLOAT_CHAIN_MAX_STEPS:
             raise InvalidInput("chain failed to contract")
-    trunc = two_pi * abs(u) * half
-    val *= complex(math.cos(two_pi * u * center),
-                   math.sin(two_pi * u * center))
-    return val, trunc + _FLOAT_CHAIN_SLACK
+        ul = u[live]
+        w = _TWO_PI * ul
+        tr = ti = 0.0
+        for p, t in terms:
+            c, sn = np.cos(w * t), np.sin(w * t)
+            tr = tr + (p * c - 0.0 * sn)
+            ti = ti + (p * sn + 0.0 * c)
+        xr, xi = re[live], im[live]
+        re[live] = xr * tr - xi * ti
+        im[live] = xr * ti + xi * tr
+        ul = ul * s
+        u[live] = ul
+        live = live[_TWO_PI * np.abs(ul) * half > tol]
+    trunc = _TWO_PI * np.abs(u) * half
+    w = _TWO_PI * u * center
+    c, sn = np.cos(w), np.sin(w)
+    return re * c - im * sn, re * sn + im * c, trunc + _FLOAT_CHAIN_SLACK
 
 
-def _round_frequency(u: Fraction):
-    """Dyadic rounding for huge exact frequencies; returns (u', extra error).
+def _round_frequency(num: int, den: int):
+    """Dyadic rounding for huge exact frequencies num/den (lowest terms,
+    den > 0); returns (u', extra error) with u' a Fraction.
 
     |F_u - F_u'| <= 2 pi |u - u'| sup|x| over the support, and rounding to
     the 2^-48 grid keeps |u - u'| below 2^-49; only applied when the exact
     denominator is too large to be worth carrying through the recursion.
     """
-    if u.denominator.bit_length() <= 64:
-        return u, 0.0
-    num = u.numerator << _FREQ_ROUND_BITS
-    q, rem = divmod(num, u.denominator)
-    if 2 * rem >= u.denominator:
+    if den.bit_length() <= 64:
+        return Fraction(num, den), 0.0
+    q, rem = divmod(num << _FREQ_ROUND_BITS, den)
+    if 2 * rem >= den:
         q += 1
     rounded = Fraction(q, 1 << _FREQ_ROUND_BITS)
     return rounded, 2.0 * math.pi * 2.0 ** -(_FREQ_ROUND_BITS + 1)
 
 
+@dataclass(frozen=True)
+class CylinderModes:
+    """Cylinder modes of several stopping records at several integer q.
+
+    Entry [k, j] of each array belongs to the k-th q and the j-th record;
+    `nodes` counts the transform nodes the exact path expanded (0 where the
+    float chain ran)."""
+
+    values: np.ndarray           # complex128
+    error_bounds: np.ndarray     # float64
+    nodes: np.ndarray            # int64
+    budget_exceeded: np.ndarray  # bool
+
+
+def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
+                   tol: float = 1e-6, cache: Optional[dict] = None,
+                   budget: int = DEFAULT_NODE_BUDGET) -> CylinderModes:
+    """Fourier modes of the cylinder pushforwards T_p^n f_{w|beta_n} measure.
+
+    For integer q the mod-1 shifts drop out of the exponential, leaving the
+    closed form e^{2 pi i q p^n f(0)} * F_{q r}.  The phase argument
+    q p^n B / C is reduced mod 1 with exact integer arithmetic, so n in the
+    tens of thousands costs nothing in accuracy; its numerator p^n B mod C
+    is computed once per record and shared by every q.  Homogeneous systems
+    at |q r| <= _FLOAT_CHAIN_MAX_FREQ take the float product chain, run for
+    all those modes at once; every other mode calls fourier_exact at q r
+    (dyadically rounded when its reduced denominator is huge), q by q and
+    record by record, passing `cache` and `budget` through.
+    """
+    qs = tuple(qs)
+    if not all(isinstance(q, int) for q in qs):
+        raise InvalidInput("cylinder modes are defined for integer q")
+    slope = _homogeneous_slope(system)
+    support = max(abs(float(system.hull[0])), abs(float(system.hull[1])), 1.0)
+    shape = (len(qs), len(records))
+    values = np.empty(shape, dtype=np.complex128)
+    error_bounds = np.empty(shape)
+    nodes = np.zeros(shape, dtype=np.int64)
+    budget_exceeded = np.zeros(shape, dtype=bool)
+
+    scaled, phase_num, r_float = [], [], []
+    for rec in records:
+        pn = rec.p ** rec.n
+        scaled.append(pn * rec.A)
+        phase_num.append(pn * rec.B % rec.C)
+        r_float.append(pn * rec.A / rec.C)
+
+    chain_at, chain_u, chain_phase = [], [], []
+    for k, q in enumerate(qs):
+        for j, rec in enumerate(records):
+            phase = ratio_phase(q * phase_num[j], rec.C)
+            u_float = q * r_float[j]
+            if slope is not None and abs(u_float) <= _FLOAT_CHAIN_MAX_FREQ:
+                chain_at.append((k, j))
+                chain_u.append(u_float)
+                chain_phase.append(phase)
+                continue
+            num, den = q * scaled[j], rec.C
+            g = math.gcd(num, den)
+            u, extra = _round_frequency(num // g, den // g)
+            fv = fourier_exact(system, u, tol=tol, cache=cache, budget=budget)
+            values[k, j] = phase * fv.value
+            error_bounds[k, j] = fv.error_bound + extra * support
+            nodes[k, j] = fv.nodes
+            budget_exceeded[k, j] = fv.budget_exceeded
+
+    if chain_at:
+        cr, ci, cerr = _float_chains(system, slope, chain_u, tol)
+        pr = np.array([ph.real for ph in chain_phase])
+        pi = np.array([ph.imag for ph in chain_phase])
+        rows, cols = np.array(chain_at).T
+        values.real[rows, cols] = pr * cr - pi * ci
+        values.imag[rows, cols] = pr * ci + pi * cr
+        error_bounds[rows, cols] = cerr
+    return CylinderModes(values, error_bounds, nodes, budget_exceeded)
+
+
 def cylinder_mode(system: SelfSimilarSystem, record: StoppingRecord, q: int,
                   tol: float = 1e-6, cache: Optional[dict] = None,
                   budget: int = DEFAULT_NODE_BUDGET) -> FourierValue:
-    """Fourier mode of the cylinder pushforward T_p^n f_{w|beta_n} measure.
-
-    For integer q the mod-1 shifts drop out of the exponential, leaving the
-    closed form e^{2 pi i q p^n f(0)} * F_{q r}; the phase argument is
-    reduced mod 1 with exact integer arithmetic, so n in the tens of
-    thousands costs nothing in accuracy.
-    """
-    if not isinstance(q, int):
-        raise InvalidInput("cylinder modes are defined for integer q")
-    n, p = record.n, record.p
-    off = record.offset
-    # q * p^n * offset mod 1, computed modulo the offset denominator; the
-    # reduced ratio feeds the phase without a normalized Fraction (the gcd on
-    # ten-kilobit denominators would dominate the whole experiment)
-    den = off.denominator
-    num = (q * pow(p, n, den) * (off.numerator % den)) % den
-    phase = _phase_from_ratio(num, den)
-    u_float = q * float(record.r)
-    if (_homogeneous_slope(system) is not None
-            and abs(u_float) <= _FLOAT_CHAIN_MAX_FREQ):
-        cv, err = _float_chain_value(system, u_float, tol)
-        val = phase * cv
-        return FourierValue(val.real, val.imag, err, Fraction(q))
-    max_support = max(abs(float(system.hull[0])), abs(float(system.hull[1])), 1.0)
-    u, extra = _round_frequency(q * record.r)
-    fv = fourier_exact(system, u, tol=tol, cache=cache, budget=budget)
-    val = phase * fv.value
-    return FourierValue(val.real, val.imag, fv.error_bound + extra * max_support,
-                        Fraction(q), nodes=fv.nodes,
-                        budget_exceeded=fv.budget_exceeded)
+    """Fourier mode of one cylinder pushforward: the one-record, one-q case
+    of :func:`cylinder_modes`."""
+    modes = cylinder_modes(system, [record], [q], tol=tol, cache=cache,
+                           budget=budget)
+    val = complex(modes.values[0, 0])
+    return FourierValue(val.real, val.imag, float(modes.error_bounds[0, 0]),
+                        Fraction(q), nodes=int(modes.nodes[0, 0]),
+                        budget_exceeded=bool(modes.budget_exceeded[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -275,22 +369,15 @@ def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
     stream = WordStream(system, seed)
 
     records = stopping_records(system, stream, n_max - 1, p)
-    tail = 1
-    while p ** tail < (1 << 60):
-        tail += 1
-    ds = digits(system, stream, p, n_max + tail + 1)
+    ds = digits(system, stream, p, n_max + _tail_digit_count(p) + 1)
     orbit = orbit_sequence(ds, n_max, seed=seed)
+    cyl = cylinder_modes(system, records, qs, tol=tol, cache={}).values
 
     out = []
-    cache: dict = {}
-    for q in qs:
+    for q, cyl_q in zip(qs, cyl):
         phases = np.exp((2.0j * math.pi * q) * orbit.values)
         emp_cum = np.cumsum(phases)
-        cyl = np.empty(n_max, dtype=np.complex128)
-        for rec in records:
-            fv = cylinder_mode(system, rec, q, tol=tol, cache=cache)
-            cyl[rec.n] = fv.value
-        cyl_cum = np.cumsum(cyl)
+        cyl_cum = np.cumsum(cyl_q)
         empirical, cylinder, gaps = [], [], []
         for n in n_list:
             e = complex(emp_cum[n - 1] / n)

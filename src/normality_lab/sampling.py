@@ -417,7 +417,9 @@ def _point_ball(x, prec: int) -> Ball:
 
 def _point_radius_log2(x) -> float:
     if isinstance(x, PointApproximation) and x.radius > 0:
-        return math.log2(float(x.radius))
+        # logs of the integers: float(radius) underflows below ~2^-1075
+        r = x.radius
+        return math.log2(r.numerator) - math.log2(r.denominator)
     return -math.inf
 
 
@@ -610,7 +612,9 @@ def sampled_point(system: SelfSimilarSystem, stream, target_radius) -> PointAppr
         raise InvalidInput("target radius must be positive")
     rho = float(system.contraction)
     width = float(system.hull_width)
-    depth = max(1, math.ceil((math.log(float(target)) - math.log(width))
+    # logs of the integers: float(target) underflows below ~2^-1075
+    log_target = math.log(target.numerator) - math.log(target.denominator)
+    depth = max(1, math.ceil((log_target - math.log(width))
                              / math.log(rho)) + 1)
     while True:
         point = point_of_word(system, stream.prefix(depth))

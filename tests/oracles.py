@@ -8,6 +8,7 @@ hulls.  Keeping them separate from the package is the point.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,6 +96,102 @@ def homogeneous_product_fourier(system, q, levels=120) -> complex:
         u *= s
     center = float(system.hull[0] + system.hull[1]) / 2.0
     return val * np.exp(2j * np.pi * u * center)
+
+
+def _special_phase(x: Fraction):
+    """e^{2 pi i x} at the exact angles 0, 1/2, 1/4 and 3/4 of x mod 1."""
+    r = x - math.floor(x)
+    return {Fraction(0): complex(1.0, 0.0), Fraction(1, 2): complex(-1.0, 0.0),
+            Fraction(1, 4): complex(0.0, 1.0),
+            Fraction(3, 4): complex(0.0, -1.0)}.get(r), r
+
+
+def reference_phase(x) -> complex:
+    """e^{2 pi i x} for rational x: exact at quarter angles, else cos/sin of
+    2 pi times the correctly rounded fractional part."""
+    special, r = _special_phase(Fraction(x))
+    if special is not None:
+        return special
+    arg = 2.0 * math.pi * float(r)
+    return complex(math.cos(arg), math.sin(arg))
+
+
+def reference_fourier_tree(system, q, tol, budget, cache=None):
+    """The memoised transform tree over Fraction-keyed frequencies.
+
+    Returns (value, error bound, nodes expanded, budget hit).  Same
+    expansion order and leaf rule as the library's tree, written with
+    Fraction arithmetic throughout, so it pins values, bounds, node counts
+    and budget behaviour of any faster representation.
+    """
+    q = Fraction(q)
+    lo, hi = system.hull
+    center = (lo + hi) / 2
+    half_width = float(hi - lo) / 2.0
+    slopes = [m.slope for m in system.maps]
+    offsets = [m.offset for m in system.maps]
+    probs = [float(w) for w in system.weights]
+    memo = cache if cache is not None else {}
+    hit, nodes = False, 0
+    stack = [q]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        bound = 2.0 * math.pi * abs(float(u)) * half_width
+        if bound <= tol or nodes >= budget:
+            if bound > tol:
+                hit, bound = True, min(bound, 2.0)
+            memo[u] = (reference_phase(u * center), bound)
+            nodes += 1
+            stack.pop()
+            continue
+        children = [u * s for s in slopes]
+        missing = [v for v in children if v not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        val, err = complex(0.0, 0.0), 0.0
+        for p, t, v in zip(probs, offsets, children):
+            cv, ce = memo[v]
+            val += p * reference_phase(u * t) * cv
+            err += p * ce
+        memo[u] = (val, err)
+        nodes += 1
+        stack.pop()
+    val, err = memo[q]
+    return val, err, nodes, hit
+
+
+def scalar_chain_mode(system, n, p, slope, offset, q, tol):
+    """Cylinder mode e^{2 pi i q p^n offset} * F_{q r} of a homogeneous
+    system by the one-chain-at-a-time float product in Python complex
+    arithmetic, r = p^n * slope; returns (value, error bound).
+
+    The rounding reference for a batched chain: every product and sum is
+    the Python complex operation, in the order of the recursion.
+    """
+    slopes = {m.slope for m in system.maps}
+    assert len(slopes) == 1
+    s = float(slopes.pop())
+    lo, hi = float(system.hull[0]), float(system.hull[1])
+    half = (hi - lo) / 2.0
+    center = (lo + hi) / 2.0
+    offsets = [float(m.offset) for m in system.maps]
+    probs = [float(w) for w in system.weights]
+    two_pi = 2.0 * math.pi
+    u = q * float(p ** n * Fraction(slope))
+    val = complex(1.0, 0.0)
+    while two_pi * abs(u) * half > tol:
+        val *= sum(w * complex(math.cos(two_pi * u * t),
+                               math.sin(two_pi * u * t))
+                   for w, t in zip(probs, offsets))
+        u *= s
+    val *= complex(math.cos(two_pi * u * center),
+                   math.sin(two_pi * u * center))
+    phase = reference_phase(q * p ** n * Fraction(offset))
+    return phase * val, two_pi * abs(u) * half + 1e-8
 
 
 # ----------------------------------------------------------------- hulls

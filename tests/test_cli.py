@@ -70,6 +70,18 @@ class TestExitCodes:
         code = main(["validate", "--system", "/nonexistent/x.json"])
         assert code != 0
 
+    def test_beta_orbit_from_a_point_finer_than_floats(self, cantor_file,
+                                                       tmp_path, capsys):
+        # the sampled start point needs a radius near 2^-2460, far below
+        # the smallest float
+        out = tmp_path / "beta.csv"
+        code = main(["beta-orbit", "--system", cantor_file, "--beta", "5/2",
+                     "--length", "1800", "--out", str(out)])
+        assert code == 0
+        rows = [line for line in out.read_text().splitlines()
+                if line and not line.startswith("#")]
+        assert len(rows) == 1801  # header + one row per point
+
 
 class TestOutputs:
     def test_csv_deterministic(self, cantor_file, tmp_path, capsys):
@@ -161,13 +173,17 @@ class TestWorkerPool:
         assert outputs[0] == outputs[1]
 
 
-# sha256 of whole outputs for a fixed set of (system, base, length, seed),
-# recorded before the product-tree composition and the vectorised digit and
-# orbit read-off landed; any change to these bytes is a change of behaviour.
+# sha256 of whole outputs for a fixed set of (system, base, length, seed).
+# The orbit/digits/normality cases were recorded before the product-tree
+# composition and the vectorised digit and orbit read-off landed; the
+# martingale/decay/fourier cases before the fraction-free cylinder modes and
+# the integer-pair transform.  Any change to these bytes is a change of
+# behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
     "flip": [("-1/2", "0"), ("-1/2", "1/2")],
+    "inh": [("1/3", "0"), ("1/2", "1/2")],
 }
 GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"]}
 
@@ -199,9 +215,43 @@ GOLDEN_CASES = {
     "normality-flip-b3": (["normality", "--base", "3", "--length", "300",
                            "--q-max", "3", "--guard", "8",
                            "--seed", "8", "--format", "json"], "flip"),
+    # q = 5000 is past the float-chain cutoff, so the exact fallback runs
+    # for the homogeneous systems too
+    "martingale-cantor-b2-x2": (["martingale", "--base", "2",
+                                 "--q", "0,1,2,5000", "--N-list", "40,150,600",
+                                 "--samples", "2", "--seed", "1"], "cantor"),
+    "martingale-cantor-b3": (["martingale", "--base", "3", "--q", "0,1,5000",
+                              "--N-list", "50,300", "--seed", "4"], "cantor"),
+    "martingale-flip-b10": (["martingale", "--base", "10", "--q", "0,3,5000",
+                             "--N-list", "30,120", "--seed", "12"], "flip"),
+    "martingale-inh-b2-x2": (["martingale", "--base", "2", "--q", "0,1,3",
+                              "--N-list", "20,70", "--samples", "2",
+                              "--seed", "5"], "inh"),
+    "martingale-inh-b3": (["martingale", "--base", "3", "--q", "0,2,5000",
+                           "--N-list", "15,40", "--seed", "6"], "inh"),
+    "martingale-mixed-b10-x2": (["martingale", "--base", "10",
+                                 "--q", "0,1,7,5000", "--N-list", "10,40",
+                                 "--samples", "2", "--seed", "7"], "mixed"),
+    "decay-cantor": (["decay", "--j-max", "12", "--per-band", "16",
+                      "--tol", "1e-8"], "cantor"),
+    "decay-inh": (["decay", "--j-max", "9", "--per-band", "8"], "inh"),
+    # a 40-node budget is hit in four of the eleven bands
+    "decay-mixed-budget": (["decay", "--j-max", "10", "--per-band", "8",
+                            "--tol", "1e-9", "--budget", "40"], "mixed"),
+    "fourier-cantor-6561": (["fourier", "--q", "6561", "--tol", "1e-12"],
+                            "cantor"),
+    "fourier-mixed-negative": (["fourier", "--q=-355/113"], "mixed"),
+    "fourier-inh-negative": (["fourier", "--q=-98765/64", "--tol", "1e-10"],
+                             "inh"),
 }
 
 GOLDEN_SHA256 = {
+    "decay-cantor":
+        "e2d27757d939b1d1b00ed4233c45485e70be7a058782701b2a7b9781007d681b",
+    "decay-inh":
+        "21ea09bd04313d850ad4c8f95b5f697703e15108867ca0093ee1f97c3547e2a0",
+    "decay-mixed-budget":
+        "d88d7dd5ffeeeb634df3b75b036c5333e99b116207dc2c4d8f85f640387377ee",
     "digits-cantor-b3":
         "ae2cdd3b9b368bc7d025faebbaeb1a549ba681c6d1d496c93b482c12d07c83e2",
     "digits-cantor-b36":
@@ -210,6 +260,24 @@ GOLDEN_SHA256 = {
         "675287909969b9492dd768586c23c74884a2042b5a5e71ff526a6feb548907c8",
     "digits-mixed-b2":
         "0d7455e98e550aa6132a4e21e09888abdc3d9d4125978ede7cd12f31bb55316e",
+    "fourier-cantor-6561":
+        "7a8a8a087112573c58dab3e7118a6b536e6e737e36013b93139d54bafecc0acd",
+    "fourier-inh-negative":
+        "ea58035ef6877bb07c1214c0a97836cb01e283a44e2449b92f73e5399b6a21b5",
+    "fourier-mixed-negative":
+        "115010b61e568ef262a60a06bd1bd9304ade157fbbdf1ba7b550fce5d5c3f4e1",
+    "martingale-cantor-b2-x2":
+        "82e4e7cd9759c970e26089295dd9aa7e3ae4cab80c00d4de5d93ddd0aa947904",
+    "martingale-cantor-b3":
+        "e0b4ced5f7befb4534f592e5aee2ab63660c242b534f23d720c7bedad529f416",
+    "martingale-flip-b10":
+        "ed4416ce3e148f326a1fc36081629fb59f094ff723ac55c821cb70eda266ac65",
+    "martingale-inh-b2-x2":
+        "95d713710219744e2d4644c8d4166dd60ba72a53956812bc01164bbf47e183f5",
+    "martingale-inh-b3":
+        "9f055f9ffb633612341667372d0290f9876a1160d6044da45931b15ffef2bf2a",
+    "martingale-mixed-b10-x2":
+        "ee65cbb2e679715077eb45f1ffb3953d2b7f52a946b15fffcd560cef4306e0de",
     "normality-cantor-b2":
         "19544969ed4126dd3c48d789006ae96cf8a7090bdaf6f643478c59132d3311cd",
     "normality-flip-b3":

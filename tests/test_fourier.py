@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normality_lab import (
     decay_fit,
@@ -10,18 +12,42 @@ from normality_lab import (
     del_criterion_check,
     fourier_empirical,
     fourier_exact,
+    make_system,
     uniform_sample,
 )
 from normality_lab.errors import InsufficientBands, InvalidInput
-from normality_lab.fourier import DecayBand, DecayProfile, unit_phase
+from normality_lab.fourier import (
+    DecayBand,
+    DecayProfile,
+    ratio_phase,
+    unit_phase,
+)
 
 from oracles import (
     homogeneous_product_fourier,
     lebesgue_transform,
     monte_carlo_fourier,
+    reference_fourier_tree,
+    reference_phase,
 )
 
 F = Fraction
+
+TREE_SYSTEMS = {
+    "cantor": make_system([("1/3", "0"), ("1/3", "2/3")]),
+    "mixed": make_system([("1/2", "0"), ("1/4", "3/4")], ["2/3", "1/3"]),
+    "inh": make_system([("1/3", "0"), ("1/2", "1/2")]),
+    "flip": make_system([("-1/2", "0"), ("-1/2", "1/2")]),
+    "shifted": make_system([("-2/5", "7/5"), ("1/3", "-1/3")],
+                           ["3/7", "4/7"]),
+}
+
+rationals = st.builds(F, st.integers(-10 ** 7, 10 ** 7),
+                      st.integers(1, 10 ** 4))
+
+
+def _bits(z: complex) -> tuple:
+    return (float(z.real).hex(), float(z.imag).hex())
 
 
 class TestUnitPhase:
@@ -36,6 +62,14 @@ class TestUnitPhase:
     def test_huge_argument_reduced_exactly(self):
         x = F(2 ** 400 * 3 + 1, 4)  # frac = 1/4
         assert unit_phase(x) == 1.0j
+
+    @given(x=rationals, scale=st.integers(1, 10 ** 30))
+    @settings(max_examples=200, deadline=None)
+    def test_any_representative_gives_the_reference_phase(self, x, scale):
+        want = _bits(reference_phase(x))
+        assert _bits(unit_phase(x)) == want
+        num, den = x.numerator * scale, x.denominator * scale
+        assert _bits(ratio_phase(num, den)) == want
 
 
 class TestFourierExact:
@@ -111,6 +145,38 @@ class TestFourierExact:
         fv2 = fourier_exact(cantor, 3, tol=1e-9, cache=cache)
         assert len(cache) == n_first  # the 3-chain is a suffix of the 9-chain
         assert fv2.nodes == 0
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_pair_tree_equals_fraction_tree(self, data):
+        system = TREE_SYSTEMS[data.draw(st.sampled_from(sorted(TREE_SYSTEMS)))]
+        tol = data.draw(st.sampled_from([1e-4, 1e-7, 1e-10]))
+        budget = data.draw(st.sampled_from([3, 40, 10 ** 7]))
+        qs = data.draw(st.lists(rationals, min_size=1, max_size=5))
+        cache, ref_cache = {}, {}
+        for q in qs:
+            for shared in (None, cache):
+                fv = fourier_exact(system, q, tol=tol, budget=budget,
+                                   cache=shared)
+                val, err, nodes, hit = reference_fourier_tree(
+                    system, q, tol, budget,
+                    cache=ref_cache if shared is not None else None)
+                assert _bits(fv.value) == _bits(val)
+                assert fv.error_bound == err
+                assert fv.nodes == nodes
+                assert fv.budget_exceeded == hit
+                assert fv.frequency == q
+        # the memo holds one reduced (num, den) pair per Fraction frequency
+        assert {F(*k) for k in cache} == set(ref_cache)
+        assert all(F(*k).denominator == k[1] for k in cache)
+
+    def test_resonance_equals_fraction_tree(self, cantor):
+        for q in (3 ** 8, 3 ** 40 + 1, F(-(3 ** 25), 7)):
+            fv = fourier_exact(cantor, q, tol=1e-12)
+            val, err, nodes, hit = reference_fourier_tree(cantor, q, 1e-12,
+                                                          10 ** 7)
+            assert _bits(fv.value) == _bits(val)
+            assert (fv.error_bound, fv.nodes) == (err, nodes) and not hit
 
     def test_invalid_tol(self, cantor):
         with pytest.raises(InvalidInput):

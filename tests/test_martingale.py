@@ -2,20 +2,44 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normality_lab import (
+    StoppingRecord,
     WordStream,
+    compose,
     cylinder_mode,
     fourier_exact,
+    make_system,
     martingale_gap,
     r_factor,
     stopping_records,
     stopping_time,
 )
 from normality_lab.errors import InvalidInput, StreamExhausted
-from normality_lab.martingale import martingale_gaps, min_stopping_depth
+from normality_lab.martingale import (
+    cylinder_modes,
+    martingale_gaps,
+    min_stopping_depth,
+)
+
+from oracles import scalar_chain_mode
 
 F = Fraction
+
+# homogeneous systems for the float chain: positive and negative slopes
+CHAIN_SYSTEMS = {
+    "cantor": make_system([("1/3", "0"), ("1/3", "2/3")]),
+    "flip": make_system([("-1/2", "0"), ("-1/2", "1/2")]),
+    "thirds": make_system([("1/3", "0"), ("1/3", "1/3"), ("1/3", "2/3")],
+                          ["1/2", "1/3", "1/6"]),
+}
+
+
+def _bits(z: complex) -> tuple:
+    """Exact bit pattern of both parts (float.hex keeps the sign of 0)."""
+    return (float(z.real).hex(), float(z.imag).hex())
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +106,44 @@ class TestStoppingTime:
             stopping_time(cantor, (1, 2), 50, 2)
 
 
+class TestStoppingRecordFields:
+    @pytest.mark.parametrize("name", ["cantor", "half", "mixed"])
+    def test_properties_are_the_reduced_prefix_fractions(self, name,
+                                                         three_systems):
+        system = three_systems[name]
+        stream = WordStream(system, 21)
+        for p in (2, 3, 10):
+            recs = stopping_records(system, stream, 40, p)
+            word = stream.prefix(recs[-1].beta)
+            for rec in recs:
+                full = compose(system, word[:rec.beta])
+                prev = compose(system, word[:rec.beta - 1])
+                assert rec.derivative == full.slope
+                assert rec.offset == full.offset
+                assert rec.prev_derivative == prev.slope
+                assert rec.r == p ** rec.n * full.slope
+                assert rec.derivative_magnitude == abs(full.slope)
+                for f in (rec.derivative, rec.offset, rec.prev_derivative,
+                          rec.r):
+                    assert type(f) is Fraction
+                # the raw integers are the uncancelled triple of the walk
+                assert F(rec.A, rec.C) == full.slope and rec.C > 0
+
+    def test_r_factor_rejects_bad_records(self, cantor, cantor_records):
+        good = cantor_records[7]
+        assert r_factor(good) == good.r
+        # |r| >= 1: the stopping rule does not hold
+        too_big = StoppingRecord(good.n, good.beta, good.p, 3 * good.A,
+                                 good.B, good.C, good.prevA, good.prevC)
+        with pytest.raises(InvalidInput, match="stopping rule"):
+            r_factor(too_big)
+        # the previous slope product already below p^-n: not minimal
+        not_minimal = StoppingRecord(good.n, good.beta, good.p, good.A,
+                                     good.B, good.C, good.A, good.C)
+        with pytest.raises(InvalidInput, match="minimality"):
+            r_factor(not_minimal)
+
+
 class TestCylinderMode:
     def test_q_zero_is_one(self, cantor, cantor_records):
         fv = cylinder_mode(cantor, cantor_records[5], 0)
@@ -114,6 +176,87 @@ class TestCylinderMode:
     def test_non_integer_q_rejected(self, cantor, cantor_records):
         with pytest.raises(InvalidInput):
             cylinder_mode(cantor, cantor_records[0], 1.5)
+        with pytest.raises(InvalidInput):
+            cylinder_modes(cantor, cantor_records, [1, F(1, 2)])
+
+
+class TestCylinderModesBatch:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_float_chain_equals_scalar_chain_bit_for_bit(self, data):
+        name = data.draw(st.sampled_from(sorted(CHAIN_SYSTEMS)))
+        system = CHAIN_SYSTEMS[name]
+        p = data.draw(st.sampled_from([2, 3, 5, 10]))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        n_max = data.draw(st.integers(0, 120))
+        records = stopping_records(system, WordStream(system, seed), n_max, p)
+        picks = data.draw(st.lists(st.integers(0, n_max), min_size=1,
+                                   max_size=12))
+        records = [records[i] for i in picks]
+        qs = data.draw(st.lists(st.integers(-1100, 1100), min_size=1,
+                                max_size=4))
+        tol = data.draw(st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+        modes = cylinder_modes(system, records, qs, tol=tol)
+        for k, q in enumerate(qs):
+            for j, rec in enumerate(records):
+                if abs(q * float(rec.r)) > 1024.0:
+                    continue   # past the chain cutoff: exact path
+                want, bound = scalar_chain_mode(system, rec.n, p,
+                                                rec.derivative, rec.offset,
+                                                q, tol)
+                assert _bits(modes.values[k, j]) == _bits(want)
+                assert modes.error_bounds[k, j] == bound
+                assert modes.nodes[k, j] == 0
+                assert not modes.budget_exceeded[k, j]
+
+    def test_signed_zeros_match(self):
+        # q = 0 and quarter phases produce exact zeros in the products
+        system = CHAIN_SYSTEMS["flip"]
+        records = stopping_records(system, WordStream(system, 4), 30, 2)
+        qs = [0, 1, -1, 2, 4]
+        modes = cylinder_modes(system, records, qs, tol=1e-9)
+        for k, q in enumerate(qs):
+            for j, rec in enumerate(records):
+                want, _ = scalar_chain_mode(system, rec.n, 2, rec.derivative,
+                                            rec.offset, q, 1e-9)
+                assert _bits(modes.values[k, j]) == _bits(want)
+
+    def test_one_record_case_is_cylinder_mode(self, cantor, mixed):
+        for system in (cantor, mixed):
+            records = stopping_records(system, WordStream(system, 3), 25, 2)
+            qs = [0, 1, 3, 5000]
+            modes = cylinder_modes(system, records, qs, tol=1e-7)
+            for k, q in enumerate(qs):
+                for j, rec in enumerate(records):
+                    fv = cylinder_mode(system, rec, q, tol=1e-7)
+                    assert _bits(fv.value) == _bits(modes.values[k, j])
+                    assert fv.error_bound == modes.error_bounds[k, j]
+                    assert fv.frequency == q
+                    assert type(fv.real) is float
+
+    def test_exact_path_uses_fourier_exact(self, mixed):
+        records = stopping_records(mixed, WordStream(mixed, 8), 12, 3)
+        cache: dict = {}
+        modes = cylinder_modes(mixed, records, [2], tol=1e-8, cache=cache)
+        assert cache and all(type(k) is tuple for k in cache)
+        for j, rec in enumerate(records):
+            fv = fourier_exact(mixed, 2 * rec.r, tol=1e-8)
+            assert abs(abs(modes.values[0, j]) - fv.modulus) <= 2e-8
+            assert modes.error_bounds[0, j] <= 1e-8
+        assert modes.nodes.sum() == len(cache)
+
+    def test_budget_flag_passes_through(self, mixed):
+        records = stopping_records(mixed, WordStream(mixed, 8), 6, 2)
+        modes = cylinder_modes(mixed, records, [10 ** 5], tol=1e-12,
+                               budget=5)
+        assert modes.budget_exceeded.all()
+        assert (modes.nodes > 0).all()
+        assert (modes.error_bounds > 1e-12).all()
+
+    def test_empty_batches(self, cantor, cantor_records):
+        assert cylinder_modes(cantor, [], [1, 2]).values.shape == (2, 0)
+        assert cylinder_modes(cantor, cantor_records, []).values.shape == (
+            0, len(cantor_records))
 
 
 class TestMartingaleGap:

@@ -29,7 +29,9 @@ from normality_lab.errors import (
 from normality_lab.sampling import (
     DigitStream,
     FixedWord,
+    PointApproximation,
     _int_to_digits,
+    _point_radius_log2,
     _tail_digit_count,
     exact_point,
     sampled_point,
@@ -298,6 +300,23 @@ class TestBetaOrbit:
         assert len(sam) == 100
         assert sam.values.min() >= 0.0
         assert sam.values.max() <= 2 / 3 + 1e-12
+
+    def test_radius_below_float_range(self):
+        # 2^-1100 converts to 0.0 as a float; the log comes from the integers
+        for bits in (30, 1100, 5000):
+            pt = PointApproximation(F(1, 3), F(1, 2) ** bits, F(0), F(1),
+                                    (), F(0))
+            assert _point_radius_log2(pt) == pytest.approx(-bits, abs=1e-9)
+        pt = PointApproximation(F(1, 3), 3 * F(1, 2) ** 1100, F(0), F(1),
+                                (), F(0))
+        assert _point_radius_log2(pt) == pytest.approx(
+            math.log2(3) - 1100, abs=1e-9)
+        assert _point_radius_log2(exact_point(F(1, 3))) == -math.inf
+
+    def test_sampled_point_below_float_range(self, cantor):
+        target = F(1, 2) ** 1200
+        pt = sampled_point(cantor, WordStream(cantor, 5), target)
+        assert 0 < pt.radius <= target
 
     def test_coarse_point_rejected(self, beta_52):
         pt = point_of_word(beta_52, sample_word(beta_52, 5, seed=1))
