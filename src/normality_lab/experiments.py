@@ -3,7 +3,8 @@
 Each runner returns (rows, results): `rows` is a list of flat dicts destined
 for CSV, `results` a JSON-ready summary.  Multi-sample experiments derive
 per-task seeds through SeedSequence spawn keys, so output is deterministic
-for a fixed (config, seed) regardless of pool size.
+for a fixed (config, seed).  Samples run one after another: the work is
+GIL-bound big-integer arithmetic, which a thread pool only slows down.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +37,13 @@ from .sampling import (
     DigitStream,
     SequenceSample,
     WordStream,
+    _tail_digit_count,
     beta_orbit,
     digits,
     orbit_sequence,
     power_orbit,
     sampled_point,
+    uniform_sample,
 )
 from .stats import (
     TestFunction,
@@ -53,26 +54,12 @@ from .stats import (
     weyl_report,
 )
 
-THREADS_ENV = "NORMALITY_LAB_THREADS"
-
-
 def pool_size() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ConfigParseError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
-    return min(8, os.cpu_count() or 1)
+    """Number of workers a runner uses: always 1, the runners are sequential.
 
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Ordered map over a bounded worker pool (deterministic assembly)."""
-    items = list(items)
-    if len(items) <= 1 or pool_size() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=pool_size()) as pool:
-        return list(pool.map(fn, items))
+    Kept because the benchmark's `experiments.pool_workers` metric reads it.
+    """
+    return 1
 
 
 def system_hash(system: SelfSimilarSystem) -> str:
@@ -80,20 +67,14 @@ def system_hash(system: SelfSimilarSystem) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _orbit_digits(system: SelfSimilarSystem, base: int, length: int,
-                  seed: int, task: int = 0, guard: int = 16) -> DigitStream:
-    """Certified digits enough for `length` orbit values of one sample."""
+def _orbit(system: SelfSimilarSystem, base: int, length: int, seed: int,
+           task: int = 0, guard: int = 16
+           ) -> tuple[DigitStream, SequenceSample]:
+    """One sample's certified digits and its first `length` orbit values."""
     stream = WordStream(system, seed, spawn_key=(task,) if task else ())
-    tail = 1
-    while base ** tail < (1 << 60):
-        tail += 1
-    return digits(system, stream, base, length + tail + 1, guard=guard)
-
-
-def _orbit_sample(system: SelfSimilarSystem, base: int, length: int,
-                  seed: int, task: int = 0, guard: int = 16) -> SequenceSample:
-    ds = _orbit_digits(system, base, length, seed, task=task, guard=guard)
-    return orbit_sequence(ds, length, seed=seed)
+    ds = digits(system, stream, base, length + _tail_digit_count(base) + 1,
+                guard=guard)
+    return ds, orbit_sequence(ds, length, seed=seed)
 
 
 # ------------------------------------------------------------------ runners
@@ -172,11 +153,8 @@ def run_decay(system: SelfSimilarSystem, j_max: int, per_band: int,
 
 def run_orbit(system: SelfSimilarSystem, base: int, length: int,
               samples: int, seed: int, guard: int):
-    def one(task: int):
-        return _orbit_sample(system, base, length, seed, task=task,
-                             guard=guard)
-
-    sams = parallel_map(one, range(samples))
+    sams = [_orbit(system, base, length, seed, task, guard)[1]
+            for task in range(samples)]
     rows = []
     for i, sam in enumerate(sams):
         for n, v in enumerate(sam.values):
@@ -250,23 +228,21 @@ def run_power_orbit(x: str, length: int, seed: int,
 def run_normality(system: SelfSimilarSystem, base: int, length: int,
                   q_max: int, samples: int, seed: int, guard: int,
                   disc_threshold: float, weyl_threshold: float):
-    def one(task: int):
-        ds = _orbit_digits(system, base, length, seed, task=task, guard=guard)
-        sam = orbit_sequence(ds, length, seed=seed)
+    stats = []
+    for task in range(samples):
+        ds, sam = _orbit(system, base, length, seed, task, guard)
         # the first digits of the orbit's own certified stream
         head = dataclasses.replace(ds, certified_length=min(length, 4096))
         freq = digit_frequencies(head, 1)
         wr = weyl_report(sam, q_max, threshold=weyl_threshold)
-        return {
+        stats.append({
             "sample": task,
             "discrepancy": discrepancy(sam),
             "max_weyl_modulus": float(wr.moduli.max()),
             "weyl_flagged": len(wr.flagged),
             "digit_freqs": {str(k[0]): c / freq.total
                             for k, c in freq.counts.items()},
-        }
-
-    stats = parallel_map(one, range(samples))
+        })
     rows = [{"sample": s["sample"], "discrepancy": s["discrepancy"],
              "max_weyl_modulus": s["max_weyl_modulus"],
              "weyl_flagged": s["weyl_flagged"]} for s in stats]
@@ -287,26 +263,22 @@ def _sequence_source(source: str, system: Optional[SelfSimilarSystem],
     if source == "orbit":
         if system is None or base is None:
             raise ConfigParseError("orbit source needs --system and --base")
-        return _orbit_sample(system, base, length, seed, task=task)
+        return _orbit(system, base, length, seed, task)[1]
     if source == "power":
         if x is None:
             raise ConfigParseError("power source needs --x")
         return power_orbit(as_fraction(x), length, seed=seed)
     if source == "uniform":
-        ss = np.random.SeedSequence(seed, spawn_key=(task,) if task else ())
-        rng = np.random.Generator(np.random.Philox(ss))
-        return SequenceSample(rng.random(length), 2.0 ** -52,
-                              source="uniform", seed=seed)
+        return uniform_sample(length, seed, (task,) if task else ())
     raise ConfigParseError(f"unknown source {source!r}")
 
 
 def run_correlations(source: str, system, base, x, length: int, k: int,
                      test_fn: TestFunction, samples: int, seed: int):
-    def one(task: int):
-        sam = _sequence_source(source, system, base, x, length, seed, task)
-        return k_level_correlation(sam, k, test_fn)
-
-    res = parallel_map(one, range(samples))
+    res = [k_level_correlation(
+               _sequence_source(source, system, base, x, length, seed, task),
+               k, test_fn)
+           for task in range(samples)]
     rows = [{"sample": i, "k": r.k, "value": r.value,
              "integral": float(r.integral), "deviation": r.deviation}
             for i, r in enumerate(res)]
@@ -329,11 +301,10 @@ def run_spacings(source: str, system, base, x, length: int, s_grid: str,
                  samples: int, seed: int):
     grid = _parse_grid(s_grid)
 
-    def one(task: int):
-        sam = _sequence_source(source, system, base, x, length, seed, task)
-        return level_spacings(sam, s_grid=grid)
-
-    reps = parallel_map(one, range(samples))
+    reps = [level_spacings(
+                _sequence_source(source, system, base, x, length, seed, task),
+                s_grid=grid)
+            for task in range(samples)]
     rows = []
     for i, rep in enumerate(reps):
         for s, g in zip(rep.s_grid, rep.g_empirical):
@@ -347,16 +318,11 @@ def run_spacings(source: str, system, base, x, length: int, s_grid: str,
 def run_martingale(system: SelfSimilarSystem, p: int, qs: Sequence[int],
                    n_list: Sequence[int], samples: int, seed: int,
                    tol: float):
-    def one(task: int):
+    rows = []
+    for task in range(samples):
         task_seed = seed if samples == 1 else int(
             np.random.SeedSequence(seed, spawn_key=(task,)).generate_state(1)[0])
-        return task_seed, martingale_gaps(system, task_seed, qs, n_list, p,
-                                          tol=tol)
-
-    runs = parallel_map(one, range(samples))
-    rows = []
-    for task_seed, series in runs:
-        for gs in series:
+        for gs in martingale_gaps(system, task_seed, qs, n_list, p, tol=tol):
             for n, e, c, g in zip(gs.n_values, gs.empirical, gs.cylinder,
                                   gs.gaps):
                 rows.append({"seed": task_seed, "q": gs.q, "N": n,

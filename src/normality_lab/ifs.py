@@ -122,12 +122,6 @@ class SelfSimilarSystem:
     def min_slope(self) -> Fraction:
         return min(abs(m.slope) for m in self.maps)
 
-    def map_for(self, symbol: int) -> AffineMap:
-        if not (1 <= symbol <= len(self.maps)):
-            raise SymbolOutOfRange(
-                f"symbol {symbol} outside alphabet 1..{len(self.maps)}")
-        return self.maps[symbol - 1]
-
     def __repr__(self):
         return (f"SelfSimilarSystem(n={self.n}, "
                 f"hull=[{frac_str(self.hull[0])}, {frac_str(self.hull[1])}])")

@@ -337,6 +337,9 @@ class SequenceSample:
 
 
 def _tail_digit_count(base: int) -> int:
+    """Length of an orbit value's digit tail: least k with base**k >= 2**60."""
+    if base < 2:
+        raise InvalidInput("base must be >= 2")
     k, power = 0, 1
     while power < (1 << _TAIL_BITS):
         power *= base
@@ -623,9 +626,15 @@ def sampled_point(system: SelfSimilarSystem, stream, target_radius) -> PointAppr
         depth *= 2
 
 
-def uniform_sample(n_points: int, seed: int) -> SequenceSample:
-    """I.i.d. uniform values on [0, 1); the Poissonian reference ensemble."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def uniform_sample(n_points: int, seed: int,
+                   spawn_key: tuple = ()) -> SequenceSample:
+    """I.i.d. uniform values on [0, 1); the Poissonian reference ensemble.
+
+    `spawn_key` selects an independent stream of the same seed, one per
+    sample of a multi-sample run.
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    rng = np.random.Generator(np.random.Philox(ss))
     values = rng.random(n_points)
     return SequenceSample(values, _FLOAT_SLACK, source="uniform", seed=seed,
                           metadata={"generator": GENERATOR_ID})

@@ -28,6 +28,7 @@ from normality_lab import (
 )
 from normality_lab.cli import main as cli_main
 from normality_lab.martingale import martingale_gaps, min_stopping_depth
+from normality_lab.sampling import _tail_digit_count
 from normality_lab.stats import TestFunction as TFn
 
 from oracles import naive_k_level_correlation
@@ -43,10 +44,7 @@ def _report(num: int, ok: bool, detail: str, t0: float):
 
 def _orbit(system, base, length, seed, task=0):
     stream = WordStream(system, seed, spawn_key=(task,) if task else ())
-    tail = 1
-    while base ** tail < (1 << 60):
-        tail += 1
-    ds = digits(system, stream, base, length + tail + 1)
+    ds = digits(system, stream, base, length + _tail_digit_count(base) + 1)
     return orbit_sequence(ds, length, seed=seed)
 
 

@@ -82,6 +82,49 @@ class TestExitCodes:
                 if line and not line.startswith("#")]
         assert len(rows) == 1801  # header + one row per point
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--base", "2", "--samples", "0"],
+        ["orbit", "--base", "2", "--length", "-5"],
+        ["normality", "--base", "2", "--samples", "0"],
+        ["normality", "--base", "2", "--length", "-3"],
+        ["correlations", "--source", "uniform", "--samples", "0"],
+        ["correlations", "--source", "uniform", "--length", "-1"],
+        ["spacings", "--source", "uniform", "--samples", "0"],
+        ["spacings", "--source", "uniform", "--length", "-2"],
+        ["martingale", "--base", "2", "--samples", "0", "--N-list", "10"],
+        ["beta-orbit", "--beta", "5/2", "--x", "1/2", "--length", "-4"],
+        ["power-orbit", "--x", "3/2", "--length", "-4"],
+        ["orbit", "--base", "2", "--samples", "abc"],
+    ])
+    def test_rejected_at_parse_time(self, cantor_file, capsys, argv):
+        assert main(argv + ["--system", cantor_file]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: argument --")
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--base", "2"],
+        ["normality", "--base", "2"],
+        ["correlations", "--source", "uniform"],
+        ["spacings", "--source", "uniform"],
+    ])
+    def test_zero_length_is_a_validation_error(self, cantor_file, capsys,
+                                               argv):
+        assert main(argv + ["--length", "0", "--system", cantor_file]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--base", "1"],
+        ["normality", "--base", "1"],
+        ["correlations", "--source", "orbit", "--base", "1"],
+    ])
+    def test_base_one_exits_without_hanging(self, cantor_file, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normality_lab.cli", *argv,
+             "--system", cantor_file], capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 2
+        assert "base must be >= 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestOutputs:
     def test_csv_deterministic(self, cantor_file, tmp_path, capsys):
@@ -144,41 +187,62 @@ class TestOutputs:
         assert "MatchesObstructionForm" not in proc.stderr
 
 
-class TestWorkerPool:
-    def test_env_override(self, monkeypatch):
-        from normality_lab.experiments import parallel_map, pool_size
-        monkeypatch.setenv("NORMALITY_LAB_THREADS", "3")
-        assert pool_size() == 3
-        assert parallel_map(lambda x: x * x, range(7)) == [i * i
-                                                           for i in range(7)]
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        from normality_lab.errors import ConfigParseError
-        from normality_lab.experiments import pool_size
-        monkeypatch.setenv("NORMALITY_LAB_THREADS", "many")
-        with pytest.raises(ConfigParseError):
-            pool_size()
-
-    def test_pool_results_match_serial(self, cantor_file, monkeypatch,
-                                       capsys):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("NORMALITY_LAB_THREADS", threads)
-            code, out = run_cli(["normality", "--system", cantor_file,
-                                 "--base", "2", "--length", "300",
-                                 "--samples", "4", "--q-max", "3",
-                                 "--guard", "8", "--format", "json"], capsys)
+class TestSequentialRuns:
+    def test_first_of_three_samples_is_the_single_sample_run(self, cantor_file,
+                                                             capsys):
+        rows = {}
+        for samples in ("1", "3"):
+            code, out = run_cli(["orbit", "--system", cantor_file,
+                                 "--base", "3", "--length", "120",
+                                 "--samples", samples, "--seed", "4"], capsys)
             assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+            lines = [line for line in out.splitlines()
+                     if not line.startswith("#")]
+            rows[samples] = lines
+        first = [line for line in rows["3"][1:] if line.startswith("0,")]
+        assert rows["1"][1:] == first
+        assert len(rows["3"]) == 1 + 3 * 120
+
+    def test_runners_and_loader_are_looked_up_per_call(self, cantor_file,
+                                                       monkeypatch, capsys):
+        # the benchmark's tracer replaces these attributes in place
+        from normality_lab import cli, experiments
+        calls = []
+
+        def wrap(owner, name):
+            inner = getattr(owner, name)
+
+            def traced(*a, **k):
+                calls.append(name)
+                return inner(*a, **k)
+            monkeypatch.setattr(owner, name, traced)
+
+        wrap(experiments, "run_digits")
+        wrap(cli, "load_system")
+        code, _ = run_cli(["digits", "--system", cantor_file, "--base", "2",
+                           "--count", "10"], capsys)
+        assert code == 0
+        assert calls == ["load_system", "run_digits"]
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        probe = ("import normality_lab.cli as cli\n"
+                 "assert cli._parser.cache_info().currsize == 0\n"
+                 "for _ in range(2):\n"
+                 "    assert cli.main(['validate', '--system', 'x']) == 4\n"
+                 "info = cli._parser.cache_info()\n"
+                 "assert (info.misses, info.hits) == (1, 1), info\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 # sha256 of whole outputs for a fixed set of (system, base, length, seed).
 # The orbit/digits/normality cases were recorded before the product-tree
 # composition and the vectorised digit and orbit read-off landed; the
 # martingale/decay/fourier cases before the fraction-free cylinder modes and
-# the integer-pair transform.  Any change to these bytes is a change of
-# behaviour.
+# the integer-pair transform; the correlations/spacings cases before the
+# runners became sequential loops and the uniform source moved to
+# `uniform_sample`.  Any change to these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
@@ -243,9 +307,35 @@ GOLDEN_CASES = {
     "fourier-mixed-negative": (["fourier", "--q=-355/113"], "mixed"),
     "fourier-inh-negative": (["fourier", "--q=-98765/64", "--tol", "1e-10"],
                              "inh"),
+    # a system of None runs without --system
+    "correlations-uniform-x2": (["correlations", "--source", "uniform",
+                                 "--length", "800", "--k", "3",
+                                 "--samples", "2", "--seed", "2"], None),
+    "correlations-power-x2": (["correlations", "--source", "power",
+                               "--x", "5/2", "--length", "300",
+                               "--triangle", "1/3", "--samples", "2",
+                               "--seed", "4"], None),
+    "correlations-orbit-x2": (["correlations", "--source", "orbit",
+                               "--base", "3", "--length", "400",
+                               "--samples", "2", "--seed", "6"], "flip"),
+    "spacings-uniform-x2": (["spacings", "--source", "uniform",
+                             "--length", "600", "--s-grid", "0:4:0.25",
+                             "--samples", "2", "--seed", "1"], None),
+    "spacings-power-x2": (["spacings", "--source", "power", "--x", "3/2",
+                           "--length", "250", "--samples", "2",
+                           "--seed", "3", "--format", "json"], None),
+    "spacings-orbit-x2": (["spacings", "--source", "orbit", "--base", "10",
+                           "--length", "300", "--s-grid", "0:3:0.5",
+                           "--samples", "2", "--seed", "5"], "mixed"),
 }
 
 GOLDEN_SHA256 = {
+    "correlations-orbit-x2":
+        "2895c9dd40154498d1dd31409b874f10c928fd02098e4ba1f3e16be95cdfc210",
+    "correlations-power-x2":
+        "8f3813c3d9f60076dc3b2e88560f9e3340c6cf4a12d3e4a2e7fb522c3bca2069",
+    "correlations-uniform-x2":
+        "b2e274bc338fe2bb3826db79c166b778411d53636e63e93cb908aebedd57c8ce",
     "decay-cantor":
         "e2d27757d939b1d1b00ed4233c45485e70be7a058782701b2a7b9781007d681b",
     "decay-inh":
@@ -294,6 +384,12 @@ GOLDEN_SHA256 = {
         "f302cfa9348cbe1d5d6e68c942abd841a60f0675eb0bf1778cb063e0f8e27d7f",
     "orbit-mixed-b100":
         "cfa050b3421b3a878ff9c01693e5e517c4ed25426d72227089f5c79493c7c68d",
+    "spacings-orbit-x2":
+        "bd03a817509e1417c17f508fe820917ef22abb42627195be0f54b63d853ee2d0",
+    "spacings-power-x2":
+        "3f954e17f1aee4ed26f017a79d20627095751b2f458e26e10d9f6c1fdb54da25",
+    "spacings-uniform-x2":
+        "650011fd9ae53343d6434c8993563562944c042a18ac5500f626efd7f49a96e0",
 }
 
 
@@ -313,9 +409,10 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_output_bytes_unchanged(self, case, golden_files, tmp_path):
         argv, system = GOLDEN_CASES[case]
+        if system is not None:
+            argv = argv + ["--system", golden_files[system]]
         out = tmp_path / "out"
-        code = main(argv + ["--system", golden_files[system],
-                            "--out", str(out)])
+        code = main(argv + ["--out", str(out)])
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[case]

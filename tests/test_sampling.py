@@ -17,6 +17,7 @@ from normality_lab import (
     point_of_word,
     power_orbit,
     sample_word,
+    uniform_sample,
 )
 from normality_lab.algebra import AlgebraicReal
 from normality_lab.balls import Ball
@@ -264,6 +265,35 @@ class TestOrbitSequence:
         orb = orbit_sequence(ds, 300)
         assert (orb.values >= 0).all() and (orb.values < 1).all()
         assert orb.accuracy <= 2.0 ** -50
+
+
+class TestTailDigitCount:
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 17, 36, 100, 2 ** 60,
+                                      2 ** 60 + 1])
+    def test_least_power_reaching_two_to_the_sixty(self, base):
+        k = _tail_digit_count(base)
+        assert base ** k >= 2 ** 60
+        assert base ** (k - 1) < 2 ** 60
+
+    @pytest.mark.parametrize("base", [1, 0, -1, -2])
+    def test_base_below_two_rejected(self, base):
+        with pytest.raises(InvalidInput, match="base must be >= 2"):
+            _tail_digit_count(base)
+
+
+class TestUniformSample:
+    def test_empty_spawn_key_is_the_plain_seed(self):
+        a = uniform_sample(500, seed=3)
+        b = uniform_sample(500, seed=3, spawn_key=())
+        assert np.array_equal(a.values, b.values)
+        assert a.accuracy == b.accuracy == 2.0 ** -52
+
+    def test_spawn_key_selects_the_philox_substream(self):
+        ss = np.random.SeedSequence(3, spawn_key=(2,))
+        ref = np.random.Generator(np.random.Philox(ss)).random(500)
+        sam = uniform_sample(500, seed=3, spawn_key=(2,))
+        assert np.array_equal(sam.values, ref)
+        assert not np.array_equal(sam.values, uniform_sample(500, 3).values)
 
 
 class TestBetaOrbit:
