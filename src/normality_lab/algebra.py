@@ -20,7 +20,6 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 import mpmath
-import sympy
 
 from .errors import (
     InvalidInput,
@@ -42,6 +41,7 @@ def factor_positive(n: int) -> Optional[dict]:
         raise InvalidInput("factor_positive expects n >= 1")
     if n == 1:
         return {}
+    import sympy  # imported on first use: it dominates the package import
     partial = sympy.factorint(n, limit=_TRIAL_LIMIT)
     out: dict = {}
     for f, e in partial.items():
@@ -220,13 +220,25 @@ def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
 class AlgebraicReal:
     """A real algebraic number pinned down by a polynomial and an enclosure.
 
-    The polynomial need not be minimal, but (lo, hi) must bracket exactly one
-    simple root (a sign change).
+    The polynomial need not be minimal, but [lo, hi] must hold exactly one
+    real root, and it must be simple (a sign change); the first is checked
+    here by Sturm's theorem, the second when the root is refined.
     """
 
     coeffs: tuple
     lo: Fraction
     hi: Fraction
+
+    def __post_init__(self):
+        if len(self.coeffs) < 2 or self.coeffs[0] == 0:
+            raise InvalidInput(
+                "need a polynomial of degree >= 1, leading coefficient first")
+        roots = (count_real_roots(self.coeffs, self.lo, self.hi)
+                 + (poly_eval(self.coeffs, Fraction(self.lo)) == 0))
+        if roots != 1:
+            raise InvalidInput(
+                f"[{self.lo}, {self.hi}] must hold exactly one real root of "
+                f"{self.coeffs}; it holds {max(roots, 0)}")
 
     def refine(self, eps) -> tuple:
         return refine_real_root(self.coeffs, self.lo, self.hi, eps)
@@ -364,6 +376,7 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
         raise InvalidInput("polynomial must have degree >= 1")
     if coeffs[0] != 1:
         raise NotAlgebraicInteger("polynomial must be monic")
+    import sympy  # imported on first use: it dominates the package import
     poly = sympy.Poly(coeffs, sympy.Symbol("x"))
     if not poly.is_irreducible:
         raise ReduciblePolynomial(f"{poly.as_expr()} factors over Q")

@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -41,22 +42,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParseError(message)
 
 
-def _int_at_least(low: int):
-    """argparse `type` for an integer flag that must be >= `low`."""
-    def parse(text: str) -> int:
+def _checked(convert, ok, requirement: str):
+    """argparse `type`: `convert` the text, then require `ok(value)`."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
         return value
     return parse
 
 
-_samples = _int_at_least(1)
-_length = _int_at_least(0)
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
+# NaN fails every comparison, so it would switch off the truncation tests
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                      "finite and > 0")
 
 
 def _add_common(p: _Parser, system_required: bool = True,
@@ -64,7 +69,7 @@ def _add_common(p: _Parser, system_required: bool = True,
     p.add_argument("--system", required=system_required,
                    help="system definition file (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=default_tol)
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -100,15 +105,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decay", help="band sups of |F_q| and regime fit")
     _add_common(p, default_tol=1e-6)
     p.add_argument("--j-max", type=int, default=16)
-    p.add_argument("--per-band", type=int, default=512)
+    p.add_argument("--per-band", type=_positive_int, default=512)
     p.set_defaults(run=lambda a, system: exp.run_decay(
         system, a.j_max, a.per_band, a.tol, a.budget))
 
     p = sub.add_parser("orbit", help="certified T_b orbit values")
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--length", type=_length, default=1000)
-    p.add_argument("--samples", type=_samples, default=1)
+    p.add_argument("--length", type=_nonnegative_int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--guard", type=int, default=16)
     p.set_defaults(run=lambda a, system: exp.run_orbit(
         system, a.base, a.length, a.samples, a.seed, a.guard))
@@ -129,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-lo", default=None, help="enclosure low endpoint")
     p.add_argument("--beta-hi", default=None, help="enclosure high endpoint")
     p.add_argument("--x", default=None, help="exact rational start point")
-    p.add_argument("--length", type=_length, default=100)
+    p.add_argument("--length", type=_nonnegative_int, default=100)
     p.add_argument("--precision-bits", type=int, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_beta_orbit(
@@ -139,7 +144,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("power-orbit", help="x^n mod 1 sequence")
     _add_common(p, system_required=False)
     p.add_argument("--x", required=True, help="rational x > 1, e.g. 3/2")
-    p.add_argument("--length", type=_length, default=1000)
+    p.add_argument("--length", type=_nonnegative_int, default=1000)
     p.add_argument("--precision-bits", type=int, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_power_orbit(
@@ -148,9 +153,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normality", help="discrepancy, digit and Weyl stats")
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--length", type=_length, default=10000)
+    p.add_argument("--length", type=_nonnegative_int, default=10000)
     p.add_argument("--q-max", type=int, default=10)
-    p.add_argument("--samples", type=_samples, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--guard", type=int, default=16)
     p.add_argument("--disc-threshold", type=float, default=0.05)
     p.add_argument("--weyl-threshold", type=float, default=0.05)
@@ -164,12 +169,12 @@ def build_parser() -> _Parser:
                    default="orbit")
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--length", type=_length, default=10000)
+    p.add_argument("--length", type=_nonnegative_int, default=10000)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--box", default=None, help="box half-width (rational)")
     p.add_argument("--triangle", default=None,
                    help="triangle half-width (rational)")
-    p.add_argument("--samples", type=_samples, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.set_defaults(run=lambda a, system: exp.run_correlations(
         a.source, system, a.base, a.x, a.length, a.k, _test_function(a),
         a.samples, a.seed))
@@ -180,9 +185,9 @@ def build_parser() -> _Parser:
                    default="orbit")
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--length", type=_length, default=10000)
+    p.add_argument("--length", type=_nonnegative_int, default=10000)
     p.add_argument("--s-grid", default="0:5:0.1")
-    p.add_argument("--samples", type=_samples, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.set_defaults(run=lambda a, system: exp.run_spacings(
         a.source, system, a.base, a.x, a.length, a.s_grid, a.samples,
         a.seed))
@@ -192,7 +197,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base", type=int, required=True, help="integer base p")
     p.add_argument("--q", default="1", help="comma-separated integer q list")
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
-    p.add_argument("--samples", type=_samples, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.set_defaults(run=lambda a, system: exp.run_martingale(
         system, a.base, _int_list(a.q), _int_list(a.n_list), a.samples,
         a.seed, a.tol))
@@ -250,8 +255,11 @@ def _emit(args, meta: dict, rows, results) -> None:
         _write_csv(buf, meta, rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigParseError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -23,7 +23,7 @@ from .algebra import (
     classify_obstruction,
     incommensurable_slope_witness,
 )
-from .errors import ConfigParseError, InsufficientBands
+from .errors import ConfigParseError, InsufficientBands, InvalidInput
 from .fourier import decay_fit, decay_profile, del_criterion_check, fourier_exact
 from .ifs import (
     SelfSimilarSystem,
@@ -201,6 +201,8 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
         point = as_fraction(x)
     elif system is not None:
         hi = beta.hi if isinstance(beta, AlgebraicReal) else beta
+        if hi <= 1:
+            raise InvalidInput("beta must exceed 1")
         bits = math.ceil(length * math.log2(float(hi))) + 80
         point = sampled_point(system, WordStream(system, seed),
                               Fraction(1, 2) ** bits)
@@ -273,12 +275,19 @@ def _sequence_source(source: str, system: Optional[SelfSimilarSystem],
     raise ConfigParseError(f"unknown source {source!r}")
 
 
+def _per_sample(source: str, samples: int, stat) -> list:
+    """`stat(task)` for each sample.  The power source draws nothing at
+    random, so its samples are equal: it runs once and the result repeats."""
+    if source == "power":
+        return [stat(0)] * samples
+    return [stat(task) for task in range(samples)]
+
+
 def run_correlations(source: str, system, base, x, length: int, k: int,
                      test_fn: TestFunction, samples: int, seed: int):
-    res = [k_level_correlation(
-               _sequence_source(source, system, base, x, length, seed, task),
-               k, test_fn)
-           for task in range(samples)]
+    res = _per_sample(source, samples, lambda task: k_level_correlation(
+        _sequence_source(source, system, base, x, length, seed, task),
+        k, test_fn))
     rows = [{"sample": i, "k": r.k, "value": r.value,
              "integral": float(r.integral), "deviation": r.deviation}
             for i, r in enumerate(res)]
@@ -292,19 +301,20 @@ def run_correlations(source: str, system, base, x, length: int, k: int,
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(t) for t in spec.split(":"))
+        if not step > 0:
+            raise ValueError("step must be > 0")
         return np.arange(lo, hi + step / 2, step)
     except ValueError as exc:
-        raise ConfigParseError(f"bad grid {spec!r}; use lo:hi:step") from exc
+        raise ConfigParseError(
+            f"bad grid {spec!r}; use lo:hi:step with step > 0") from exc
 
 
 def run_spacings(source: str, system, base, x, length: int, s_grid: str,
                  samples: int, seed: int):
     grid = _parse_grid(s_grid)
-
-    reps = [level_spacings(
-                _sequence_source(source, system, base, x, length, seed, task),
-                s_grid=grid)
-            for task in range(samples)]
+    reps = _per_sample(source, samples, lambda task: level_spacings(
+        _sequence_source(source, system, base, x, length, seed, task),
+        s_grid=grid))
     rows = []
     for i, rep in enumerate(reps):
         for s, g in zip(rep.s_grid, rep.g_empirical):

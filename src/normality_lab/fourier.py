@@ -101,7 +101,7 @@ def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
     no Fraction is normalised per node; homogeneous systems collapse to a
     frequency chain and inherit the classical infinite-product evaluation.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInput("tol must be positive")
     q = Fraction(q)
     # per-system data as integers: no Fraction arithmetic per call

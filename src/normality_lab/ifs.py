@@ -8,6 +8,7 @@ arithmetic, never floating point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -264,12 +265,13 @@ def compose_triples(triples: Sequence, word: Sequence) -> tuple:
 
 
 def _integer_triples(system: SelfSimilarSystem):
-    """Per-map (a, b, c) with f(x) = (a x + b)/c and c > 0."""
+    """Per-map (a, b, c) with f(x) = (a x + b)/c, c > 0 the least common
+    denominator of slope and offset."""
     out = []
     for m in system.maps:
-        c = m.slope.denominator * m.offset.denominator
-        a = m.slope.numerator * m.offset.denominator
-        b = m.offset.numerator * m.slope.denominator
+        c = math.lcm(m.slope.denominator, m.offset.denominator)
+        a = m.slope.numerator * (c // m.slope.denominator)
+        b = m.offset.numerator * (c // m.offset.denominator)
         out.append((a, b, c))
     return out
 

@@ -269,6 +269,8 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     qs = tuple(qs)
     if not all(isinstance(q, int) for q in qs):
         raise InvalidInput("cylinder modes are defined for integer q")
+    if not tol > 0:
+        raise InvalidInput("tol must be positive")
     slope = _homogeneous_slope(system)
     support = max(abs(float(system.hull[0])), abs(float(system.hull[1])), 1.0)
     shape = (len(qs), len(records))

@@ -8,8 +8,8 @@ size instead of one product per symbol; a deeper word only composes the new
 segment and joins it on the right.  Digits come out of that integer in
 machine-word chunks split by one numpy broadcast, and integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
-digit, rather than by repeated big-rational multiplication.  Non-integer
-bases go through ball arithmetic.
+digit, rather than by repeated big-rational multiplication.  Orbits of the
+beta-transformation and powers x^n share one ball-iteration loop.
 """
 
 from __future__ import annotations
@@ -393,29 +393,17 @@ def orbit_sequence(digit_stream: DigitStream, n_points: int,
 BetaLike = Union[Fraction, int, AlgebraicReal]
 
 
-def _beta_bounds(beta: BetaLike) -> tuple:
-    if isinstance(beta, AlgebraicReal):
-        lo, hi = beta.refine(Fraction(1, 1 << 16))
-        if lo <= 1:
-            raise InvalidInput("beta enclosure must certify beta > 1")
-        return lo, hi
-    b = Fraction(beta)
-    if b <= 1:
-        raise InvalidInput("beta must exceed 1")
-    return b, b
-
-
-def _beta_ball(beta: BetaLike, prec: int) -> Ball:
-    if isinstance(beta, AlgebraicReal):
-        lo, hi = beta.refine(Fraction(1, 1 << (prec + 2)))
-        return Ball.from_interval(lo, hi, prec)
-    return Ball.from_fraction(Fraction(beta), prec)
-
-
-def _point_ball(x, prec: int) -> Ball:
+def _enclosure(x, prec: int) -> tuple:
+    """Exact rational (lo, hi) around x: an algebraic number refined to
+    width 2^-(prec+2), a point's image interval, a given (lo, hi) pair, or
+    (x, x) for a rational."""
+    if isinstance(x, AlgebraicReal):
+        return x.refine(Fraction(1, 1 << (prec + 2)))
     if isinstance(x, PointApproximation):
-        return Ball.from_interval(x.lo, x.hi, prec)
-    return Ball.from_fraction(Fraction(x), prec)
+        return x.lo, x.hi
+    if isinstance(x, (tuple, list)):
+        return Fraction(x[0]), Fraction(x[1])
+    return Fraction(x), Fraction(x)
 
 
 def _point_radius_log2(x) -> float:
@@ -429,56 +417,40 @@ def _point_radius_log2(x) -> float:
 _MAX_RESTARTS = 4
 
 
-def _is_exact_rational_point(x) -> bool:
-    if isinstance(x, (Fraction, int, str)):
-        return True
-    return isinstance(x, PointApproximation) and x.radius == 0
+def _ball_orbit(factor, start, n_points: int, reduce: bool,
+                min_prec: Optional[int]) -> tuple:
+    """Values y_n mod 1 for n = 1..N of y_n = factor * y_{n-1}, y_0 = start.
 
-
-def _as_exact_fraction(x) -> Fraction:
-    if isinstance(x, PointApproximation):
-        return x.center
-    return Fraction(x)
-
-
-def beta_orbit(x, beta: BetaLike, n_points: int,
-               seed: Optional[int] = None,
-               min_prec: Optional[int] = None) -> SequenceSample:
-    """Orbit of the beta-transformation x -> beta * x mod 1, certified.
-
-    Values are T^n(x) for n = 1..N, applied to the unreduced x: the map does
-    not commute with reduction mod 1 for non-integer beta, so the first
-    multiplication must see x itself.  Rational beta with an exactly known x
-    is iterated with exact integer arithmetic; anything else goes through
-    ball iteration with adaptive precision, where a ball straddling an
-    integer cut triggers precision doubling and a persistent straddle (the
-    orbit meeting a discontinuity closer than the input's own radius)
-    truncates the sample and records the fact in metadata.
+    With `reduce` the next step multiplies y_n mod 1 (the beta map), else
+    the unreduced y_n (powers).  Both enclosures become balls at a working
+    precision linear in N; a ball straddling an integer cut, or a value
+    radius above 2^-50, restarts at doubled precision.  A straddle that
+    survives every restart (the orbit meeting a cut closer than the input's
+    own radius) truncates the values and sets `straddled_at` in the returned
+    metadata.
     """
-    if n_points < 1:
-        raise InvalidInput("need n_points >= 1")
-    if not isinstance(beta, AlgebraicReal) and _is_exact_rational_point(x):
-        return _beta_orbit_exact(_as_exact_fraction(x), Fraction(beta),
-                                 n_points, seed)
-    lo_b, hi_b = _beta_bounds(beta)
-    log2_beta = math.log2(float(hi_b))
-    prec = math.ceil(n_points * log2_beta) + 64 + (n_points + 1).bit_length()
+    lo, hi = _enclosure(factor, 14)  # width 2^-16 sizes the precision
+    if lo <= 1:
+        raise InvalidInput(f"need a multiplier certified > 1, got {factor}")
+    log2_factor = math.log2(float(hi))
+    prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
     prec = max(prec, min_prec or 0)
-    needed_log2 = -(n_points * log2_beta + 54)
-    if _point_radius_log2(x) > needed_log2:
+    needed_log2 = -(n_points * log2_factor + 54)
+    if _point_radius_log2(start) > needed_log2:
         raise PrecisionExhausted(
-            f"input radius 2^{_point_radius_log2(x):.0f} too coarse; need "
+            f"input radius 2^{_point_radius_log2(start):.0f} too coarse; need "
             f"<= 2^{needed_log2:.0f} (deepen the word prefix)")
 
     for attempt in range(_MAX_RESTARTS + 1):
-        bb = _beta_ball(beta, prec)
-        cur = _point_ball(x, prec)
+        step = Ball.from_interval(*_enclosure(factor, prec), prec)
+        cur = Ball.from_interval(*_enclosure(start, prec), prec)
         values = []
         straddle_at = None
         retry = False
         for n in range(1, n_points + 1):
+            cur = step.mul(cur)
             try:
-                _, frac = bb.mul(cur).floor_split()
+                _, frac = cur.floor_split()
             except BallStraddlesCut:
                 if attempt < _MAX_RESTARTS:
                     retry = True
@@ -489,19 +461,44 @@ def beta_orbit(x, beta: BetaLike, n_points: int,
                 retry = True
                 break
             values.append(frac.to_float())
-            cur = frac
+            if reduce:
+                cur = frac
         if not retry:
             break
         prec *= 2
     else:
         raise PrecisionExhausted("ball iteration failed to stabilize")
-    meta = {"beta": str(beta), "precision_bits": prec, "restarts": attempt,
-            "start_index": 1}
+    meta = {"precision_bits": prec, "restarts": attempt, "start_index": 1}
     if straddle_at is not None:
         meta["straddled_at"] = straddle_at
-    return SequenceSample(np.asarray(values, dtype=np.float64),
-                          _VALUE_TARGET, source=f"beta-orbit({beta})",
-                          seed=seed, metadata=meta)
+    return np.asarray(values, dtype=np.float64), meta
+
+
+def beta_orbit(x, beta: BetaLike, n_points: int,
+               seed: Optional[int] = None,
+               min_prec: Optional[int] = None) -> SequenceSample:
+    """Orbit of the beta-transformation x -> beta * x mod 1, certified.
+
+    Values are T^n(x) for n = 1..N, applied to the unreduced x: the map does
+    not commute with reduction mod 1 for non-integer beta, so the first
+    multiplication must see x itself.  Rational beta with an exactly known x
+    is iterated with exact integer arithmetic.  Anything else (an algebraic
+    beta, or a sampled point with a radius) goes through the ball loop
+    shared with :func:`power_orbit`, multiplying the reduced value by beta
+    at each step; a persistent straddle of an integer cut truncates the
+    sample and records `straddled_at` in metadata.
+    """
+    if n_points < 1:
+        raise InvalidInput("need n_points >= 1")
+    if isinstance(x, PointApproximation) and x.radius == 0:
+        x = x.center
+    if not isinstance(beta, AlgebraicReal) and isinstance(
+            x, (Fraction, int, str)):
+        return _beta_orbit_exact(Fraction(x), Fraction(beta), n_points, seed)
+    values, meta = _ball_orbit(beta, x, n_points, reduce=True,
+                               min_prec=min_prec)
+    return SequenceSample(values, _VALUE_TARGET, source=f"beta-orbit({beta})",
+                          seed=seed, metadata={"beta": str(beta), **meta})
 
 
 def _beta_orbit_exact(x: Fraction, beta: Fraction, n_points: int,
@@ -528,8 +525,11 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
                 min_prec: Optional[int] = None) -> SequenceSample:
     """The sequence x^n mod 1 for n = 1..N, certified to 2**-50.
 
-    Exact rationals use modular powering (exact digits at every n); certified
-    enclosures go through ball powering with precision linear in N.
+    Exact rationals use modular powering (exact digits at every n).  An
+    enclosure of x (an :class:`AlgebraicReal` or a rational `(lo, hi)`
+    pair) goes through the ball loop shared with :func:`beta_orbit`,
+    multiplying the unreduced power by x from y_0 = 1, at precision linear
+    in N.
     """
     if n_points < 1:
         raise InvalidInput("need n_points >= 1")
@@ -538,7 +538,10 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
         if xf <= 1:
             raise InvalidInput("x must exceed 1")
         return _power_orbit_rational(xf, n_points, seed)
-    return _power_orbit_enclosure(x, n_points, seed, min_prec=min_prec)
+    values, meta = _ball_orbit(x, 1, n_points, reduce=False,
+                               min_prec=min_prec)
+    return SequenceSample(values, _VALUE_TARGET, source=f"power({x})",
+                          seed=seed, metadata={"x": str(x), **meta})
 
 
 def _power_orbit_rational(x: Fraction, n_points: int,
@@ -558,54 +561,6 @@ def _power_orbit_rational(x: Fraction, n_points: int,
     return SequenceSample(values, acc, source=f"power({x})", seed=seed,
                           metadata={"x": str(x), "exact": True,
                                     "start_index": 1})
-
-
-def _power_orbit_enclosure(x, n_points: int, seed: Optional[int],
-                           min_prec: Optional[int] = None) -> SequenceSample:
-    if isinstance(x, AlgebraicReal):
-        lo, hi = x.refine(Fraction(1, 1 << 16))
-    else:
-        lo, hi = Fraction(x[0]), Fraction(x[1])
-    if lo <= 1:
-        raise InvalidInput("enclosure must certify x > 1")
-    log2_x = math.log2(float(hi))
-    prec = math.ceil(n_points * log2_x) + 64 + (n_points + 1).bit_length()
-    prec = max(prec, min_prec or 0)
-    for attempt in range(_MAX_RESTARTS + 1):
-        if isinstance(x, AlgebraicReal):
-            lo, hi = x.refine(Fraction(1, 1 << (prec + 2)))
-        base = Ball.from_interval(lo, hi, prec)
-        cur = base
-        values = []
-        straddle_at = None
-        retry = False
-        for n in range(1, n_points + 1):
-            try:
-                _, frac = cur.floor_split()
-            except BallStraddlesCut:
-                if attempt < _MAX_RESTARTS:
-                    retry = True
-                else:
-                    straddle_at = n
-                break
-            if float(frac.radius()) + _FLOAT_SLACK > _VALUE_TARGET:
-                retry = True
-                break
-            values.append(frac.to_float())
-            if n < n_points:
-                cur = cur.mul(base)
-        if not retry:
-            break
-        prec *= 2
-    else:
-        raise PrecisionExhausted("ball powering failed to stabilize")
-    meta = {"x": str(x), "precision_bits": prec, "restarts": attempt,
-            "start_index": 1}
-    if straddle_at is not None:
-        meta["straddled_at"] = straddle_at
-    return SequenceSample(np.asarray(values, dtype=np.float64),
-                          _VALUE_TARGET, source=f"power({x})", seed=seed,
-                          metadata=meta)
 
 
 def sampled_point(system: SelfSimilarSystem, stream, target_radius) -> PointApproximation:

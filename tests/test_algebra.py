@@ -86,6 +86,22 @@ class TestRootIsolation:
         lo, hi = golden.refine(F(1, 2 ** 80))
         assert hi - lo <= F(1, 2 ** 80)
 
+    @pytest.mark.parametrize("coeffs, lo, hi", [
+        ((1, -9, 26, -24), F(1), F(2 ** 16)),  # roots 2, 3 and 4
+        ((1, -1, -1), F(2), F(3)),             # no root
+        ((1, -1, -1), F(2), F(1)),             # empty enclosure
+        ((0, 1, -2), F(1), F(3)),              # leading zero
+        ((5,), F(1), F(3)),                    # constant
+    ])
+    def test_enclosure_must_hold_one_root(self, coeffs, lo, hi):
+        with pytest.raises(InvalidInput):
+            AlgebraicReal(coeffs, lo, hi)
+
+    def test_root_at_an_endpoint_is_held(self):
+        assert AlgebraicReal((1, -2), F(2), F(3)).refine(F(1, 8)) == (2, 2)
+        assert AlgebraicReal((1, -9, 26, -24), F(3, 2), F(2)).refine(
+            F(1, 8)) == (2, 2)
+
 
 class TestIsPisot:
     @pytest.mark.parametrize("m", list(range(2, 101)))

@@ -125,6 +125,36 @@ class TestExitCodes:
         assert "base must be >= 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, code", [
+        # NaN fails every comparison: it emptied the float chain's live set
+        # (martingale) or expanded the transform toward its node budget
+        (["martingale", "--base", "2", "--q", "1", "--N-list", "50",
+          "--tol", "nan"], 4),
+        (["fourier", "--q", "3", "--tol", "nan"], 4),
+        (["decay", "--tol", "0"], 4),
+        (["decay", "--tol", "-1e-6"], 4),
+        (["decay", "--tol", "inf"], 4),
+        (["decay", "--per-band", "0"], 4),
+        (["spacings", "--source", "uniform", "--s-grid", "0:5:0"], 4),
+        (["spacings", "--source", "uniform", "--s-grid", "0:5:-0.5"], 4),
+        (["orbit", "--base", "2", "--out", "/nonexistent/dir/x.csv"], 4),
+        # (1, 2^16] holds the roots 2, 3 and 4
+        (["beta-orbit", "--beta-poly", "1,-9,26,-24", "--x", "1/3"], 2),
+        # the sampled start point is sized by log2(beta)
+        (["beta-orbit", "--beta", "0"], 2),
+        (["beta-orbit", "--beta-poly", "1,2", "--beta-lo", "-3",
+          "--beta-hi", "-1"], 2),
+    ])
+    def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normality_lab.cli", *argv,
+             "--system", cantor_file], capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if "--out" in argv:
+            assert "/nonexistent/dir/x.csv" in proc.stderr
+
 
 class TestOutputs:
     def test_csv_deterministic(self, cantor_file, tmp_path, capsys):
@@ -224,6 +254,37 @@ class TestSequentialRuns:
         assert code == 0
         assert calls == ["load_system", "run_digits"]
 
+    @pytest.mark.parametrize("subcommand", ["correlations", "spacings"])
+    def test_power_source_runs_once_per_run(self, subcommand, monkeypatch,
+                                            capsys):
+        # x^n mod 1 draws nothing at random: every sample is the same orbit
+        from normality_lab import experiments
+        calls = []
+        inner = experiments.power_orbit
+
+        def counted(*a, **k):
+            calls.append(a)
+            return inner(*a, **k)
+        monkeypatch.setattr(experiments, "power_orbit", counted)
+        code, out = run_cli([subcommand, "--source", "power", "--x", "5/2",
+                             "--length", "200", "--samples", "3"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        rows = [line.split(",", 1) for line in out.splitlines()[1:]
+                if not line.startswith("#")]
+        per_sample = [[r[1] for r in rows if r[0] == str(i)]
+                      for i in range(3)]
+        assert per_sample[0] and per_sample[0] == per_sample[1] \
+            == per_sample[2]
+
+    def test_import_leaves_sympy_unloaded(self):
+        probe = ("import sys\n"
+                 "import normality_lab.cli\n"
+                 "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_parser_is_built_once_and_not_at_import(self):
         probe = ("import normality_lab.cli as cli\n"
                  "assert cli._parser.cache_info().currsize == 0\n"
@@ -242,7 +303,9 @@ class TestSequentialRuns:
 # martingale/decay/fourier cases before the fraction-free cylinder modes and
 # the integer-pair transform; the correlations/spacings cases before the
 # runners became sequential loops and the uniform source moved to
-# `uniform_sample`.  Any change to these bytes is a change of behaviour.
+# `uniform_sample`; the beta-orbit/power-orbit cases before beta and power
+# orbits shared one ball-iteration loop.  Any change to these bytes is a
+# change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
@@ -250,6 +313,8 @@ GOLDEN_SYSTEMS = {
     "inh": [("1/3", "0"), ("1/2", "1/2")],
 }
 GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"]}
+_GOLDEN_POLY = ["--beta-poly", "1,-1,-1", "--beta-lo", "1",
+                "--beta-hi", "2"]
 
 GOLDEN_CASES = {
     "orbit-cantor-b2": (["orbit", "--base", "2", "--length", "300",
@@ -327,9 +392,50 @@ GOLDEN_CASES = {
     "spacings-orbit-x2": (["spacings", "--source", "orbit", "--base", "10",
                            "--length", "300", "--s-grid", "0:3:0.5",
                            "--samples", "2", "--seed", "5"], "mixed"),
+    # ball iteration with an algebraic beta from a rational start
+    "beta-orbit-golden-poly": (["beta-orbit", *_GOLDEN_POLY, "--x", "2/7",
+                                "--length", "400"], None),
+    "beta-orbit-golden-poly-json": (["beta-orbit", *_GOLDEN_POLY,
+                                     "--x", "2/7", "--length", "400",
+                                     "--format", "json"], None),
+    # T^2(1) = 1 exactly: every restart straddles, the sample is truncated
+    "beta-orbit-golden-straddle": (["beta-orbit", *_GOLDEN_POLY, "--x", "1",
+                                    "--length", "5", "--format", "json"],
+                                   None),
+    "beta-orbit-precision-bits": (["beta-orbit", *_GOLDEN_POLY,
+                                   "--x", "5/11", "--length", "150",
+                                   "--precision-bits", "4000"], None),
+    "beta-orbit-exact": (["beta-orbit", "--beta", "5/2", "--x", "1/3",
+                          "--length", "300"], None),
+    # ball iteration from a sampled point of the attractor
+    "beta-orbit-cantor-sampled": (["beta-orbit", "--beta", "5/2",
+                                   "--length", "300", "--seed", "2"],
+                                  "cantor"),
+    "beta-orbit-cantor-sampled-json": (["beta-orbit", "--beta", "5/2",
+                                        "--length", "300", "--seed", "2",
+                                        "--format", "json"], "cantor"),
+    "power-orbit-three-halves": (["power-orbit", "--x", "3/2",
+                                  "--length", "400"], None),
+    "power-orbit-three-halves-json": (["power-orbit", "--x", "3/2",
+                                       "--length", "400", "--format", "json"],
+                                      None),
 }
 
 GOLDEN_SHA256 = {
+    "beta-orbit-cantor-sampled":
+        "92a2c9027cd7c65551934d8000cb6953d0a54b2b9c9915b2cf8741d2b5cd2074",
+    "beta-orbit-cantor-sampled-json":
+        "490507dfdc33cb43637a2a53e7f7d2ccbdf94940ffa64b3e27d6b63b6387f490",
+    "beta-orbit-exact":
+        "62a799d5a2e6b75ac7982a946f8cdb08ae461dda03f0851efbc149dbbf303007",
+    "beta-orbit-golden-poly":
+        "94d97e81cd884bd12a6a8bdd4020657aac1ee28f7ae267950feb9e9fd5ecd127",
+    "beta-orbit-golden-poly-json":
+        "7ef8630eb8e8112a1ea2be627bc55c644b32a664d52d7d71a5beff51b7c2b39e",
+    "beta-orbit-golden-straddle":
+        "97ecea0b0f60d0ef132185c328f34e552b0d07c5c8bf9eee4b69e3075ff35535",
+    "beta-orbit-precision-bits":
+        "01c4cdc89e6f9b357514b366083cbcc1eef043cb32f3809bc60111296d0e751f",
     "correlations-orbit-x2":
         "2895c9dd40154498d1dd31409b874f10c928fd02098e4ba1f3e16be95cdfc210",
     "correlations-power-x2":
@@ -384,6 +490,10 @@ GOLDEN_SHA256 = {
         "f302cfa9348cbe1d5d6e68c942abd841a60f0675eb0bf1778cb063e0f8e27d7f",
     "orbit-mixed-b100":
         "cfa050b3421b3a878ff9c01693e5e517c4ed25426d72227089f5c79493c7c68d",
+    "power-orbit-three-halves":
+        "c8e40432bdd5806ea11497e07bfca946c94af4db6c04c894a1757725366e7b5d",
+    "power-orbit-three-halves-json":
+        "6bbb65d3597a223be820420b3981dfec0741875211b6c092efb331e27cdb992a",
     "spacings-orbit-x2":
         "bd03a817509e1417c17f508fe820917ef22abb42627195be0f54b63d853ee2d0",
     "spacings-power-x2":

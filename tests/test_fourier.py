@@ -182,6 +182,11 @@ class TestFourierExact:
         with pytest.raises(InvalidInput):
             fourier_exact(cantor, 1, tol=0.0)
 
+    def test_nan_tol_rejected(self, cantor):
+        # NaN fails every comparison, so `tol <= 0` alone would let it in
+        with pytest.raises(InvalidInput):
+            fourier_exact(cantor, 1, tol=math.nan)
+
     def test_monte_carlo_agreement(self, three_systems):
         rng = np.random.default_rng(101)
         tol = 1e-6

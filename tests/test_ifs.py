@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,16 @@ class TestComposeTriples:
         for s in word:
             expected = expected.after(system.maps[s - 1])
         assert compose(system, word) == expected
+
+    def test_integer_triples_use_the_least_common_denominator(
+            self, three_systems):
+        assert _integer_triples(three_systems["cantor"])[1] == (1, 2, 3)
+        assert _integer_triples(three_systems["mixed"])[1] == (1, 3, 4)
+        for system in [*TRIPLE_SYSTEMS, *three_systems.values()]:
+            for m, (a, b, c) in zip(system.maps, _integer_triples(system)):
+                assert (F(a, c), F(b, c)) == (m.slope, m.offset)
+                assert c == math.lcm(m.slope.denominator,
+                                     m.offset.denominator)
 
 
 class TestAttractorHull:

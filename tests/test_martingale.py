@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,11 @@ class TestCylinderModesBatch:
         assert modes.budget_exceeded.all()
         assert (modes.nodes > 0).all()
         assert (modes.error_bounds > 1e-12).all()
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_invalid_tol_rejected(self, cantor, cantor_records, tol):
+        with pytest.raises(InvalidInput):
+            cylinder_modes(cantor, cantor_records, [1], tol=tol)
 
     def test_empty_batches(self, cantor, cantor_records):
         assert cylinder_modes(cantor, [], [1, 2]).values.shape == (2, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -380,6 +381,32 @@ class TestPowerOrbit:
     def test_x_must_exceed_one(self):
         with pytest.raises(InvalidInput):
             power_orbit(F(1, 2), 3)
+
+    # No CLI command reaches the enclosure path (the CLI passes exact
+    # rationals), so its values and metadata are pinned here; recorded
+    # before beta and power orbits shared one ball-iteration loop.
+    _TUPLE = (F(7, 5) - F(1, 2 ** 700), F(7, 5) + F(1, 2 ** 700))
+
+    @pytest.mark.parametrize("x, n, digest, prec", [
+        (AlgebraicReal((2, -3), F(1), F(2)), 300,
+         "10ef6305772276d5de8519e7fb0c1677aaccae05a111ee0adce213a707aae075",
+         249),
+        (_TUPLE, 250,
+         "cd3c447b4784784002222ddfdccc044f2be78392b4140ed67effad39e64972f3",
+         194),
+    ])
+    def test_enclosure_path_pinned(self, x, n, digest, prec):
+        sam = power_orbit(x, n)
+        assert hashlib.sha256(sam.values.tobytes()).hexdigest() == digest
+        assert sam.metadata == {"x": str(x), "precision_bits": prec,
+                                "restarts": 0, "start_index": 1}
+        assert sam.accuracy == 2.0 ** -50
+        assert sam.source == f"power({x})"
+
+    def test_coarse_enclosure_exhausts_precision(self):
+        x = (F(7, 5) - F(1, 2 ** 100), F(7, 5) + F(1, 2 ** 100))
+        with pytest.raises(PrecisionExhausted):
+            power_orbit(x, 250)
 
 
 class TestBalls:
