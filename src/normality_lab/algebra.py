@@ -3,7 +3,7 @@
 Three decision procedures, all exact:
 
 * log-commensurability of a rational contraction ratio with an integer base,
-  decided through prime factorizations;
+  decided over a coprime base built with gcds alone (no factoring);
 * Pisot certification of a monic integer polynomial, via Sturm isolation of
   real roots and a posteriori disk bounds for complex conjugate pairs;
 * the obstruction-form check of a system against a base b (slope
@@ -29,78 +29,69 @@ from .errors import (
 )
 from .ifs import AffineMap, SelfSimilarSystem, normalize
 
-_TRIAL_LIMIT = 10 ** 6
-# Cofactors this large that resist the general factorizer are reported as
-# indeterminate rather than guessed at.
-_FACTOR_HARD_LIMIT = 10 ** 80
+
+def _strip(x: int, g: int) -> tuple:
+    """(k, x / g^k) for the largest k with g^k dividing x (x >= 1, g >= 2),
+    in O(log k) divisions: g^2 is stripped first, recursively, and what is
+    left holds at most one more factor g."""
+    if x % g:
+        return 0, x
+    k, x = _strip(x, g * g)
+    if x % g == 0:
+        return 2 * k + 1, x // g
+    return 2 * k, x
 
 
-def factor_positive(n: int) -> Optional[dict]:
-    """Certified prime factorization of n >= 1, or None if out of reach."""
-    if n < 1:
-        raise InvalidInput("factor_positive expects n >= 1")
-    if n == 1:
-        return {}
-    import sympy  # imported on first use: it dominates the package import
-    partial = sympy.factorint(n, limit=_TRIAL_LIMIT)
-    out: dict = {}
-    for f, e in partial.items():
-        if sympy.isprime(f):
-            out[f] = out.get(f, 0) + e
+def _coprime_base(values) -> list:
+    """Pairwise coprime integers > 1 whose powers give every value, by gcds
+    alone: a value x sharing g > 1 with an element y is replaced, with y, by
+    g and the cofactors of x and y free of g.  The product of all numbers
+    held drops by g or more each time, so at most log2 of it steps run."""
+    base, todo = [], list(values)
+    while todo:
+        x = todo.pop()
+        if x == 1:
             continue
-        if f > _FACTOR_HARD_LIMIT:
-            return None
-        for p, k in sympy.factorint(f).items():
-            out[p] = out.get(p, 0) + e * k
-    return out
+        for i, y in enumerate(base):
+            g = gcd(x, y)
+            if g > 1:
+                del base[i]
+                todo += [g, _strip(x, g)[1], _strip(y, g)[1]]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 @dataclass(frozen=True)
 class CommensurabilityResult:
-    """Outcome of the log|s| / log b rationality test.
+    """Outcome of the log|s| / log b rationality test, with its value if
+    rational."""
 
-    `commensurable` is None when a factorization was out of reach and the
-    question could not be decided either way.
-    """
-
-    commensurable: Optional[bool]
+    commensurable: bool
     ratio: Optional[Fraction]
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.commensurable is None
 
 
 def log_commensurable(s, b: int) -> CommensurabilityResult:
     """Decide whether log|s| / log b is rational, for rational s, integer b >= 2.
 
-    Writing |s| = prod p^e_p and b = prod p^f_p, the ratio is rational exactly
-    when the exponent vectors are parallel over Q; the common ratio e_p / f_p
-    is then returned and the identity |s|^den = b^num re-checked exactly.
+    Over a pairwise coprime base of |s|'s numerator, its denominator and b,
+    |s| = prod q^e_q and b = prod q^f_q with unique exponents, so the ratio
+    is rational exactly when the vectors e and f are parallel, and is then
+    their common ratio.  No integer is factored: every input is decided.
     """
     s = Fraction(s)
     if not isinstance(b, int) or b < 2:
         raise InvalidInput("base b must be an integer >= 2")
     if s == 0 or abs(s) == 1:
         raise InvalidInput("s must satisfy s != 0 and |s| != 1")
-    a = abs(s)
-    num_f = factor_positive(a.numerator)
-    den_f = factor_positive(a.denominator)
-    base_f = factor_positive(b)
-    if num_f is None or den_f is None or base_f is None:
-        return CommensurabilityResult(None, None)
-    exps: dict = dict(num_f)
-    for p, e in den_f.items():
-        exps[p] = exps.get(p, 0) - e
-    exps = {p: e for p, e in exps.items() if e != 0}
-    if set(exps) != set(base_f):
+    num, den = abs(s.numerator), s.denominator
+    vectors = [(_strip(num, q)[0] - _strip(den, q)[0], _strip(b, q)[0])
+               for q in _coprime_base([num, den, b])]
+    e0, f0 = next(v for v in vectors if v[1] != 0)
+    if any(e * f0 != e0 * f for e, f in vectors):
         return CommensurabilityResult(False, None)
-    ratios = {Fraction(exps[p], base_f[p]) for p in exps}
-    if len(ratios) != 1:
-        return CommensurabilityResult(False, None)
-    ratio = ratios.pop()
-    assert a ** ratio.denominator == Fraction(b) ** ratio.numerator
-    return CommensurabilityResult(True, ratio)
+    return CommensurabilityResult(True, Fraction(e0, f0))
 
 
 # ----------------------------------------------------------- real root tools
@@ -448,7 +439,6 @@ class ObstructionVerdict(Enum):
     MATCHES_OBSTRUCTION_FORM = "MatchesObstructionForm"
     FAILS_ITEM1 = "FailsItem1"
     FAILS_ITEM2 = "FailsItem2"
-    INDETERMINATE = "Indeterminate"
 
 
 @dataclass(frozen=True)
@@ -472,21 +462,14 @@ class ObstructionReport:
 def _translation_form(t: Fraction, b: int):
     """Check t = k / b^j with integers k and j >= 0 (equivalently: every prime
     of the reduced denominator divides b); returns (ok, minimal j)."""
-    d = t.denominator
-    if d == 1:
-        return True, 0
-    x = d
-    g = gcd(x, b)
-    while g > 1:
-        while x % g == 0:
-            x //= g
-        g = gcd(x, b)
-    if x != 1:
-        return False, None
-    j, power = 0, 1
-    while power % d:
-        power *= b
-        j += 1
+    # over a coprime base, the denominator prod q^e_q divides
+    # b^j = prod q^(j f_q) exactly when every e_q <= j f_q
+    j = 0
+    for q in _coprime_base([t.denominator, b]):
+        e, f = _strip(t.denominator, q)[0], _strip(b, q)[0]
+        if f == 0:  # q divides the denominator only
+            return False, None
+        j = max(j, -(-e // f))
     return True, j
 
 
@@ -513,10 +496,8 @@ def classify_obstruction(system: SelfSimilarSystem, b: int,
         comm = log_commensurable(m.slope, b)
         tform, j = _translation_form(m.offset, b)
         per_map.append(MapObstruction(i, m.slope, m.offset, comm, tform, j))
-    if any(mo.commensurability.commensurable is False for mo in per_map):
+    if not all(mo.commensurability.commensurable for mo in per_map):
         verdict = ObstructionVerdict.FAILS_ITEM1
-    elif any(mo.commensurability.indeterminate for mo in per_map):
-        verdict = ObstructionVerdict.INDETERMINATE
     elif any(not mo.translation_form for mo in per_map):
         verdict = ObstructionVerdict.FAILS_ITEM2
     else:
@@ -533,7 +514,6 @@ def incommensurable_slope_witness(system: SelfSimilarSystem, b: int):
     :func:`classify_obstruction` map by map.
     """
     for i, m in enumerate(system.maps, start=1):
-        res = log_commensurable(m.slope, b)
-        if res.commensurable is False:
+        if not log_commensurable(m.slope, b).commensurable:
             return True, i
     return False, None

@@ -68,9 +68,9 @@ def _add_common(p: _Parser, system_required: bool = True,
                 default_tol: float = 1e-9):
     p.add_argument("--system", required=system_required,
                    help="system definition file (JSON)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=_tolerance, default=default_tol)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=_positive_int, default=10 ** 7)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -135,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-hi", default=None, help="enclosure high endpoint")
     p.add_argument("--x", default=None, help="exact rational start point")
     p.add_argument("--length", type=_nonnegative_int, default=100)
-    p.add_argument("--precision-bits", type=int, default=None,
+    p.add_argument("--precision-bits", type=_positive_int, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_beta_orbit(
         system, exp.parse_beta(a.beta, a.beta_poly, a.beta_lo, a.beta_hi),
@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     _add_common(p, system_required=False)
     p.add_argument("--x", required=True, help="rational x > 1, e.g. 3/2")
     p.add_argument("--length", type=_nonnegative_int, default=1000)
-    p.add_argument("--precision-bits", type=int, default=None,
+    p.add_argument("--precision-bits", type=_positive_int, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_power_orbit(
         a.x, a.length, a.seed, a.precision_bits))
@@ -200,7 +200,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_positive_int, default=1)
     p.set_defaults(run=lambda a, system: exp.run_martingale(
         system, a.base, _int_list(a.q), _int_list(a.n_list), a.samples,
-        a.seed, a.tol))
+        a.seed, a.tol, a.budget))
     return parser
 
 
@@ -239,10 +239,10 @@ def _write_csv(stream, meta: dict, rows):
     stream.write(f"# parameters={json.dumps(meta['parameters'], sort_keys=True)}\n")
     if not rows:
         return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()),
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    # every row of a run has the first row's keys, in the same order
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
 
 
 def _emit(args, meta: dict, rows, results) -> None:

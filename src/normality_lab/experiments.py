@@ -18,11 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraicReal,
-    classify_obstruction,
-    incommensurable_slope_witness,
-)
+from .algebra import AlgebraicReal, classify_obstruction
 from .errors import ConfigParseError, InsufficientBands, InvalidInput
 from .fourier import decay_fit, decay_profile, del_criterion_check, fourier_exact
 from .ifs import (
@@ -37,6 +33,7 @@ from .sampling import (
     DigitStream,
     SequenceSample,
     WordStream,
+    _log2,
     _tail_digit_count,
     beta_orbit,
     digits,
@@ -91,7 +88,9 @@ def run_validate(system: SelfSimilarSystem):
 
 def run_classify(system: SelfSimilarSystem, base: int):
     report = classify_obstruction(system, base)
-    witness_found, witness = incommensurable_slope_witness(system, base)
+    # slopes survive the conjugation: the first map failing item 1 witnesses
+    witness = next((mo.index for mo in report.per_map
+                    if not mo.commensurability.commensurable), None)
     rows = []
     for mo in report.per_map:
         rows.append({
@@ -110,7 +109,7 @@ def run_classify(system: SelfSimilarSystem, base: int):
         "base": base,
         "conjugator": {"slope": frac_str(report.conjugator.slope),
                        "offset": frac_str(report.conjugator.offset)},
-        "normality_witness": {"found": witness_found, "map": witness},
+        "normality_witness": {"found": witness is not None, "map": witness},
         "per_map": rows,
     }
     return rows, results
@@ -203,7 +202,7 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
         hi = beta.hi if isinstance(beta, AlgebraicReal) else beta
         if hi <= 1:
             raise InvalidInput("beta must exceed 1")
-        bits = math.ceil(length * math.log2(float(hi))) + 80
+        bits = math.ceil(length * _log2(hi)) + 80
         point = sampled_point(system, WordStream(system, seed),
                               Fraction(1, 2) ** bits)
     else:
@@ -327,12 +326,13 @@ def run_spacings(source: str, system, base, x, length: int, s_grid: str,
 
 def run_martingale(system: SelfSimilarSystem, p: int, qs: Sequence[int],
                    n_list: Sequence[int], samples: int, seed: int,
-                   tol: float):
+                   tol: float, budget: int):
     rows = []
     for task in range(samples):
         task_seed = seed if samples == 1 else int(
             np.random.SeedSequence(seed, spawn_key=(task,)).generate_state(1)[0])
-        for gs in martingale_gaps(system, task_seed, qs, n_list, p, tol=tol):
+        for gs in martingale_gaps(system, task_seed, qs, n_list, p, tol=tol,
+                                  budget=budget):
             for n, e, c, g in zip(gs.n_values, gs.empirical, gs.cylinder,
                                   gs.gaps):
                 rows.append({"seed": task_seed, "q": gs.q, "N": n,

@@ -127,7 +127,10 @@ def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
             stack.pop()
             continue
         num, den = u
-        bound = _TWO_PI * abs(num / den) * half_width
+        try:
+            bound = _TWO_PI * abs(num / den) * half_width
+        except OverflowError:  # |u| beyond the float range: never a leaf
+            bound = math.inf
         if bound <= tol:
             memo[u] = (ratio_phase(num * cnum, den * cden), bound)
             new_nodes += 1

@@ -357,8 +357,8 @@ def martingale_gap(system: SelfSimilarSystem, seed: int, q: int,
 
 
 def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
-                    n_list: Sequence[int], p: int,
-                    tol: float = 1e-6) -> list:
+                    n_list: Sequence[int], p: int, tol: float = 1e-6,
+                    budget: int = DEFAULT_NODE_BUDGET) -> list:
     """Gap series for several frequencies on one shared sampled word.
 
     The word stream, stopping records and digit stream are computed once per
@@ -373,7 +373,8 @@ def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
     records = stopping_records(system, stream, n_max - 1, p)
     ds = digits(system, stream, p, n_max + _tail_digit_count(p) + 1)
     orbit = orbit_sequence(ds, n_max, seed=seed)
-    cyl = cylinder_modes(system, records, qs, tol=tol, cache={}).values
+    cyl = cylinder_modes(system, records, qs, tol=tol, cache={},
+                         budget=budget).values
 
     out = []
     for q, cyl_q in zip(qs, cyl):

@@ -406,6 +406,14 @@ def _enclosure(x, prec: int) -> tuple:
     return Fraction(x), Fraction(x)
 
 
+def _log2(x: Fraction) -> float:
+    """log2(float(x)), from the integers' logs where float(x) overflows."""
+    try:
+        return math.log2(float(x))
+    except OverflowError:
+        return math.log2(x.numerator) - math.log2(x.denominator)
+
+
 def _point_radius_log2(x) -> float:
     if isinstance(x, PointApproximation) and x.radius > 0:
         # logs of the integers: float(radius) underflows below ~2^-1075
@@ -432,7 +440,7 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     lo, hi = _enclosure(factor, 14)  # width 2^-16 sizes the precision
     if lo <= 1:
         raise InvalidInput(f"need a multiplier certified > 1, got {factor}")
-    log2_factor = math.log2(float(hi))
+    log2_factor = _log2(hi)
     prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
     prec = max(prec, min_prec or 0)
     needed_log2 = -(n_points * log2_factor + 54)

@@ -209,10 +209,11 @@ def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
     n = len(xs)
     if not 2 <= k <= 4:
         raise KOutOfRange("k must be between 2 and 4")
-    w_scaled = float(f.halfwidth)
-    if not w_scaled < n / 2:
+    # exactly first: float() of a half-width past the float range overflows
+    if not (f.halfwidth < Fraction(n, 2) and float(f.halfwidth) < n / 2):
         raise SupportTooWide(
-            f"support half-width {w_scaled} must be < N/2 = {n / 2}")
+            f"support half-width {f.halfwidth} must be < N/2 = {n / 2}")
+    w_scaled = float(f.halfwidth)
     radius = w_scaled / n * (1.0 + 1e-9) + 1e-15
     win = _Windows(xs, radius)
     s = win.sorted

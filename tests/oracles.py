@@ -3,7 +3,8 @@
 Every function here recomputes a quantity by a different route than the
 library: brute-force enumeration for correlations, Monte Carlo sampling and
 closed forms for the Fourier transform, straight interval iteration for
-hulls.  Keeping them separate from the package is the point.
+hulls, prime factorizations for log-commensurability.  Keeping them
+separate from the package is the point.
 """
 
 import itertools
@@ -216,3 +217,20 @@ def naive_star_discrepancy(values, grid=4096) -> float:
     ts = np.linspace(0.0, 1.0, grid + 1)[1:]
     counts = np.searchsorted(xs, ts, side="left")
     return float(np.max(np.abs(counts / n - ts)))
+
+
+# ------------------------------------------------------ log-commensurability
+
+def factored_log_ratio(s, b: int):
+    """log|s| / log b as a Fraction when it is rational, else None, read off
+    the prime factorizations of |s| and b."""
+    from sympy import factorint
+    s = abs(Fraction(s))
+    exps = dict(factorint(s.numerator))
+    # numerator and denominator are coprime: no prime appears in both
+    exps.update({p: -k for p, k in factorint(s.denominator).items()})
+    base = factorint(b)
+    if set(exps) != set(base):
+        return None
+    ratios = {Fraction(exps[p], base[p]) for p in base}
+    return ratios.pop() if len(ratios) == 1 else None

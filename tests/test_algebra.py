@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normality_lab import (
@@ -15,7 +16,6 @@ from normality_lab.algebra import (
     AlgebraicReal,
     ObstructionVerdict,
     count_real_roots,
-    factor_positive,
     isolate_real_roots,
     refine_real_root,
 )
@@ -24,6 +24,7 @@ from normality_lab.errors import (
     NotAlgebraicInteger,
     ReduciblePolynomial,
 )
+from oracles import factored_log_ratio
 
 F = Fraction
 
@@ -61,9 +62,44 @@ class TestLogCommensurable:
         with pytest.raises(InvalidInput):
             log_commensurable(F(1, 2), 1)
 
-    def test_factor_positive_small(self):
-        assert factor_positive(1) == {}
-        assert factor_positive(2 ** 5 * 3 ** 2 * 97) == {2: 5, 3: 2, 97: 1}
+    @given(m=st.integers(2, 60), u=st.integers(-6, 6).filter(bool),
+           c=st.integers(1, 4),
+           r=st.sampled_from([F(1), F(1), F(2), F(1, 3), F(5, 4), F(7, 36)]),
+           t=st.sampled_from([1, 1, 2, 3, 4, 6]),
+           sign=st.sampled_from([1, -1]),
+           free=st.none() | st.tuples(st.integers(1, 10 ** 6),
+                                      st.integers(1, 10 ** 6),
+                                      st.integers(2, 10 ** 6)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factoring_oracle(self, m, u, c, r, t, sign, free):
+        # near-powers m^u * r against m^c * t hit both answers often; the
+        # free draws cover unrelated numerators, denominators and bases
+        if free is None:
+            s, b = sign * F(m) ** u * r, m ** c * t
+        else:
+            s, b = sign * F(free[0], free[1]), free[2]
+        assume(abs(s) != 1)
+        res = log_commensurable(s, b)
+        expected = factored_log_ratio(s, b)
+        assert res.commensurable is (expected is not None)
+        assert res.ratio == expected
+        if expected is not None:
+            assert abs(s) ** expected.denominator == F(b) ** expected.numerator
+
+    def test_semiprime_denominator_without_factoring(self):
+        # P and Q are the first primes after 10^45 and 10^46: factoring P Q
+        # is slow, yet 2 does not divide it, which settles the question
+        pq = (10 ** 45 + 9) * (10 ** 46 + 121)
+        start = time.perf_counter()
+        res = log_commensurable(F(1, pq), 2)
+        assert time.perf_counter() - start < 0.5
+        assert res.commensurable is False and res.ratio is None
+
+    def test_huge_power_of_the_base_root(self):
+        start = time.perf_counter()
+        res = log_commensurable(F(1, 3 ** 50000), 9)
+        assert time.perf_counter() - start < 1.0
+        assert res.commensurable is True and res.ratio == F(-25000)
 
 
 class TestRootIsolation:

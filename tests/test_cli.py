@@ -1,14 +1,21 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
 from normality_lab import cantor_system, save_system
-from normality_lab.cli import main
+from normality_lab.cli import build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "normality_lab" / "schemas"
@@ -45,6 +52,38 @@ class TestClassifyCommand:
         assert payload["results"]["verdict"] == "FailsItem1"
         assert payload["results"]["normality_witness"] == {
             "found": True, "map": 1}
+
+    @pytest.fixture(scope="class")
+    def semiprime_file(self, tmp_path_factory):
+        # slope 1/(P Q), P and Q the first primes after 10^45 and 10^46
+        from normality_lab import make_system
+        pq = (10 ** 45 + 9) * (10 ** 46 + 121)
+        path = tmp_path_factory.mktemp("systems") / "semiprime.json"
+        save_system(make_system([(f"1/{pq}", "0"),
+                                 (f"1/{pq}", f"{pq - 1}/{pq}")]), path)
+        return str(path)
+
+    def test_semiprime_slope_is_decided(self, semiprime_file, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(["classify", "--system", semiprime_file,
+                             "--base", "2", "--format", "json"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["verdict"] == "FailsItem1"
+        assert results["normality_witness"] == {"found": True, "map": 1}
+        assert [m["commensurable"] for m in results["per_map"]] == [False,
+                                                                    False]
+
+    def test_classify_leaves_sympy_unloaded(self, semiprime_file):
+        probe = ("import sys\n"
+                 "from normality_lab.cli import main\n"
+                 f"assert main(['classify', '--system', {semiprime_file!r},"
+                 " '--base', '2']) == 0\n"
+                 "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:
@@ -95,6 +134,14 @@ class TestExitCodes:
         ["beta-orbit", "--beta", "5/2", "--x", "1/2", "--length", "-4"],
         ["power-orbit", "--x", "3/2", "--length", "-4"],
         ["orbit", "--base", "2", "--samples", "abc"],
+        # SeedSequence rejects negative entropy
+        ["orbit", "--base", "2", "--seed", "-1"],
+        ["digits", "--base", "2", "--seed", "-1"],
+        ["fourier", "--q", "6561", "--budget", "-1"],
+        ["fourier", "--q", "6561", "--budget", "0"],
+        ["beta-orbit", "--beta", "5/2", "--x", "1/2",
+         "--precision-bits", "-5"],
+        ["power-orbit", "--x", "3/2", "--precision-bits", "0"],
     ])
     def test_rejected_at_parse_time(self, cantor_file, capsys, argv):
         assert main(argv + ["--system", cantor_file]) == 4
@@ -144,6 +191,11 @@ class TestExitCodes:
         (["beta-orbit", "--beta", "0"], 2),
         (["beta-orbit", "--beta-poly", "1,2", "--beta-lo", "-3",
           "--beta-hi", "-1"], 2),
+        # float(1e400) overflows; the half-width is compared exactly
+        (["correlations", "--source", "uniform", "--length", "10",
+          "--box", "1e400"], 2),
+        # a frequency past the float range is valid input
+        (["fourier", "--q", "1e400"], 0),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
@@ -154,6 +206,67 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         if "--out" in argv:
             assert "/nonexistent/dir/x.csv" in proc.stderr
+
+
+# The exit-code property gives one flag (or none) a literal from
+# _ODD_LITERALS, each bad input for some flag, and every other flag a
+# valid small value, so each run stays small and reaches past parsing
+_ODD_LITERALS = ["0", "-1", "1", "1/0", "nan", "inf", "1e400", "abc"]
+_SMALL_INTS = [str(i) for i in range(65)]
+_SIZE_FLAGS = {"--length", "--count", "--N-list", "--samples", "--j-max",
+               "--per-band", "--q-max", "--k"}
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise _Timeout()
+
+
+@st.composite
+def _argvs(draw, system_file):
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = [a for a in _SUBCOMMANDS[name]._actions if a.option_strings
+             and a.option_strings[-1] not in ("--help", "--out")]
+    odd = draw(st.sampled_from([None] + flags))
+    argv = [name]
+    for action in flags:
+        flag = action.option_strings[-1]
+        if action is odd:
+            value = draw(st.sampled_from(_ODD_LITERALS))
+        elif flag == "--system":
+            value = system_file
+        elif action.choices:
+            value = draw(st.sampled_from(sorted(action.choices)))
+        else:
+            value = draw(st.sampled_from(_SMALL_INTS))
+        # sizes are always given, so no run falls back to a large default
+        if (action is odd or action.required or flag in _SIZE_FLAGS
+                or draw(st.booleans())):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_input_ends_in_a_documented_code(self, cantor_file, data):
+        argv = data.draw(_argvs(cantor_file))
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(20)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3, 4), argv
 
 
 class TestOutputs:
@@ -277,6 +390,21 @@ class TestSequentialRuns:
         assert per_sample[0] and per_sample[0] == per_sample[1] \
             == per_sample[2]
 
+    def test_martingale_honours_the_node_budget(self, golden_files, capsys):
+        def columns(extra):
+            code, out = run_cli(["martingale", "--system", golden_files["inh"],
+                                 "--base", "2", "--q", "1,3",
+                                 "--N-list", "20,70", *extra], capsys)
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]
+                    if not line.startswith("#")]
+            return [r[3:5] for r in rows], [r[5:7] for r in rows]
+
+        empirical, cylinder = columns([])
+        empirical_1, cylinder_1 = columns(["--budget", "1"])
+        assert empirical_1 == empirical
+        assert cylinder_1 != cylinder
+
     def test_import_leaves_sympy_unloaded(self):
         probe = ("import sys\n"
                  "import normality_lab.cli\n"
@@ -304,13 +432,18 @@ class TestSequentialRuns:
 # the integer-pair transform; the correlations/spacings cases before the
 # runners became sequential loops and the uniform source moved to
 # `uniform_sample`; the beta-orbit/power-orbit cases before beta and power
-# orbits shared one ball-iteration loop.  Any change to these bytes is a
-# change of behaviour.
+# orbits shared one ball-iteration loop; the classify cases before
+# log-commensurability was decided over a gcd-built coprime base instead of
+# prime factorizations.  Any change to these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
     "flip": [("-1/2", "0"), ("-1/2", "1/2")],
     "inh": [("1/3", "0"), ("1/2", "1/2")],
+    # the middle offset 1/3 is not of the form k / 2^j
+    "gap3": [("1/4", "0"), ("1/4", "1/3"), ("1/4", "3/4")],
+    # 1/12 has the primes of 6 but not its exponent ratios
+    "twelfths": [("1/12", "0"), ("1/12", "11/12")],
 }
 GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"]}
 _GOLDEN_POLY = ["--beta-poly", "1,-1,-1", "--beta-lo", "1",
@@ -419,9 +552,42 @@ GOLDEN_CASES = {
     "power-orbit-three-halves-json": (["power-orbit", "--x", "3/2",
                                        "--length", "400", "--format", "json"],
                                       None),
+    # every verdict, integer and non-integer log ratios, both witness maps
+    "classify-cantor-b3": (["classify", "--base", "3"], "cantor"),
+    "classify-cantor-b9-json": (["classify", "--base", "9",
+                                 "--format", "json"], "cantor"),
+    "classify-flip-b3": (["classify", "--base", "3"], "flip"),
+    "classify-inh-b3-json": (["classify", "--base", "3", "--format", "json"],
+                             "inh"),
+    "classify-mixed-b8-json": (["classify", "--base", "8",
+                                "--format", "json"], "mixed"),
+    "classify-gap3-b2": (["classify", "--base", "2"], "gap3"),
+    "classify-gap3-b2-json": (["classify", "--base", "2", "--format", "json"],
+                              "gap3"),
+    "classify-twelfths-b6-json": (["classify", "--base", "6",
+                                   "--format", "json"], "twelfths"),
+    "classify-twelfths-b144": (["classify", "--base", "144"], "twelfths"),
 }
 
 GOLDEN_SHA256 = {
+    "classify-cantor-b3":
+        "aa47afc3795fb2a97a3b51506fafbf304bf09b8575093656330593d3fb7e35ed",
+    "classify-cantor-b9-json":
+        "d6d6bb4f62422efdf808e299cdd61cdb6fd5fecbc2e4e20b783161ce4cc03015",
+    "classify-flip-b3":
+        "5ac64d98fceddca4c4f8edaf9da60c6a8373eb1cf999a1d291ed9cd078c1c7db",
+    "classify-gap3-b2":
+        "fdea698b5ce1b31d4d51f164ab567fad7b345376966cb17fb31db1d18e77f864",
+    "classify-gap3-b2-json":
+        "42bff09a8c687abc1447a37c791c0a812e6c29333f30def191eef4fcc93042ce",
+    "classify-inh-b3-json":
+        "72e82142c64669a33432e7b1f8748fc7e185a4ab965c39507805c0a85fa3998e",
+    "classify-mixed-b8-json":
+        "32afb5235570bb92bb29d00751d8841079435d5912205b79f0e31af68e73010e",
+    "classify-twelfths-b144":
+        "76bed292c85dc50355e71dc595c29f9176b2384b51133460e77fa5e6d97508fa",
+    "classify-twelfths-b6-json":
+        "4e300ab1649ed634c7457e0f860503aae5838fc1b55ce98d12a0c1487d93b9e0",
     "beta-orbit-cantor-sampled":
         "92a2c9027cd7c65551934d8000cb6953d0a54b2b9c9915b2cf8741d2b5cd2074",
     "beta-orbit-cantor-sampled-json":

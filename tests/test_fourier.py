@@ -178,6 +178,16 @@ class TestFourierExact:
             assert _bits(fv.value) == _bits(val)
             assert (fv.error_bound, fv.nodes) == (err, nodes) and not hit
 
+    @pytest.mark.parametrize("name, bound, nodes", [
+        ("cantor", 4.467e-10, 860), ("mixed", 5.462e-10, 1363)])
+    def test_frequency_beyond_the_float_range(self, name, bound, nodes):
+        # 10^400 overflows a float: such a node is never a leaf, and its
+        # children shrink back into range
+        fv = fourier_exact(TREE_SYSTEMS[name], F(10) ** 400)
+        assert not fv.budget_exceeded and fv.nodes == nodes
+        assert fv.error_bound == pytest.approx(bound, rel=1e-3)
+        assert fv.modulus <= 1.0
+
     def test_invalid_tol(self, cantor):
         with pytest.raises(InvalidInput):
             fourier_exact(cantor, 1, tol=0.0)
