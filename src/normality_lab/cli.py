@@ -206,9 +206,12 @@ def build_parser() -> _Parser:
 
 def _int_list(spec: str) -> list:
     try:
-        return [int(t) for t in str(spec).split(",") if t != ""]
+        values = [int(t) for t in str(spec).split(",") if t != ""]
     except ValueError as exc:
         raise ConfigParseError(f"bad integer list {spec!r}") from exc
+    if not values:
+        raise ConfigParseError(f"integer list {spec!r} is empty")
+    return values
 
 
 def _test_function(args) -> TestFunction:

@@ -269,6 +269,11 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     qs = tuple(qs)
     if not all(isinstance(q, int) for q in qs):
         raise InvalidInput("cylinder modes are defined for integer q")
+    for q in qs:
+        try:
+            float(q)
+        except OverflowError:
+            raise InvalidInput("q must lie within the float range") from None
     if not tol > 0:
         raise InvalidInput("tol must be positive")
     slope = _homogeneous_slope(system)

@@ -5,8 +5,9 @@ lazily sampled words w.  The word prefix is composed into one integer triple
 by a balanced product tree over 32-symbol leaves (:func:`ifs.compose_triples`),
 so a certified digit stream costs a few big-integer products of its final
 size instead of one product per symbol; a deeper word only composes the new
-segment and joins it on the right.  Digits come out of that integer in
-machine-word chunks split by one numpy broadcast, and integer-base orbits are
+segment and joins it on the right.  The digit cell of the enclosure is an
+integer floor at each hull end (no gcd); its digits come out of that integer
+in machine-word chunks split by one numpy broadcast.  Integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
 digit, rather than by repeated big-rational multiplication.  Orbits of the
 beta-transformation and powers x^n share one ball-iteration loop.
@@ -156,27 +157,21 @@ def point_of_word(system: SelfSimilarSystem, word: Sequence[int],
     )
 
 
-def exact_point(x) -> PointApproximation:
-    """Wrap an exactly known rational as a zero-radius point."""
-    x = Fraction(x)
-    return PointApproximation(x, Fraction(0), x, x, (), x)
-
-
 @dataclass(frozen=True)
 class DigitStream:
     """Certified base-b digits of x mod 1 under the floor expansion.
 
     The first `certified_length` entries equal the true digits of the coded
     point; boundary rationals get the terminating expansion (trailing zeros),
-    matching d_n = floor(b^n x) mod b.
+    matching d_n = floor(b^n x) mod b.  The digits are read with integer
+    floors of the exact enclosure, never through a rational point, and
+    `depth` is the length of the word prefix they come from.
     """
 
     base: int
     digits: np.ndarray
     certified_length: int
-    point: PointApproximation
     source: str = ""
-    guard: int = 0
     depth: int = 0
 
     def __len__(self) -> int:
@@ -225,33 +220,40 @@ def _int_to_digits(m: int, base: int, count: int) -> np.ndarray:
     return (col // powers % base).ravel()[n_chunks * k - count:]
 
 
+def _check_base(base: int) -> None:
+    """Digits are stored as int64, so a base must lie in [2, 2**63)."""
+    if not 2 <= base < (1 << 63):
+        raise InvalidInput("base must be >= 2 and below 2**63")
+
+
 def digits_of_rational(x, base: int, count: int) -> DigitStream:
-    """Exact digit stream of a rational point; always fully certified."""
-    if base < 2:
-        raise InvalidInput("base must be >= 2")
-    x = Fraction(x)
-    frac = x - (x.numerator // x.denominator)
-    scaled = frac * Fraction(base) ** count
-    m = scaled.numerator // scaled.denominator
+    """Exact digit stream of a rational point x (an int or a Fraction);
+    always fully certified."""
+    _check_base(base)
+    b_pow = base ** count
+    m = x.numerator * b_pow // x.denominator % b_pow
     return DigitStream(base, _int_to_digits(m, base, count), count,
-                       exact_point(x), source=f"rational({x})")
+                       source=f"rational({x})")
 
 
 _MAX_DEPTH_DOUBLINGS = 8
 
 
 def digits(system: SelfSimilarSystem, stream, base: int, count: int,
-           guard: int = 16, x0: Optional[Fraction] = None) -> DigitStream:
+           guard: int = 16) -> DigitStream:
     """Certified base-b digits of the sampled point x_w mod 1.
 
     Consumes a word prefix long enough that the exact enclosure f_w(hull)
     fits strictly inside one cell of width base**-count; a straddling
-    enclosure doubles the word depth (up to a cap) before giving up.  Sampled
-    words hit cell boundaries with probability zero; exactly known boundary
-    rationals should go through :func:`digits_of_rational` instead.
+    enclosure doubles the word depth (up to a cap) before giving up.  With
+    f_w(x) = (A x + B) / C, C > 0, each hull end num/den lies in cell
+    k = floor(base**count (A num + B den) / (C den)); the enclosure fits one
+    cell exactly when both ends give the same k, and the digits are then
+    k mod base**count.  These integer floors need no gcd.  Sampled words hit
+    cell boundaries with probability zero; exactly known boundary rationals
+    should go through :func:`digits_of_rational` instead.
     """
-    if base < 2:
-        raise InvalidInput("base must be >= 2")
+    _check_base(base)
     if count < 1:
         raise InvalidInput("need count >= 1")
     if isinstance(stream, (tuple, list)):
@@ -263,27 +265,22 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     cap = depth << _MAX_DEPTH_DOUBLINGS
 
     triples = _integer_triples(system)
-    h_lo, h_hi = system.hull
+    ends = [(h.numerator, h.denominator) for h in system.hull]
     b_pow = base ** count
 
-    word: tuple = ()
+    done = 0  # symbols composed into (A, B, C)
     A, B, C = 1, 0, 1
     while True:
         try:
-            segment = stream.prefix(depth)[len(word):]
+            segment = stream.prefix(depth)[done:]
         except StreamExhausted as exc:
             raise PrecisionExhausted(
                 "word stream refused extension at depth "
-                f"{_reach(stream, len(word))}") from exc
-        word += segment
+                f"{_reach(stream, done)}") from exc
         A, B, C = join_triples((A, B, C), compose_triples(triples, segment))
-        e0 = Fraction(A * h_lo.numerator + B * h_lo.denominator,
-                      C * h_lo.denominator)
-        e1 = Fraction(A * h_hi.numerator + B * h_hi.denominator,
-                      C * h_hi.denominator)
-        lo, hi = (e0, e1) if e0 <= e1 else (e1, e0)
-        k_lo = (lo.numerator * b_pow) // lo.denominator
-        k_hi = (hi.numerator * b_pow) // hi.denominator
+        done = depth
+        k_lo, k_hi = (b_pow * (A * num + B * den) // (C * den)
+                      for num, den in ends)
         if k_lo == k_hi:
             break
         if depth >= cap:
@@ -292,16 +289,8 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
                 f"{depth}; the point may be a cell-boundary rational")
         depth = min(2 * depth, cap)
 
-    m_digits = k_lo - (lo.numerator // lo.denominator) * b_pow
-    comp_slope = Fraction(A, C)
-    x0 = (h_lo + h_hi) / 2 if x0 is None else Fraction(x0)
-    center = Fraction(A * x0.numerator + B * x0.denominator,
-                      C * x0.denominator)
-    point = PointApproximation(center, abs(comp_slope) * system.hull_width,
-                               lo, hi, word, x0)
-    return DigitStream(base, _int_to_digits(m_digits, base, count), count,
-                       point, source=stream.describe(), guard=guard,
-                       depth=len(word))
+    return DigitStream(base, _int_to_digits(k_lo % b_pow, base, count), count,
+                       source=stream.describe(), depth=done)
 
 
 def _reach(stream, start: int) -> int:
@@ -338,8 +327,7 @@ class SequenceSample:
 
 def _tail_digit_count(base: int) -> int:
     """Length of an orbit value's digit tail: least k with base**k >= 2**60."""
-    if base < 2:
-        raise InvalidInput("base must be >= 2")
+    _check_base(base)
     k, power = 0, 1
     while power < (1 << _TAIL_BITS):
         power *= base
@@ -498,8 +486,6 @@ def beta_orbit(x, beta: BetaLike, n_points: int,
     """
     if n_points < 1:
         raise InvalidInput("need n_points >= 1")
-    if isinstance(x, PointApproximation) and x.radius == 0:
-        x = x.center
     if not isinstance(beta, AlgebraicReal) and isinstance(
             x, (Fraction, int, str)):
         return _beta_orbit_exact(Fraction(x), Fraction(beta), n_points, seed)

@@ -65,33 +65,29 @@ class DigitFrequencyTable:
 
 
 def digit_frequencies(stream: DigitStream, block_length: int) -> DigitFrequencyTable:
-    """Sliding-window block counts over the certified digit prefix."""
+    """Sliding-window block counts over the certified digit prefix.
+
+    Each block is encoded as one int64 code; only the codes that occur are
+    counted, and each is read back from its first window.
+    """
     if block_length < 1:
         raise InvalidInput("block length must be >= 1")
     m = stream.certified_length
     if block_length > m:
         raise BlockLongerThanStream(
             f"block length {block_length} exceeds certified prefix {m}")
-    ds = stream.digits[:m]
-    total = m - block_length + 1
-    if block_length == 1:
-        binc = np.bincount(ds.astype(np.int64), minlength=stream.base)
-        counts = {(d,): int(c) for d, c in enumerate(binc) if c > 0}
-        return DigitFrequencyTable(stream.base, 1, counts, total)
-    windows = np.lib.stride_tricks.sliding_window_view(ds, block_length)
-    code = np.zeros(total, dtype=np.int64)
-    for j in range(block_length):
-        code = code * stream.base + windows[:, j]
-    binc = np.bincount(code)
-    counts = {}
-    for c in np.nonzero(binc)[0]:
-        block = []
-        v = int(c)
-        for _ in range(block_length):
-            v, d = divmod(v, stream.base)
-            block.append(d)
-        counts[tuple(reversed(block))] = int(binc[c])
-    return DigitFrequencyTable(stream.base, block_length, counts, total)
+    base = stream.base
+    if base ** block_length > 1 << 63:
+        raise InvalidInput(f"block codes base**{block_length} with base "
+                           f"{base} do not fit an int64")
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.asarray(stream.digits[:m], dtype=np.int64), block_length)
+    code = windows[:, 0]
+    for j in range(1, block_length):
+        code = code * base + windows[:, j]
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    table = dict(zip(map(tuple, windows[first].tolist()), counts.tolist()))
+    return DigitFrequencyTable(base, block_length, table, len(code))
 
 
 # -------------------------------------------------------------- test functions

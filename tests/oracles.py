@@ -208,6 +208,31 @@ def iterated_hull(maps, rounds=400):
     return lo, hi
 
 
+# ---------------------------------------------------------------- digits
+
+def hull_image_cell_digits(system, word, base, count):
+    """The `count` base-b digits of the cell holding f_w(hull), or None when
+    the image straddles a cell boundary.
+
+    Folds f_w = f_{w_1} o ... o f_{w_m} as one Fraction slope and offset,
+    map by map, then floors b^count times each end of the image.
+    """
+    slope, offset = Fraction(1), Fraction(0)
+    for s in word:
+        m = system.maps[s - 1]
+        slope, offset = slope * m.slope, slope * m.offset + offset
+    scale = base ** count
+    cells = {math.floor((slope * h + offset) * scale) for h in system.hull}
+    if len(cells) != 1:
+        return None
+    k = cells.pop() % scale
+    out = []
+    for _ in range(count):
+        k, d = divmod(k, base)
+        out.append(d)
+    return out[::-1]
+
+
 # ------------------------------------------------------------ discrepancy
 
 def naive_star_discrepancy(values, grid=4096) -> float:

@@ -196,6 +196,18 @@ class TestExitCodes:
           "--box", "1e400"], 2),
         # a frequency past the float range is valid input
         (["fourier", "--q", "1e400"], 0),
+        # the cylinder modes' float chain cannot hold this q
+        (["martingale", "--base", "2", "--q", str(10 ** 400), "--N-list",
+          "50"], 2),
+        (["martingale", "--base", "2", "--q", "", "--N-list", "50"], 4),
+        # digits are int64: bases from 2^63 are rejected, 2^62 runs
+        (["orbit", "--base", str(2 ** 63), "--length", "5"], 2),
+        (["normality", "--base", str(2 ** 63), "--length", "5"], 2),
+        (["correlations", "--source", "orbit", "--base", str(2 ** 63),
+          "--length", "5"], 2),
+        (["digits", "--base", str(2 ** 63), "--count", "5"], 2),
+        (["martingale", "--base", str(2 ** 63), "--N-list", "5"], 2),
+        (["digits", "--base", str(2 ** 62), "--count", "5"], 0),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(

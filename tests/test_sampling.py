@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from normality_lab import (
@@ -35,9 +37,10 @@ from normality_lab.sampling import (
     _int_to_digits,
     _point_radius_log2,
     _tail_digit_count,
-    exact_point,
     sampled_point,
 )
+
+from oracles import hull_image_cell_digits
 
 F = Fraction
 
@@ -161,7 +164,6 @@ class TestDigits:
         word = (1, 2) * 22 + sample_word(cantor, 200, seed=3)
         ds = digits(cantor, FixedWord(word), 2, 50)
         assert ds.depth == 86
-        assert ds.point.word == word[:86]
         exact = digits_of_rational(point_of_word(cantor, word).center, 2, 50)
         assert list(ds.digits) == list(exact.digits)
 
@@ -182,6 +184,29 @@ class TestDigits:
         deep = point_of_word(system, word)
         exact = digits_of_rational(deep.center, 2, 100)
         assert list(ds.digits[:100]) == list(exact.digits)
+
+
+# orientation-reversing maps, hull [-1/3, 2/3]
+_FLIP = make_system([("-1/2", "0"), ("-1/2", "1/2")])
+
+
+class TestDigitCellAgainstReference:
+    @given(name=st.sampled_from(["cantor", "mixed", "flip"]),
+           base=st.sampled_from([2, 3, 10, 17, 100, 2 ** 62]),
+           count=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           guard=st.sampled_from([0, 1, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_digits_are_the_cell_of_the_hull_image(self, cantor, mixed, name,
+                                                   base, count, seed, guard):
+        # a small guard makes the first depth straddle often, so the depth
+        # doubling is exercised too
+        system = {"cantor": cantor, "mixed": mixed, "flip": _FLIP}[name]
+        stream = WordStream(system, seed)
+        ds = digits(system, stream, base, count, guard=guard)
+        ref = hull_image_cell_digits(system, stream.prefix(ds.depth), base,
+                                     count)
+        assert ref is not None  # the enclosure fits one cell at ds.depth
+        assert ds.digits.tolist() == ref
 
 
 def _reference_digits(m, base, count):
@@ -232,7 +257,7 @@ class TestReadOffAgainstReference:
         # a run of top digits makes windows round up to 1.0 (the clamp)
         digit_list[300:300 + 3 * k] = [base - 1] * (3 * k)
         ds = DigitStream(base, np.array(digit_list, dtype=np.int64),
-                         len(digit_list), exact_point(0))
+                         len(digit_list))
         values = orbit_sequence(ds, n_points).values
         assert values.tolist() == _reference_orbit(digit_list, base,
                                                    n_points)
@@ -321,7 +346,7 @@ class TestBetaOrbit:
 
     def test_rational_vs_ball_paths_agree(self):
         enclosure = AlgebraicReal((2, -5), F(2), F(3))  # 2x - 5: root 5/2
-        ball_path = beta_orbit(exact_point(F(1, 3)), enclosure, 40)
+        ball_path = beta_orbit(F(1, 3), enclosure, 40)
         exact_path = beta_orbit(F(1, 3), F(5, 2), 40)
         assert np.allclose(ball_path.values, exact_path.values, atol=1e-14)
 
@@ -342,7 +367,7 @@ class TestBetaOrbit:
                                 (), F(0))
         assert _point_radius_log2(pt) == pytest.approx(
             math.log2(3) - 1100, abs=1e-9)
-        assert _point_radius_log2(exact_point(F(1, 3))) == -math.inf
+        assert _point_radius_log2(F(1, 3)) == -math.inf
 
     def test_sampled_point_below_float_range(self, cantor):
         target = F(1, 2) ** 1200

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,11 @@ from normality_lab import (
 )
 from normality_lab.errors import (
     BlockLongerThanStream,
+    InvalidInput,
     KOutOfRange,
     SupportTooWide,
 )
+from normality_lab.sampling import DigitStream
 from normality_lab.stats import TestFunction as TFn
 
 from oracles import naive_k_level_correlation, naive_star_discrepancy
@@ -79,6 +83,30 @@ class TestDigitFrequencies:
         ds = digits_of_rational(F(1, 3), 2, 5)
         with pytest.raises(BlockLongerThanStream):
             digit_frequencies(ds, 6)
+
+    @pytest.mark.parametrize("base", [2, 10, 2 ** 40, 2 ** 62])
+    def test_counts_match_window_tuples(self, base):
+        rng = random.Random(base)
+        # large bases draw from their extremes, so blocks repeat and the
+        # largest codes are reached
+        pool = list(range(base)) if base <= 10 else [0, 1, base - 2, base - 1]
+        digit_list = [rng.choice(pool) for _ in range(3000)]
+        ds = DigitStream(base, np.array(digit_list, dtype=np.int64),
+                         len(digit_list))
+        for k in (1, 2, 3):
+            if base ** k > 2 ** 63:
+                continue
+            table = digit_frequencies(ds, k)
+            ref = Counter(tuple(digit_list[i:i + k])
+                          for i in range(len(digit_list) - k + 1))
+            assert table.counts == ref
+            assert table.total == len(digit_list) - k + 1
+
+    def test_block_codes_past_int64_rejected(self):
+        ds = DigitStream(10 ** 10, np.array([1, 2, 3], dtype=np.int64), 3)
+        assert digit_frequencies(ds, 1).counts == {(1,): 1, (2,): 1, (3,): 1}
+        with pytest.raises(InvalidInput):
+            digit_frequencies(ds, 2)
 
 
 class TestKLevelCorrelation:
