@@ -5,7 +5,9 @@ compactly supported product test functions, nearest-neighbour level spacings
 with the wraparound gap, and a Weyl-sum report.  The correlation enumerator
 is windowed: with test-function support below half the sequence length, at
 most one integer shift per coordinate contributes, so only circularly close
-tuples need visiting.
+tuples need visiting; they are enumerated as flat numpy arrays in bounded
+chunks and summed in a fixed order, so the value does not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -170,26 +172,47 @@ class CorrelationResult:
     deviation: float
 
 
-class _Windows:
-    """Circular window queries on a sorted copy of the sample."""
-
-    def __init__(self, xs: np.ndarray, radius: float):
-        self.sorted = np.sort(xs)
-        n = len(xs)
-        self.n = n
-        self.radius = radius
-        self.ext = np.concatenate([self.sorted - 1.0, self.sorted,
-                                   self.sorted + 1.0])
-
-    def around(self, x: float) -> np.ndarray:
-        """Indices (into the sorted array) within circular distance radius."""
-        lo = np.searchsorted(self.ext, x - self.radius, side="left")
-        hi = np.searchsorted(self.ext, x + self.radius, side="right")
-        return np.arange(lo, hi) % self.n
+# Upper bound on the window entries one enumeration chunk holds, so the
+# temporaries stay a few MB at any half-width.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _wrap(delta: np.ndarray) -> np.ndarray:
     return delta - np.round(delta)
+
+
+def _chunks(sizes: np.ndarray):
+    """Consecutive [a, b) ranges of items whose sizes add up to at most
+    _CHUNK_ENTRIES, or a single item that is larger on its own."""
+    ends = np.cumsum(sizes)
+    a, done = 0, 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, done + _CHUNK_ENTRIES,
+                                           side="right")))
+        yield a, b
+        done, a = ends[b - 1], b
+
+
+def _row_sums(values: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
+    """`.sum()` of each row's values, bit for bit; empty rows give 0.0.
+
+    `row` is nondecreasing.  Rows of one length c are summed together as a
+    (rows x c) matrix along axis 1, which numpy reduces in the same pairwise
+    order as a 1-D `.sum()` (np.add.reduceat rounds differently on rows of
+    3 or more terms).
+    """
+    counts = np.bincount(row, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(rows)
+    for c in np.unique(counts[counts > 0]):
+        sel = np.flatnonzero(counts == c)
+        out[sel] = values[starts[sel, None] + np.arange(c)].sum(axis=1)
+    return out
+
+
+def _add_in_order(total, terms: np.ndarray):
+    """total + terms[0] + terms[1] + ..., rounded after each addition."""
+    return np.cumsum(np.concatenate(([total], terms)))[-1]
 
 
 def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
@@ -200,6 +223,16 @@ def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
     the integer shift per coordinate to the circular wrap and licenses the
     windowed enumeration (exactly the tuples whose consecutive circular gaps
     are within support/N).
+
+    Vectorised: one searchsorted in the tripled sorted points gives every
+    window; the (i, j) neighbour pairs, self excluded, are enumerated as
+    flat arrays in point and window order, a bounded chunk at a time (for
+    k = 4, the pairs with g_mid != 0, each with i's window without j, j's
+    without i, and their common neighbours in ascending order).  Each
+    partial is the 1-D `.sum()` of its row, taken for all rows of one length
+    as a matrix row sum in the same pairwise order, and the partials are
+    added to the total one at a time, so the value is bit for bit that of a
+    Python loop over the points.
     """
     xs = _values(sample)
     n = len(xs)
@@ -209,48 +242,63 @@ def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
     if not (f.halfwidth < Fraction(n, 2) and float(f.halfwidth) < n / 2):
         raise SupportTooWide(
             f"support half-width {f.halfwidth} must be < N/2 = {n / 2}")
-    w_scaled = float(f.halfwidth)
-    radius = w_scaled / n * (1.0 + 1e-9) + 1e-15
-    win = _Windows(xs, radius)
-    s = win.sorted
+    radius = float(f.halfwidth) / n * (1.0 + 1e-9) + 1e-15
+    s = np.sort(xs)
+    ext = np.concatenate([s - 1.0, s, s + 1.0])
+    lo = np.searchsorted(ext, s - radius, side="left")
+    hi = np.searchsorted(ext, s + radius, side="right")
+
+    sizes = hi - lo
+    index = np.tile(np.arange(n), 3)   # position in ext -> point
+
+    def g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Profile at N times the wrapped difference s[a] - s[b]."""
+        return f.profile(n * _wrap(s[a] - s[b]))
+
+    def neighbours(centre: np.ndarray, skip: Optional[np.ndarray] = None):
+        """(row, point) of every window entry of each centre, flattened in
+        window order, leaving out the centre itself and its `skip`."""
+        size = sizes[centre]
+        row = np.repeat(np.arange(len(centre)), size)
+        offset = np.cumsum(size) - size - lo[centre]
+        m = index[np.arange(len(row)) - np.repeat(offset, size)]
+        keep = m != centre[row]
+        if skip is not None:
+            keep &= m != skip[row]
+        return row[keep], m[keep]
+
+    def partials():
+        """The summands of R_k * N in loop order, chunk by chunk."""
+        for a, b in _chunks(sizes):
+            i = np.arange(a, b)
+            row, m = neighbours(i)
+            if k == 2:
+                yield _row_sums(g(m, i[row]), row, b - a)
+                continue
+            g_out = g(i[row], m)
+            if k == 3:
+                g_in = g(m, i[row])
+                yield (_row_sums(g_in, row, b - a)
+                       * _row_sums(g_out, row, b - a)
+                       - _row_sums(g_in * g_out, row, b - a))
+                continue
+            live = g_out != 0.0
+            pi, pj, g_mid = i[row[live]], m[live], g_out[live]
+            for c, d in _chunks(sizes[pi] + sizes[pj]):
+                ii, jj = pi[c:d], pj[c:d]
+                row_l, left = neighbours(ii, jj)
+                row_r, right = neighbours(jj, ii)
+                row_c, common = np.divmod(
+                    np.intersect1d(row_l * n + left, row_r * n + right), n)
+                g1 = _row_sums(g(left, ii[row_l]), row_l, d - c)
+                g2 = _row_sums(g(jj[row_r], right), row_r, d - c)
+                g12 = _row_sums(g(common, ii[row_c]) * g(jj[row_c], common),
+                                row_c, d - c)
+                yield g_mid[c:d] * (g1 * g2 - g12)
 
     total = 0.0
-    if k == 2:
-        for i in range(n):
-            idx = win.around(s[i])
-            idx = idx[idx != i]
-            if len(idx):
-                total += f.profile(n * _wrap(s[idx] - s[i])).sum()
-    elif k == 3:
-        for i in range(n):
-            idx = win.around(s[i])
-            idx = idx[idx != i]
-            if not len(idx):
-                continue
-            g_in = f.profile(n * _wrap(s[idx] - s[i]))   # u1 candidates
-            g_out = f.profile(n * _wrap(s[i] - s[idx]))  # u3 candidates
-            total += g_in.sum() * g_out.sum() - (g_in * g_out).sum()
-    else:
-        for i in range(n):
-            idx_i = win.around(s[i])
-            idx_i = idx_i[idx_i != i]
-            if not len(idx_i):
-                continue
-            g_mid = f.profile(n * _wrap(s[i] - s[idx_i]))
-            for pos, j in enumerate(idx_i):
-                if g_mid[pos] == 0.0:
-                    continue
-                left = idx_i[idx_i != j]
-                g1 = f.profile(n * _wrap(s[left] - s[i]))
-                idx_j = win.around(s[j])
-                right = idx_j[(idx_j != i) & (idx_j != j)]
-                g2 = f.profile(n * _wrap(s[j] - s[right]))
-                cross = 0.0
-                common, ia, ib = np.intersect1d(left, right,
-                                                return_indices=True)
-                if len(common):
-                    cross = float((g1[ia] * g2[ib]).sum())
-                total += g_mid[pos] * (g1.sum() * g2.sum() - cross)
+    for terms in partials():
+        total = _add_in_order(total, terms)
     value = total / n
     integral = f.integral(k - 1)
     return CorrelationResult(k, value, f.describe(), n, integral,

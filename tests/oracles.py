@@ -1,10 +1,10 @@
 """Independent oracles the tests check library paths against.
 
 Every function here recomputes a quantity by a different route than the
-library: brute-force enumeration for correlations, Monte Carlo sampling and
-closed forms for the Fourier transform, straight interval iteration for
-hulls, prime factorizations for log-commensurability.  Keeping them
-separate from the package is the point.
+library: brute-force enumeration and a per-point window loop for
+correlations, Monte Carlo sampling and closed forms for the Fourier
+transform, straight interval iteration for hulls, prime factorizations for
+log-commensurability.  Keeping them separate from the package is the point.
 """
 
 import itertools
@@ -25,13 +25,28 @@ def _triangle_scalar(y: float, w: float) -> float:
     return 1.0 - a / w if a < w else 0.0
 
 
-def naive_k_level_correlation(values, k, kind, halfwidth) -> float:
+def _piecewise_scalar(breakpoints):
+    pts = [(float(x), float(v)) for x, v in breakpoints]
+
+    def g(y: float, _w) -> float:
+        for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
+            if x0 <= y <= x1:
+                return v0 + (v1 - v0) * (y - x0) / (x1 - x0)
+        return 0.0
+    return g
+
+
+def naive_k_level_correlation(values, k, kind, halfwidth=None,
+                              breakpoints=()) -> float:
     """R_k by full enumeration over ordered tuples and integer shifts.
 
-    Requires halfwidth < N/2 like the library path; values in [0, 1).
+    `kind` is box or triangle with `halfwidth`, or piecewise-linear with
+    `breakpoints` ((x, value) pairs, zero outside).  Requires the support
+    half-width below N/2 like the library path; values in [0, 1).
     """
-    g = _box_scalar if kind == "box" else _triangle_scalar
-    w = float(halfwidth)
+    g = {"box": _box_scalar, "triangle": _triangle_scalar}.get(kind) \
+        or _piecewise_scalar(breakpoints)
+    w = None if halfwidth is None else float(halfwidth)
     xs = [float(v) for v in values]
     n = len(xs)
     total = 0.0
@@ -45,6 +60,88 @@ def naive_k_level_correlation(values, k, kind, halfwidth) -> float:
                 if prod == 0.0:
                     break
             total += prod
+    return total / n
+
+
+def _profile_array(kind, halfwidth, breakpoints, y):
+    if kind == "box":
+        return (np.abs(y) <= float(halfwidth)).astype(np.float64)
+    if kind == "triangle":
+        return np.maximum(0.0, 1.0 - np.abs(y) / float(halfwidth))
+    xs = np.array([float(x) for x, _ in breakpoints])
+    vs = np.array([float(v) for _, v in breakpoints])
+    return np.interp(y, xs, vs, left=0.0, right=0.0)
+
+
+def windowed_k_level_correlation(values, k, kind, halfwidth=None,
+                                 breakpoints=()) -> float:
+    """R_k by one Python iteration per point over its circular window.
+
+    The bit-for-bit reference for the library's vectorised enumeration:
+    the same window radius and profile formulas, every partial summed by
+    `.sum()` and added to the total in point (for k = 4, neighbour-pair)
+    order.  Arguments as for `naive_k_level_correlation`; the half-width
+    must be below N/2.
+    """
+    xs = np.mod(np.asarray(values, dtype=np.float64), 1.0)
+    n = len(xs)
+    if kind == "piecewise-linear":
+        halfwidth = max(abs(Fraction(breakpoints[0][0])),
+                        abs(Fraction(breakpoints[-1][0])))
+    assert 2 <= k <= 4 and Fraction(halfwidth) < Fraction(n, 2)
+
+    def g(y):
+        return _profile_array(kind, halfwidth, breakpoints, y)
+
+    def wrap(delta):
+        return delta - np.round(delta)
+
+    radius = float(halfwidth) / n * (1.0 + 1e-9) + 1e-15
+    s = np.sort(xs)
+    ext = np.concatenate([s - 1.0, s, s + 1.0])
+
+    def around(x):
+        lo = np.searchsorted(ext, x - radius, side="left")
+        hi = np.searchsorted(ext, x + radius, side="right")
+        return np.arange(lo, hi) % n
+
+    total = 0.0
+    if k == 2:
+        for i in range(n):
+            idx = around(s[i])
+            idx = idx[idx != i]
+            if len(idx):
+                total += g(n * wrap(s[idx] - s[i])).sum()
+    elif k == 3:
+        for i in range(n):
+            idx = around(s[i])
+            idx = idx[idx != i]
+            if not len(idx):
+                continue
+            g_in = g(n * wrap(s[idx] - s[i]))
+            g_out = g(n * wrap(s[i] - s[idx]))
+            total += g_in.sum() * g_out.sum() - (g_in * g_out).sum()
+    else:
+        for i in range(n):
+            idx_i = around(s[i])
+            idx_i = idx_i[idx_i != i]
+            if not len(idx_i):
+                continue
+            g_mid = g(n * wrap(s[i] - s[idx_i]))
+            for pos, j in enumerate(idx_i):
+                if g_mid[pos] == 0.0:
+                    continue
+                left = idx_i[idx_i != j]
+                g1 = g(n * wrap(s[left] - s[i]))
+                idx_j = around(s[j])
+                right = idx_j[(idx_j != i) & (idx_j != j)]
+                g2 = g(n * wrap(s[j] - s[right]))
+                cross = 0.0
+                common, ia, ib = np.intersect1d(left, right,
+                                                return_indices=True)
+                if len(common):
+                    cross = float((g1[ia] * g2[ib]).sum())
+                total += g_mid[pos] * (g1.sum() * g2.sum() - cross)
     return total / n
 
 

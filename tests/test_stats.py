@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normality_lab import (
     digit_frequencies,
@@ -25,7 +28,11 @@ from normality_lab.errors import (
 from normality_lab.sampling import DigitStream
 from normality_lab.stats import TestFunction as TFn
 
-from oracles import naive_k_level_correlation, naive_star_discrepancy
+from oracles import (
+    naive_k_level_correlation,
+    naive_star_discrepancy,
+    windowed_k_level_correlation,
+)
 
 F = Fraction
 
@@ -109,6 +116,48 @@ class TestDigitFrequencies:
             digit_frequencies(ds, 2)
 
 
+def _same_as_windowed_loop(xs, k, f):
+    """The library value equals the per-point loop's, bit for bit."""
+    got = k_level_correlation(xs, k, f).value
+    want = windowed_k_level_correlation(
+        xs, k, f.kind, None if f.breakpoints else f.halfwidth, f.breakpoints)
+    assert float(got).hex() == float(want).hex()
+    return got
+
+
+@st.composite
+def _correlation_cases(draw):
+    """(values, k, test function) with the half-width below N/2."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 120 if k < 4 else 60))
+    pool = draw(st.sampled_from(["floats", "ties", "equal"]))
+    if pool == "floats":
+        xs = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=n, max_size=n))
+    elif pool == "ties":
+        # eighths: exact differences, points exactly half a circle apart
+        xs = [i / 8 for i in draw(st.lists(st.integers(0, 7),
+                                           min_size=n, max_size=n))]
+    else:
+        xs = [draw(st.floats(0.0, 1.0, exclude_max=True))] * n
+    if draw(st.booleans()):
+        # radius past 1/2: a window can hold one index twice
+        w = F(n, 2) - F(1, draw(st.integers(3, 10 ** 12)))
+    else:
+        w = F(draw(st.integers(1, 4 * n - 1)), 8)
+    kind = draw(st.sampled_from(["box", "triangle", "piecewise-linear"]))
+    if kind == "box":
+        return xs, k, TFn.box(w)
+    if kind == "triangle":
+        return xs, k, TFn.triangle(w)
+    offsets = sorted(draw(st.sets(st.integers(-12, 12), min_size=2,
+                                  max_size=5)))
+    heights = draw(st.lists(st.integers(-4, 8), min_size=len(offsets),
+                            max_size=len(offsets)))
+    return xs, k, TFn.piecewise_linear(
+        [(w * x / 12, F(v, 4)) for x, v in zip(offsets, heights)])
+
+
 class TestKLevelCorrelation:
     def test_small_example_exact(self):
         r = k_level_correlation([0.0, 0.1, 0.5], 2, TFn.box(F(1, 2)))
@@ -174,12 +223,88 @@ class TestKLevelCorrelation:
             want = naive_k_level_correlation(xs, 4, "box", w)
             assert got.value == pytest.approx(want, abs=1e-12)
 
+    def test_k4_triangle_against_bruteforce(self):
+        rng = np.random.default_rng(401)
+        for _ in range(5):
+            n = int(rng.integers(6, 13))
+            xs = rng.random(n)
+            w = F(int(rng.integers(1, 1 + n // 2)), 2)
+            got = k_level_correlation(xs, 4, TFn.triangle(w))
+            want = naive_k_level_correlation(xs, 4, "triangle", w)
+            assert got.value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_piecewise_linear_against_bruteforce(self, k):
+        rng = np.random.default_rng(500 + k)
+        for _ in range(5):
+            n = int(rng.integers(k + 2, 25 if k < 4 else 12))
+            xs = rng.random(n)
+            # asymmetric, negative in places, nonzero at its left end
+            w = F(int(rng.integers(1, n)), 2)
+            bps = [(-w, F(1, 2)), (-w / 3, F(-1)), (w / 5, F(2)), (w / 2, F(0))]
+            got = k_level_correlation(xs, k, TFn.piecewise_linear(bps))
+            want = naive_k_level_correlation(xs, k, "piecewise-linear",
+                                             breakpoints=bps)
+            assert got.value == pytest.approx(want, abs=1e-9)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         xs = rng.random(60)
         for k in (2, 3, 4):
             r = k_level_correlation(xs, k, TFn.triangle(F(2)))
             assert r.value >= 0.0
+
+    @given(case=_correlation_cases())
+    @example(case=([0.0, 0.5, 0.25, 0.5], 4, TFn.box(F(2) - F(1, 10 ** 12))))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_windowed_loop(self, case):
+        _same_as_windowed_loop(*case)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_single_point(self, k):
+        assert _same_as_windowed_loop([0.3], k, TFn.box(F(1, 4))) == 0.0
+        with pytest.raises(SupportTooWide):
+            k_level_correlation([0.3], k, TFn.box(F(1, 2)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_two_points(self, k):
+        value = _same_as_windowed_loop([0.1, 0.3], k, TFn.triangle(F(3, 4)))
+        # one ordered pair each way, each at scaled gap 0.4 of width 0.75
+        assert value == pytest.approx(1 - 0.4 / 0.75 if k == 2 else 0.0)
+        with pytest.raises(SupportTooWide):
+            k_level_correlation([0.1, 0.3], k, TFn.triangle(F(1)))
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(SupportTooWide):
+            k_level_correlation([], 2, TFn.box(F(1, 4)))
+
+    @pytest.mark.parametrize("k, count", [(2, 6), (3, 30), (4, 120)])
+    def test_all_points_equal(self, k, count):
+        # every ordered k-tuple of 7 equal points has g = 1 per coordinate
+        value = _same_as_windowed_loop([0.3] * 7, k, TFn.box(F(1, 2)))
+        assert value == count
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_no_pair_survives_zero_profile(self, k):
+        # neighbours sit exactly on the triangle's zero, so for k = 4 every
+        # g_mid is 0 and no pair is visited
+        xs = [i / 8 for i in range(8)]
+        assert _same_as_windowed_loop(xs, k, TFn.triangle(F(1))) == 0.0
+
+    @pytest.mark.parametrize("k, n, halfwidth", [
+        (2, 4000, F(1999)), (4, 100, F(99, 2))])
+    def test_wide_window_memory_bounded(self, k, n, halfwidth):
+        # unchunked, the flat pair arrays here would take well over 100 MB
+        xs = np.random.default_rng(k).random(n)
+        tracemalloc.start()
+        try:
+            got = k_level_correlation(xs, k, TFn.box(halfwidth)).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        want = windowed_k_level_correlation(xs, k, "box", halfwidth)
+        assert float(got).hex() == float(want).hex()
 
     @pytest.mark.parametrize("halfwidth", [F(1, 4), F(1, 2), F(1)])
     def test_r2_converges_to_box_mass(self, halfwidth):
