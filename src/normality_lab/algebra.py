@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 import mpmath
@@ -185,26 +185,50 @@ def isolate_real_roots(coeffs: Sequence) -> list:
 
 def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
                      eps: Fraction) -> tuple:
-    """Shrink an isolating interval to width <= eps by exact bisection."""
+    """Shrink an isolating interval to width <= eps by exact bisection.
+
+    The interval is kept as integers [a / D, b / D] with D doubling at each
+    step, and p is signed by integer Horner on D^deg L p(a / D), L the lcm of
+    the coefficient denominators, so no Fraction is normalised in the loop.
+    Returns (lo, hi), or (r, r) when an endpoint or a midpoint r is a root.
+    """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    flo = poly_eval(coeffs, lo)
-    fhi = poly_eval(coeffs, hi)
-    if flo == 0:
+    coeffs = [Fraction(c) for c in coeffs]
+    lcm_den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm_den // c.denominator) for c in coeffs]
+    d0 = lcm(lo.denominator, hi.denominator)
+    # at x = a / (d0 2^k) the t-th coefficient, leading first, carries
+    # (d0 2^k)^t
+    scaled = [c * d0 ** t for t, c in enumerate(ints)]
+
+    def sign(a: int, k: int) -> int:
+        acc = 0
+        for t, c in enumerate(scaled):
+            acc = acc * a + (c << (k * t))
+        return (acc > 0) - (acc < 0)
+
+    a = lo.numerator * (d0 // lo.denominator)
+    b = hi.numerator * (d0 // hi.denominator)
+    slo, shi = sign(a, 0), sign(b, 0)
+    if slo == 0:
         return lo, lo
-    if fhi == 0:
+    if shi == 0:
         return hi, hi
-    if (flo > 0) == (fhi > 0):
+    if slo == shi:
         raise InvalidInput("interval endpoints must bracket a sign change")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fm = poly_eval(coeffs, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+    k = 0
+    while (b - a) * eps.denominator > eps.numerator * (d0 << k):
+        k += 1
+        mid = a + b
+        s = sign(mid, k)
+        if s == 0:
+            root = Fraction(mid, d0 << k)
+            return root, root
+        if s == slo:
+            a, b = mid, 2 * b
         else:
-            hi, fhi = mid, fm
-    return lo, hi
+            a, b = 2 * a, mid
+    return Fraction(a, d0 << k), Fraction(b, d0 << k)
 
 
 @dataclass(frozen=True)
@@ -354,7 +378,8 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
     number: a real root > 1 all of whose algebraic conjugates have modulus
     strictly below 1.
 
-    Real roots are isolated and refined by exact Sturm bisection.  Complex
+    Real roots are isolated by exact Sturm bisection and refined by integer
+    bisection (:func:`refine_real_root`).  Complex
     conjugate pairs get a posteriori disk enclosures, refined until every
     modulus interval excludes 1.  Roots exactly on the unit circle force the
     polynomial to be self-reciprocal, which is detected by an exact

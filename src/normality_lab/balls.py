@@ -3,7 +3,9 @@
 A `Ball` holds an integer midpoint and radius at a common binary scale
 2**-prec, so every operation is big-integer arithmetic with explicit outward
 rounding.  This is the workhorse behind the beta-transformation and power
-orbits, where precision requirements grow linearly with orbit length.
+orbits, where precision requirements grow linearly with orbit length.  A
+value is read off as one correctly rounded int / int division, with no
+Fraction and so no gcd.
 """
 
 from __future__ import annotations
@@ -51,14 +53,15 @@ class Ball:
         return Fraction(self.rad, 1 << self.prec)
 
     def to_float(self) -> float:
-        return float(Fraction(self.mid, 1 << self.prec))
+        # int / int is correctly rounded: float(Fraction(...)) without a gcd
+        return self.mid / (1 << self.prec)
 
     def mul(self, other: "Ball") -> "Ball":
         if self.prec != other.prec:
             raise InvalidInput("balls must share a precision")
         p = self.prec
         prod = self.mid * other.mid
-        mid, rem = divmod(prod, 1 << p)
+        mid, rem = prod >> p, prod & ((1 << p) - 1)  # divmod by 2^p
         extra = 0
         if rem:
             extra = 1

@@ -10,7 +10,8 @@ integer floor at each hull end (no gcd); its digits come out of that integer
 in machine-word chunks split by one numpy broadcast.  Integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
 digit, rather than by repeated big-rational multiplication.  Orbits of the
-beta-transformation and powers x^n share one ball-iteration loop.
+beta-transformation and powers x^n share one ball-iteration loop; exact
+rational powers carry x^n = k + m / den^n one linear step at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraicReal
+from .algebra import AlgebraicReal, poly_eval
 from .balls import Ball
 from .errors import (
     BallStraddlesCut,
@@ -410,6 +411,27 @@ def _point_radius_log2(x) -> float:
     return -math.inf
 
 
+def _multiplier_enclosure(factor) -> tuple:
+    """Enclosure (lo, hi) of the multiplier with lo > 1, of width 2^-16 or
+    narrower; InvalidInput unless the multiplier is certified > 1.
+
+    An algebraic root whose 2^-16 enclosure holds 1 is decided exactly: it
+    exceeds 1 when p(1) != 0 has the sign of p(lo), as there is then no sign
+    change in [lo, 1].  It is then refined until lo > 1.
+    """
+    bits = 14
+    lo, hi = _enclosure(factor, bits)
+    if lo <= 1 < hi and isinstance(factor, AlgebraicReal):
+        p_one = sum(factor.coeffs)
+        if p_one != 0 and (p_one > 0) == (poly_eval(factor.coeffs, lo) > 0):
+            while lo <= 1:
+                bits *= 2
+                lo, hi = _enclosure(factor, bits)
+    if lo <= 1:
+        raise InvalidInput(f"need a multiplier certified > 1, got {factor}")
+    return lo, hi
+
+
 _MAX_RESTARTS = 4
 
 
@@ -425,10 +447,7 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     own radius) truncates the values and sets `straddled_at` in the returned
     metadata.
     """
-    lo, hi = _enclosure(factor, 14)  # width 2^-16 sizes the precision
-    if lo <= 1:
-        raise InvalidInput(f"need a multiplier certified > 1, got {factor}")
-    log2_factor = _log2(hi)
+    log2_factor = _log2(_multiplier_enclosure(factor)[1])
     prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
     prec = max(prec, min_prec or 0)
     needed_log2 = -(n_points * log2_factor + 54)
@@ -453,7 +472,7 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
                 else:
                     straddle_at = n
                 break
-            if float(frac.radius()) + _FLOAT_SLACK > _VALUE_TARGET:
+            if frac.rad / (1 << frac.prec) + _FLOAT_SLACK > _VALUE_TARGET:
                 retry = True
                 break
             values.append(frac.to_float())
@@ -519,7 +538,8 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
                 min_prec: Optional[int] = None) -> SequenceSample:
     """The sequence x^n mod 1 for n = 1..N, certified to 2**-50.
 
-    Exact rationals use modular powering (exact digits at every n).  An
+    Exact rationals carry x^n = k + m / den^n exactly, one linear step per
+    n (see :func:`_power_orbit_rational`).  An
     enclosure of x (an :class:`AlgebraicReal` or a rational `(lo, hi)`
     pair) goes through the ball loop shared with :func:`beta_orbit`,
     multiplying the unreduced power by x from y_0 = 1, at precision linear
@@ -540,17 +560,26 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
 
 def _power_orbit_rational(x: Fraction, n_points: int,
                           seed: Optional[int]) -> SequenceSample:
+    """x^n mod 1 = m / den^n for x = num / den, read as
+    floor(2^64 m / den^n) / 2^64.
+
+    x^n = k + m / den^n (0 <= m < den^n) is carried from n - 1 to n: with
+    num k = a den + r, x^n = a + (r den^(n-1) + num m) / den^n, and that
+    numerator is below (den + num) den^(n-1), so the division giving the
+    new k and m has a small quotient.  Each step is a few multiplications
+    of a big integer by a small one and no modular powering.
+    """
     num, den = x.numerator, x.denominator
-    values = np.empty(n_points, dtype=np.float64)
-    den_pow = 1
-    shift = 1 << 64
-    for n in range(1, n_points + 1):
+    values = np.zeros(n_points, dtype=np.float64)  # den = 1: all 0
+    shift = float(1 << 64)
+    k, m, den_pow = 1, 0, 1
+    for n in range(n_points if den > 1 else 0):
+        a, r = divmod(num * k, den)
+        s = r * den_pow + num * m
         den_pow *= den
-        if den == 1:
-            values[n - 1] = 0.0
-            continue
-        m = pow(num, n, den_pow)
-        values[n - 1] = ((m * shift) // den_pow) / float(shift)
+        c, m = divmod(s, den_pow)
+        k = a + c
+        values[n] = ((m << 64) // den_pow) / shift
     acc = 2.0 ** -64 + _FLOAT_SLACK
     return SequenceSample(values, acc, source=f"power({x})", seed=seed,
                           metadata={"x": str(x), "exact": True,

@@ -4,7 +4,8 @@ Every function here recomputes a quantity by a different route than the
 library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
-log-commensurability.  Keeping them separate from the package is the point.
+log-commensurability, Fraction bisection for real roots and modular powering
+for exact x^n mod 1.  Keeping them separate from the package is the point.
 """
 
 import itertools
@@ -303,6 +304,55 @@ def iterated_hull(maps, rounds=400):
         lo = min(a for a, _ in images)
         hi = max(b for _, b in images)
     return lo, hi
+
+
+# ------------------------------------------------------------ real roots
+
+def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
+    """Shrink [lo, hi] around a sign change of the polynomial (coefficients
+    from the leading term down) to width <= eps, bisecting over Fractions
+    with Horner evaluation at every midpoint.  Returns (lo, hi), or (r, r)
+    when an endpoint or a midpoint r is a root; raises ValueError when the
+    endpoints do not bracket a sign change."""
+    def p(x):
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
+    flo, fhi = p(lo), p(hi)
+    if flo == 0:
+        return lo, lo
+    if fhi == 0:
+        return hi, hi
+    if (flo > 0) == (fhi > 0):
+        raise ValueError("interval endpoints must bracket a sign change")
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        fm = p(mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return lo, hi
+
+
+# ---------------------------------------------------------- exact powers
+
+def modpow_power_orbit(x, n_points: int) -> list:
+    """Floats of x^n mod 1 for n = 1..N, rational x: the fractional part of
+    x^n is pow(num, n, den^n) / den^n, read as floor(2^64 m / den^n) / 2^64."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    out = []
+    for n in range(1, n_points + 1):
+        den_pow = den ** n
+        m = pow(num, n, den_pow)
+        out.append(((m << 64) // den_pow) / float(1 << 64))
+    return out
 
 
 # ---------------------------------------------------------------- digits

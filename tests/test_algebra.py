@@ -24,7 +24,7 @@ from normality_lab.errors import (
     NotAlgebraicInteger,
     ReduciblePolynomial,
 )
-from oracles import factored_log_ratio
+from oracles import factored_log_ratio, fraction_bisection
 
 F = Fraction
 
@@ -137,6 +137,86 @@ class TestRootIsolation:
         assert AlgebraicReal((1, -2), F(2), F(3)).refine(F(1, 8)) == (2, 2)
         assert AlgebraicReal((1, -9, 26, -24), F(3, 2), F(2)).refine(
             F(1, 8)) == (2, 2)
+
+
+def _refine_or_error(refine, coeffs, lo, hi, eps, error):
+    try:
+        return refine(coeffs, lo, hi, eps)
+    except error:
+        return "no sign change"
+
+
+def _from_factors(factors):
+    """Coefficients of prod (a x - b), leading term first."""
+    coeffs = [1]
+    for a, b in factors:
+        coeffs = [a * u - b * v for u, v in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+_small_fracs = st.builds(F, st.integers(-12, 12), st.integers(1, 9))
+_coeff = st.one_of(st.integers(-20, 20), _small_fracs)
+# random coefficients, or a product of linear factors so that dyadic roots
+# land on endpoints and bisection midpoints
+_poly = st.one_of(
+    st.lists(_coeff, min_size=2, max_size=5).filter(lambda c: c[0] != 0),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(-24, 24)),
+             min_size=1, max_size=4).map(_from_factors),
+)
+_eps = st.one_of(st.integers(0, 300).map(lambda k: F(1, 2 ** k)),
+                 st.builds(F, st.integers(1, 7), st.integers(1, 10 ** 40)))
+_offset = st.builds(F, st.integers(0, 10), st.integers(1, 9))
+
+
+@st.composite
+def _bracket(draw):
+    """A polynomial with an interval [lo, hi]: around one of its rational
+    roots (an endpoint may be the root) or anywhere (often no sign
+    change)."""
+    coeffs = draw(_poly)
+    if draw(st.booleans()):
+        lo = draw(_small_fracs)
+        return coeffs, lo, lo + draw(_offset) + F(1, 9)
+    a, b = draw(st.tuples(st.integers(1, 8), st.integers(-24, 24)))
+    root = F(b, a)
+    coeffs = [u - root * v for u, v in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs, root - draw(_offset), root + draw(_offset) + F(1, 9)
+
+
+class TestRefineAgainstFractionBisection:
+    """Integer bisection returns the Fraction bisection's tuple exactly."""
+
+    @given(case=_bracket(), eps=_eps)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, case, eps):
+        coeffs, lo, hi = case
+        got = _refine_or_error(refine_real_root, coeffs, lo, hi, eps,
+                               InvalidInput)
+        want = _refine_or_error(fraction_bisection, coeffs, lo, hi, eps,
+                                ValueError)
+        assert got == want
+
+    @pytest.mark.parametrize("coeffs, lo, hi, eps", [
+        ((2, -3), F(1), F(2), F(1, 2 ** 40)),          # root on first midpoint
+        ((1, 0, -2), F(4, 3), F(3, 2), F(1, 2 ** 200)),
+        ((1, 0, -2), F(4, 3), F(3, 2), F(1, 3 ** 90)),
+        ((F(1, 3), F(-1, 7), F(-5, 2)), F(-4), F(5, 3), F(1, 10 ** 30)),
+        ((1, -1, -1), F(1), F(2), F(1, 2 ** 1300)),
+        ((1, -2, 1), F(0), F(3), F(1, 2 ** 10)),       # double root: error
+        ((1, -1, -1), F(2), F(3), F(1, 2 ** 10)),      # no root: error
+        ((1, -2), F(2), F(3), F(1, 8)),                # root at lo
+        ((1, -3), F(2), F(3), F(1, 8)),                # root at hi
+        ((1, -1, -1), F(1), F(2), F(2)),               # already narrow
+    ])
+    def test_matches_oracle_on_cases(self, coeffs, lo, hi, eps):
+        assert (_refine_or_error(refine_real_root, coeffs, lo, hi, eps,
+                                 InvalidInput)
+                == _refine_or_error(fraction_bisection, coeffs, lo, hi, eps,
+                                    ValueError))
+
+    def test_midpoint_root_is_exact(self):
+        assert refine_real_root((2, -3), F(1), F(2), F(1, 2 ** 40)) == (
+            F(3, 2), F(3, 2))
 
 
 class TestIsPisot:

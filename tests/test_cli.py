@@ -191,6 +191,14 @@ class TestExitCodes:
         (["beta-orbit", "--beta", "0"], 2),
         (["beta-orbit", "--beta-poly", "1,2", "--beta-lo", "-3",
           "--beta-hi", "-1"], 2),
+        # the root 1 + 2^-20 is decided > 1 exactly, not from a 2^-16
+        # enclosure; a root at exactly 1 is still rejected
+        (["beta-orbit", "--beta-poly", "1048576,-1048577", "--beta-lo", "1",
+          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 0),
+        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "1/2",
+          "--beta-hi", "3", "--x", "1/3", "--length", "5"], 2),
+        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "0",
+          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 2),
         # float(1e400) overflows; the half-width is compared exactly
         (["correlations", "--source", "uniform", "--length", "10",
           "--box", "1e400"], 2),
@@ -564,6 +572,24 @@ GOLDEN_CASES = {
     "power-orbit-three-halves-json": (["power-orbit", "--x", "3/2",
                                        "--length", "400", "--format", "json"],
                                       None),
+    "power-orbit-seven-thirds": (["power-orbit", "--x", "7/3",
+                                  "--length", "400"], None),
+    "power-orbit-near-one": (["power-orbit", "--x", "101/100",
+                              "--length", "700"], None),
+    # den = 1: every value is 0
+    "power-orbit-integer": (["power-orbit", "--x", "5", "--length", "200"],
+                            None),
+    "correlations-power-large-num": (["correlations", "--source", "power",
+                                      "--x", "1023/2", "--length", "300",
+                                      "--seed", "2"], None),
+    # the root 3/2 sits on the first bisection midpoint of [1, 2]
+    "beta-orbit-root-on-midpoint": (["beta-orbit", "--beta-poly", "2,-3",
+                                     "--beta-lo", "1", "--beta-hi", "2",
+                                     "--x", "2/7", "--length", "300"], None),
+    # sqrt(2) from non-dyadic endpoints
+    "beta-orbit-sqrt2-nondyadic": (["beta-orbit", "--beta-poly", "1,0,-2",
+                                    "--beta-lo", "4/3", "--beta-hi", "3/2",
+                                    "--x", "1/3", "--length", "300"], None),
     # every verdict, integer and non-integer log ratios, both witness maps
     "classify-cantor-b3": (["classify", "--base", "3"], "cantor"),
     "classify-cantor-b9-json": (["classify", "--base", "9",
@@ -612,10 +638,16 @@ GOLDEN_SHA256 = {
         "7ef8630eb8e8112a1ea2be627bc55c644b32a664d52d7d71a5beff51b7c2b39e",
     "beta-orbit-golden-straddle":
         "97ecea0b0f60d0ef132185c328f34e552b0d07c5c8bf9eee4b69e3075ff35535",
+    "beta-orbit-root-on-midpoint":
+        "4aacd2e087370e3e2e4b4672bb7f91f3f3498c9c75b97a299784dfd9d82d1524",
+    "beta-orbit-sqrt2-nondyadic":
+        "13054e85f9c75afb30730fc1abbad4f5658ca5c95dc0a5d555e4b26c50a9f448",
     "beta-orbit-precision-bits":
         "01c4cdc89e6f9b357514b366083cbcc1eef043cb32f3809bc60111296d0e751f",
     "correlations-orbit-x2":
         "2895c9dd40154498d1dd31409b874f10c928fd02098e4ba1f3e16be95cdfc210",
+    "correlations-power-large-num":
+        "a21ab4045f6e00102c9f824a0158b540bb0fb51f318af0697f0a5dba4c103ffb",
     "correlations-power-x2":
         "8f3813c3d9f60076dc3b2e88560f9e3340c6cf4a12d3e4a2e7fb522c3bca2069",
     "correlations-uniform-x2":
@@ -668,6 +700,12 @@ GOLDEN_SHA256 = {
         "f302cfa9348cbe1d5d6e68c942abd841a60f0675eb0bf1778cb063e0f8e27d7f",
     "orbit-mixed-b100":
         "cfa050b3421b3a878ff9c01693e5e517c4ed25426d72227089f5c79493c7c68d",
+    "power-orbit-integer":
+        "33ef25d7a747d5bf4682973f7dc7a525f9829ac4578b10f71cb4b9ac8aca29d5",
+    "power-orbit-near-one":
+        "60297dd82af94b892457966e99ece0b3dc62ebd37697e5f4273379d8d567e3ac",
+    "power-orbit-seven-thirds":
+        "7e6b17473c73f4081a93fa09d364be0c19836b707afa52dd2472e1943bd967d3",
     "power-orbit-three-halves":
         "c8e40432bdd5806ea11497e07bfca946c94af4db6c04c894a1757725366e7b5d",
     "power-orbit-three-halves-json":

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -40,7 +40,7 @@ from normality_lab.sampling import (
     sampled_point,
 )
 
-from oracles import hull_image_cell_digits
+from oracles import hull_image_cell_digits, modpow_power_orbit
 
 F = Fraction
 
@@ -383,6 +383,25 @@ class TestBetaOrbit:
         with pytest.raises(InvalidInput):
             beta_orbit(F(1, 2), F(1, 2), 3)
 
+    def test_algebraic_beta_just_above_one(self):
+        # the root 1 + 2^-20 lies inside a 2^-16 enclosure of 1
+        beta = AlgebraicReal((2 ** 20, -(2 ** 20 + 1)), F(1), F(2))
+        ball_path = beta_orbit(F(1, 3), beta, 5)
+        exact_path = beta_orbit(F(1, 3), F(2 ** 20 + 1, 2 ** 20), 5)
+        assert len(ball_path) == 5
+        assert np.max(np.abs(ball_path.values - exact_path.values)) <= 2.0 ** -49
+
+    @pytest.mark.parametrize("beta", [
+        AlgebraicReal((1, -1), F(1, 2), F(3)),   # 1 inside the enclosure
+        AlgebraicReal((1, -1), F(0), F(2)),      # 1 on the first midpoint
+        AlgebraicReal((1, -1), F(1), F(2)),      # 1 at the low endpoint
+        AlgebraicReal((1, 0, -2), F(-2), F(0)),  # -sqrt(2)
+        AlgebraicReal((4, -3), F(1, 2), F(2)),   # 3/4, enclosure around 1
+    ])
+    def test_algebraic_beta_at_or_below_one_rejected(self, beta):
+        with pytest.raises(InvalidInput, match="certified > 1"):
+            beta_orbit(F(1, 3), beta, 5)
+
 
 class TestPowerOrbit:
     def test_three_halves(self):
@@ -434,7 +453,56 @@ class TestPowerOrbit:
             power_orbit(x, 250)
 
 
+class TestPowerOrbitAgainstModularPowering:
+    """The carried (k, m) step gives the floats of pow(num, n, den^n)."""
+
+    @staticmethod
+    def _check(x, n):
+        got = [v.hex() for v in power_orbit(x, n).values]
+        assert got == [v.hex() for v in modpow_power_orbit(x, n)]
+
+    @given(den=st.sampled_from([1, 2, 3, 7, 10, 2 ** 20]),
+           extra=st.integers(1, 3000), n=st.integers(1, 700))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, den, extra, n):
+        num = den + extra
+        assume(math.gcd(num, den) == 1)
+        self._check(F(num, den), n)
+
+    @pytest.mark.parametrize("x", [F(101, 100), F(1023, 2), F(2 ** 20 + 1,
+                                                              2 ** 20),
+                                   F(7, 3), F(5)])
+    def test_matches_oracle_on_cases(self, x):
+        self._check(x, 700)
+
+
 class TestBalls:
+    @given(mid=st.integers(-(2 ** 2200), 2 ** 2200), prec=st.integers(0, 2000))
+    @settings(max_examples=300, deadline=None)
+    def test_to_float_matches_fraction(self, mid, prec):
+        mid >>= max(0, mid.bit_length() - prec - 1000)  # keep it below 2^1000
+        got = Ball(mid, 0, prec).to_float()
+        assert got.hex() == float(F(mid, 1 << prec)).hex()
+
+    @pytest.mark.parametrize("mid, prec", [
+        (-1, 1100), (1, 1074), (1, 1075), (3, 1076), (-(2 ** 60 + 1), 1130),
+        ((1 << 1200) - 1, 1200), (-((1 << 53) + 1), 53), (0, 1500)])
+    def test_to_float_edges(self, mid, prec):
+        assert Ball(mid, 0, prec).to_float().hex() == float(
+            F(mid, 1 << prec)).hex()
+
+    @given(a=st.integers(-(2 ** 3000), 2 ** 3000),
+           b=st.integers(-(2 ** 3000), 2 ** 3000),
+           ra=st.integers(0, 2 ** 40), rb=st.integers(0, 2 ** 40),
+           prec=st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_rounds_mid_to_nearest(self, a, b, ra, rb, prec):
+        z = Ball(a, ra, prec).mul(Ball(b, rb, prec))
+        exact = F(a * b, 1 << prec)
+        assert z.mid == math.floor(exact + F(1, 2))
+        assert z.rad == math.ceil(F(abs(a) * rb + abs(b) * ra + ra * rb,
+                                    1 << prec)) + (exact.denominator != 1)
+
     def test_exact_roundtrip(self):
         b = Ball.from_fraction(F(3, 8), 20)
         assert b.rad == 0 and b.value() == F(3, 8)
