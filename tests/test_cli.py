@@ -191,14 +191,6 @@ class TestExitCodes:
         (["beta-orbit", "--beta", "0"], 2),
         (["beta-orbit", "--beta-poly", "1,2", "--beta-lo", "-3",
           "--beta-hi", "-1"], 2),
-        # the root 1 + 2^-20 is decided > 1 exactly, not from a 2^-16
-        # enclosure; a root at exactly 1 is still rejected
-        (["beta-orbit", "--beta-poly", "1048576,-1048577", "--beta-lo", "1",
-          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 0),
-        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "1/2",
-          "--beta-hi", "3", "--x", "1/3", "--length", "5"], 2),
-        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "0",
-          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 2),
         # float(1e400) overflows; the half-width is compared exactly
         (["correlations", "--source", "uniform", "--length", "10",
           "--box", "1e400"], 2),
@@ -216,6 +208,14 @@ class TestExitCodes:
         (["digits", "--base", str(2 ** 63), "--count", "5"], 2),
         (["martingale", "--base", str(2 ** 63), "--N-list", "5"], 2),
         (["digits", "--base", str(2 ** 62), "--count", "5"], 0),
+        # the root 1 + 2^-20 is decided > 1 exactly, not from a 2^-16
+        # enclosure; a root at exactly 1 is still rejected
+        (["beta-orbit", "--beta-poly", "1048576,-1048577", "--beta-lo", "1",
+          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 0),
+        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "1/2",
+          "--beta-hi", "3", "--x", "1/3", "--length", "5"], 2),
+        (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "0",
+          "--beta-hi", "2", "--x", "1/3", "--length", "5"], 2),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
