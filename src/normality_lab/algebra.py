@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-import mpmath
-
 from .errors import (
     InvalidInput,
     NotAlgebraicInteger,
@@ -287,6 +285,7 @@ def _is_reciprocal(coeffs: Sequence) -> bool:
 
 
 def _approx_complex_roots(coeffs, dps):
+    import mpmath  # the Pisot helpers import it on first use, like sympy
     threshold = mpmath.mpf(10) ** (-dps // 2)
     try:
         with mpmath.workdps(dps):
@@ -298,6 +297,7 @@ def _approx_complex_roots(coeffs, dps):
 
 
 def _to_fraction(x, bits) -> Fraction:
+    import mpmath
     scaled = int(mpmath.floor(x * (1 << bits) + mpmath.mpf("0.5")))
     return Fraction(scaled, 1 << bits)
 
@@ -316,6 +316,7 @@ def _complex_disks(coeffs, dps, bits):
     pairwise disjoint family isolates one root each.  Radii are exact rational
     upper bounds evaluated at dyadic approximations of the numeric roots.
     """
+    import mpmath
     d = len(coeffs) - 1
     deriv = poly_deriv(coeffs)
     approx = _approx_complex_roots(coeffs, dps)

@@ -59,6 +59,13 @@ def _checked(convert, ok, requirement: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
+# resource caps: --q-max sizes arrays of that many frequencies, and ball
+# iteration shifts integers left by --precision-bits
+_MAX_Q = 10 ** 5
+_MAX_PRECISION_BITS = 1 << 24
+_q_max = _checked(int, lambda v: v <= _MAX_Q, f"<= {_MAX_Q}")
+_precision_bits = _checked(int, lambda v: 1 <= v <= _MAX_PRECISION_BITS,
+                           f"between 1 and {_MAX_PRECISION_BITS}")
 # NaN fails every comparison, so it would switch off the truncation tests
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0,
                       "finite and > 0")
@@ -135,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-hi", default=None, help="enclosure high endpoint")
     p.add_argument("--x", default=None, help="exact rational start point")
     p.add_argument("--length", type=_nonnegative_int, default=100)
-    p.add_argument("--precision-bits", type=_positive_int, default=None,
+    p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_beta_orbit(
         system, exp.parse_beta(a.beta, a.beta_poly, a.beta_lo, a.beta_hi),
@@ -145,7 +152,7 @@ def build_parser() -> _Parser:
     _add_common(p, system_required=False)
     p.add_argument("--x", required=True, help="rational x > 1, e.g. 3/2")
     p.add_argument("--length", type=_nonnegative_int, default=1000)
-    p.add_argument("--precision-bits", type=_positive_int, default=None,
+    p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_power_orbit(
         a.x, a.length, a.seed, a.precision_bits))
@@ -154,7 +161,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--length", type=_nonnegative_int, default=10000)
-    p.add_argument("--q-max", type=int, default=10)
+    p.add_argument("--q-max", type=_q_max, default=10)
     p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--guard", type=int, default=16)
     p.add_argument("--disc-threshold", type=float, default=0.05)

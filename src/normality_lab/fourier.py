@@ -14,7 +14,7 @@ rigorous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -258,8 +258,6 @@ class DecayFit:
     alpha: Optional[float]
     alpha_ci: Optional[tuple]
     r_squared: Optional[float]
-    residuals: Optional[np.ndarray]
-    per_regime_rss: dict = field(default_factory=dict)
 
 
 _MIN_BANDS_FOR_FIT = 8
@@ -277,7 +275,7 @@ def _ols(x: np.ndarray, y: np.ndarray):
     rss = float((resid ** 2).sum())
     dof = max(n - 2, 1)
     se = math.sqrt(rss / dof / sxx)
-    return -slope, rss, se, resid
+    return -slope, rss, se
 
 
 def decay_fit(profile: DecayProfile) -> DecayFit:
@@ -306,7 +304,6 @@ def decay_fit(profile: DecayProfile) -> DecayFit:
         regressors["loglog"] = (x_loglog, j * ln2 > 1.0)
 
     best = None
-    rss_table = {}
     for name, (x, mask) in regressors.items():
         mask = mask & np.isfinite(x)
         if mask.sum() < _MIN_BANDS_FOR_FIT - 2:
@@ -314,23 +311,22 @@ def decay_fit(profile: DecayProfile) -> DecayFit:
         fit = _ols(x[mask], y[mask])
         if fit is None:
             continue
-        alpha, rss, se, resid = fit
+        alpha, rss, se = fit
         tss = float(((y[mask] - y[mask].mean()) ** 2).sum())
-        rss_table[name] = rss
         if alpha <= 0:
             continue
         if best is None or rss < best[1]:
-            best = (name, rss, alpha, se, resid, tss)
+            best = (name, rss, alpha, se, tss)
 
     decreasing = _sups_decrease(sup)
     if best is None or not decreasing:
-        return DecayFit("none", None, None, None, None, rss_table)
-    name, rss, alpha, se, resid, tss = best
+        return DecayFit("none", None, None, None)
+    name, rss, alpha, se, tss = best
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     if r2 < 0.5:
-        return DecayFit("none", None, None, r2, resid, rss_table)
+        return DecayFit("none", None, None, r2)
     ci = (alpha - 2 * se, alpha + 2 * se)
-    return DecayFit(name, alpha, ci, r2, resid, rss_table)
+    return DecayFit(name, alpha, ci, r2)
 
 
 def _sups_decrease(sup: np.ndarray, factor: float = 0.9) -> bool:

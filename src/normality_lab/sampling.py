@@ -10,8 +10,9 @@ integer floor at each hull end (no gcd); its digits come out of that integer
 in machine-word chunks split by one numpy broadcast.  Integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
 digit, rather than by repeated big-rational multiplication.  Orbits of the
-beta-transformation and powers x^n share one ball-iteration loop; exact
-rational powers carry x^n = k + m / den^n one linear step at a time.
+beta-transformation and powers x^n are one recurrence y_n = factor y_{n-1}
+behind one dispatcher: an exact integer carry y_n = k + m / D for rationals,
+one ball-iteration loop otherwise.
 """
 
 from __future__ import annotations
@@ -345,29 +346,17 @@ def orbit_sequence(digit_stream: DigitStream, n_points: int,
         raise InsufficientDigits(
             f"need {n_points + k_tail} certified digits, have "
             f"{digit_stream.certified_length}")
-    ds = digit_stream.digits
     b_tail = base ** k_tail
-    b_tail_f = float(b_tail)
-    below_one = math.nextafter(1.0, 0.0)
-    if b_tail < (1 << 64):
-        # window n holds digits n .. n+k_tail-1 as one machine integer
-        tail = ds[:n_points + k_tail - 1].astype(np.uint64)
-        windows = np.zeros(n_points, dtype=np.uint64)
-        for j in range(k_tail):
-            windows *= np.uint64(base)
-            windows += tail[j:j + n_points]
-        values = np.minimum(windows / b_tail_f, below_one)
-    else:
-        m = 0
-        for d in ds[:k_tail]:
-            m = m * base + int(d)
-        cut = base ** (k_tail - 1)
-        values = np.empty(n_points, dtype=np.float64)
-        for n in range(n_points):
-            v = m / b_tail_f
-            values[n] = v if v < 1.0 else below_one
-            if n + 1 < n_points:
-                m = (m % cut) * base + int(ds[n + k_tail])
+    # window n holds digits n .. n+k_tail-1 as one integer: a machine word,
+    # or a Python int when base^k_tail reaches 2^64
+    dtype = np.uint64 if b_tail < (1 << 64) else object
+    tail = digit_stream.digits[:n_points + k_tail - 1].astype(dtype)
+    windows = np.zeros(n_points, dtype=dtype)
+    for j in range(k_tail):
+        windows *= base
+        windows += tail[j:j + n_points]
+    values = np.minimum(windows / float(b_tail), math.nextafter(1.0, 0.0))
+    values = values.astype(np.float64, copy=False)
     acc = base ** -float(k_tail) + _FLOAT_SLACK
     return SequenceSample(values, acc,
                           source=f"orbit(base={base}, {digit_stream.source})",
@@ -413,7 +402,8 @@ def _point_radius_log2(x) -> float:
 
 def _multiplier_enclosure(factor) -> tuple:
     """Enclosure (lo, hi) of the multiplier with lo > 1, of width 2^-16 or
-    narrower; InvalidInput unless the multiplier is certified > 1.
+    narrower ((f, f) for a rational f); InvalidInput unless the multiplier is
+    certified > 1.
 
     An algebraic root whose 2^-16 enclosure holds 1 is decided exactly: it
     exceeds 1 when p(1) != 0 has the sign of p(lo), as there is then no sign
@@ -432,12 +422,39 @@ def _multiplier_enclosure(factor) -> tuple:
     return lo, hi
 
 
+def _exact_orbit(factor: Fraction, start: Fraction, n_points: int,
+                 reduce: bool) -> np.ndarray:
+    """Exact y_n mod 1 (n = 1..N) of y_n = factor * y_{n-1}, y_0 = start.
+
+    With factor = p / q, y_n = k + m / D is carried in integers, D =
+    den(start) q^n: p k = a q + r gives y_{n+1} = a + (r D + p m) / (q D),
+    whose numerator splits into the new k and m by one small-quotient
+    division; the value is floor(2^64 m / D) / 2^64.  The start enters
+    unreduced as (0, num, den).  k reaches m only through p k mod q, so it
+    is dropped for the beta map (`reduce`) and for q = 1.
+    """
+    p, q = factor.numerator, factor.denominator
+    p_k = p if q > 1 and not reduce else 0
+    k, m, den = 0, start.numerator, start.denominator
+    shift = float(1 << 64)
+    values = np.empty(n_points, dtype=np.float64)
+    for n in range(n_points):
+        a, r = divmod(p_k * k, q)
+        s = r * den + p * m
+        den *= q
+        c, m = divmod(s, den)
+        k = a + c
+        values[n] = ((m << 64) // den) / shift
+    return values
+
+
 _MAX_RESTARTS = 4
 
 
 def _ball_orbit(factor, start, n_points: int, reduce: bool,
-                min_prec: Optional[int]) -> tuple:
-    """Values y_n mod 1 for n = 1..N of y_n = factor * y_{n-1}, y_0 = start.
+                min_prec: Optional[int], factor_hi: Fraction) -> tuple:
+    """Values y_n mod 1 for n = 1..N of y_n = factor * y_{n-1}, y_0 = start,
+    from ball enclosures; `factor_hi` bounds the multiplier from above.
 
     With `reduce` the next step multiplies y_n mod 1 (the beta map), else
     the unreduced y_n (powers).  Both enclosures become balls at a working
@@ -447,7 +464,7 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     own radius) truncates the values and sets `straddled_at` in the returned
     metadata.
     """
-    log2_factor = _log2(_multiplier_enclosure(factor)[1])
+    log2_factor = _log2(factor_hi)
     prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
     prec = max(prec, min_prec or 0)
     needed_log2 = -(n_points * log2_factor + 54)
@@ -489,6 +506,26 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     return np.asarray(values, dtype=np.float64), meta
 
 
+_EXACT = (Fraction, int, str)
+
+
+def _multiply_orbit(factor, start, n_points: int, reduce: bool,
+                    min_prec: Optional[int]) -> tuple:
+    """(values, accuracy, metadata) of y_n mod 1 for n = 1..N, where
+    y_n = factor * y_{n-1}, y_0 = start and the factor is certified > 1: the
+    exact carry when factor and start are Fractions, else the ball loop."""
+    if n_points < 1:
+        raise InvalidInput("need n_points >= 1")
+    factor_hi = _multiplier_enclosure(factor)[1]
+    if isinstance(factor, Fraction) and isinstance(start, Fraction):
+        values = _exact_orbit(factor, start, n_points, reduce)
+        return values, 2.0 ** -64 + _FLOAT_SLACK, {"exact": True,
+                                                   "start_index": 1}
+    values, meta = _ball_orbit(factor, start, n_points, reduce, min_prec,
+                               factor_hi)
+    return values, _VALUE_TARGET, meta
+
+
 def beta_orbit(x, beta: BetaLike, n_points: int,
                seed: Optional[int] = None,
                min_prec: Optional[int] = None) -> SequenceSample:
@@ -496,94 +533,34 @@ def beta_orbit(x, beta: BetaLike, n_points: int,
 
     Values are T^n(x) for n = 1..N, applied to the unreduced x: the map does
     not commute with reduction mod 1 for non-integer beta, so the first
-    multiplication must see x itself.  Rational beta with an exactly known x
-    is iterated with exact integer arithmetic.  Anything else (an algebraic
-    beta, or a sampled point with a radius) goes through the ball loop
-    shared with :func:`power_orbit`, multiplying the reduced value by beta
-    at each step; a persistent straddle of an integer cut truncates the
-    sample and records `straddled_at` in metadata.
+    multiplication must see x itself.  Each later step multiplies the
+    reduced value (:func:`_multiply_orbit`): a rational beta with an exactly
+    known x takes the exact integer carry, anything else (an algebraic beta,
+    a sampled point with a radius) the ball loop, where a persistent straddle
+    of an integer cut truncates the sample and records `straddled_at`.
     """
-    if n_points < 1:
-        raise InvalidInput("need n_points >= 1")
-    if not isinstance(beta, AlgebraicReal) and isinstance(
-            x, (Fraction, int, str)):
-        return _beta_orbit_exact(Fraction(x), Fraction(beta), n_points, seed)
-    values, meta = _ball_orbit(beta, x, n_points, reduce=True,
-                               min_prec=min_prec)
-    return SequenceSample(values, _VALUE_TARGET, source=f"beta-orbit({beta})",
-                          seed=seed, metadata={"beta": str(beta), **meta})
-
-
-def _beta_orbit_exact(x: Fraction, beta: Fraction, n_points: int,
-                      seed: Optional[int]) -> SequenceSample:
-    """Exact orbit for rational beta and x; uncancelled integer pairs."""
-    if beta <= 1:
-        raise InvalidInput("beta must exceed 1")
-    p, q = beta.numerator, beta.denominator
-    u, v = x.numerator, x.denominator
-    shift = 1 << 64
-    values = np.empty(n_points, dtype=np.float64)
-    for n in range(n_points):
-        u, v = p * u, q * v
-        u -= (u // v) * v
-        values[n] = ((u * shift) // v) / float(shift)
-    acc = 2.0 ** -64 + _FLOAT_SLACK
+    if not isinstance(beta, AlgebraicReal) and isinstance(x, _EXACT):
+        x, beta = Fraction(x), Fraction(beta)
+    values, acc, meta = _multiply_orbit(beta, x, n_points, True, min_prec)
     return SequenceSample(values, acc, source=f"beta-orbit({beta})",
-                          seed=seed,
-                          metadata={"beta": str(beta), "exact": True,
-                                    "start_index": 1})
+                          seed=seed, metadata={"beta": str(beta), **meta})
 
 
 def power_orbit(x, n_points: int, seed: Optional[int] = None,
                 min_prec: Optional[int] = None) -> SequenceSample:
     """The sequence x^n mod 1 for n = 1..N, certified to 2**-50.
 
-    Exact rationals carry x^n = k + m / den^n exactly, one linear step per
-    n (see :func:`_power_orbit_rational`).  An
-    enclosure of x (an :class:`AlgebraicReal` or a rational `(lo, hi)`
-    pair) goes through the ball loop shared with :func:`beta_orbit`,
-    multiplying the unreduced power by x from y_0 = 1, at precision linear
-    in N.
+    The orbit of :func:`_multiply_orbit` from y_0 = 1 multiplying the
+    unreduced power by x: an exact rational x takes the exact integer carry
+    x^n = k + m / den^n, an enclosure of x (an :class:`AlgebraicReal` or a
+    rational `(lo, hi)` pair) the ball loop at precision linear in N.
     """
-    if n_points < 1:
-        raise InvalidInput("need n_points >= 1")
-    if isinstance(x, (Fraction, int, str)):
-        xf = Fraction(x)
-        if xf <= 1:
-            raise InvalidInput("x must exceed 1")
-        return _power_orbit_rational(xf, n_points, seed)
-    values, meta = _ball_orbit(x, 1, n_points, reduce=False,
-                               min_prec=min_prec)
-    return SequenceSample(values, _VALUE_TARGET, source=f"power({x})",
-                          seed=seed, metadata={"x": str(x), **meta})
-
-
-def _power_orbit_rational(x: Fraction, n_points: int,
-                          seed: Optional[int]) -> SequenceSample:
-    """x^n mod 1 = m / den^n for x = num / den, read as
-    floor(2^64 m / den^n) / 2^64.
-
-    x^n = k + m / den^n (0 <= m < den^n) is carried from n - 1 to n: with
-    num k = a den + r, x^n = a + (r den^(n-1) + num m) / den^n, and that
-    numerator is below (den + num) den^(n-1), so the division giving the
-    new k and m has a small quotient.  Each step is a few multiplications
-    of a big integer by a small one and no modular powering.
-    """
-    num, den = x.numerator, x.denominator
-    values = np.zeros(n_points, dtype=np.float64)  # den = 1: all 0
-    shift = float(1 << 64)
-    k, m, den_pow = 1, 0, 1
-    for n in range(n_points if den > 1 else 0):
-        a, r = divmod(num * k, den)
-        s = r * den_pow + num * m
-        den_pow *= den
-        c, m = divmod(s, den_pow)
-        k = a + c
-        values[n] = ((m << 64) // den_pow) / shift
-    acc = 2.0 ** -64 + _FLOAT_SLACK
+    if isinstance(x, _EXACT):
+        x = Fraction(x)
+    values, acc, meta = _multiply_orbit(x, Fraction(1), n_points, False,
+                                        min_prec)
     return SequenceSample(values, acc, source=f"power({x})", seed=seed,
-                          metadata={"x": str(x), "exact": True,
-                                    "start_index": 1})
+                          metadata={"x": str(x), **meta})
 
 
 def sampled_point(system: SelfSimilarSystem, stream, target_radius) -> PointApproximation:

@@ -4,8 +4,9 @@ Every function here recomputes a quantity by a different route than the
 library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
-log-commensurability, Fraction bisection for real roots and modular powering
-for exact x^n mod 1.  Keeping them separate from the package is the point.
+log-commensurability, Fraction bisection for real roots, modular powering
+for exact x^n mod 1 and uncancelled integer pairs for exact beta orbits.
+Keeping them separate from the package is the point.
 """
 
 import itertools
@@ -340,7 +341,7 @@ def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
     return lo, hi
 
 
-# ---------------------------------------------------------- exact powers
+# ---------------------------------------------------------- exact orbits
 
 def modpow_power_orbit(x, n_points: int) -> list:
     """Floats of x^n mod 1 for n = 1..N, rational x: the fractional part of
@@ -355,21 +356,44 @@ def modpow_power_orbit(x, n_points: int) -> list:
     return out
 
 
+def pair_beta_orbit(x, beta, n_points: int) -> list:
+    """Floats of T^n(x) for n = 1..N of the beta map with rational beta and
+    x: the pair (u, v) starts at x = u / v, each step multiplies u by num(beta)
+    and v by den(beta) and reduces u mod v, and the value is read as
+    floor(2^64 u / v) / 2^64."""
+    x, beta = Fraction(x), Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    u, v = x.numerator, x.denominator
+    shift = 1 << 64
+    out = []
+    for _ in range(n_points):
+        u, v = p * u, q * v
+        u -= (u // v) * v
+        out.append(((u * shift) // v) / float(shift))
+    return out
+
+
 # ---------------------------------------------------------------- digits
 
 def hull_image_cell_digits(system, word, base, count):
     """The `count` base-b digits of the cell holding f_w(hull), or None when
     the image straddles a cell boundary.
 
-    Folds f_w = f_{w_1} o ... o f_{w_m} as one Fraction slope and offset,
-    map by map, then floors b^count times each end of the image.
+    Folds f_w = f_{w_1} o ... o f_{w_m} map by map as an uncancelled integer
+    triple f_w(x) = (A x + B) / C, C > 0, then floors b^count times each end
+    of the image.
     """
-    slope, offset = Fraction(1), Fraction(0)
+    maps = [(m.slope.numerator * m.offset.denominator,
+             m.offset.numerator * m.slope.denominator,
+             m.slope.denominator * m.offset.denominator)
+            for m in system.maps]
+    A, B, C = 1, 0, 1
     for s in word:
-        m = system.maps[s - 1]
-        slope, offset = slope * m.slope, slope * m.offset + offset
+        a, b, c = maps[s - 1]
+        A, B, C = A * a, A * b + B * c, C * c
     scale = base ** count
-    cells = {math.floor((slope * h + offset) * scale) for h in system.hull}
+    cells = {scale * (A * h.numerator + B * h.denominator)
+             // (C * h.denominator) for h in system.hull}
     if len(cells) != 1:
         return None
     k = cells.pop() % scale

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import signal
@@ -80,7 +81,8 @@ class TestClassifyCommand:
                  "from normality_lab.cli import main\n"
                  f"assert main(['classify', '--system', {semiprime_file!r},"
                  " '--base', '2']) == 0\n"
-                 "assert 'sympy' not in sys.modules\n")
+                 "assert 'sympy' not in sys.modules\n"
+                 "assert 'mpmath' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -142,11 +144,29 @@ class TestExitCodes:
         ["beta-orbit", "--beta", "5/2", "--x", "1/2",
          "--precision-bits", "-5"],
         ["power-orbit", "--x", "3/2", "--precision-bits", "0"],
+        # resource caps; the exact orbits never read --precision-bits, so
+        # these cases allocate nothing even where the cap is missing
+        ["normality", "--base", "2", "--length", "50",
+         "--q-max", str(10 ** 60)],
+        ["normality", "--base", "2", "--length", "50", "--q-max", "100001"],
+        ["beta-orbit", "--beta", "5/2", "--x", "1/2",
+         "--precision-bits", str(2 ** 24 + 1)],
+        ["power-orbit", "--x", "3/2", "--precision-bits", "100000000000"],
     ])
     def test_rejected_at_parse_time(self, cantor_file, capsys, argv):
         assert main(argv + ["--system", cantor_file]) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error: argument --")
+
+    @pytest.mark.parametrize("argv, dest, cap", [
+        (["normality", "--base", "2", "--system", "x"], "q_max", 10 ** 5),
+        (["beta-orbit", "--beta", "5/2"], "precision_bits", 2 ** 24),
+        (["power-orbit", "--x", "3/2"], "precision_bits", 2 ** 24),
+    ])
+    def test_caps_are_inclusive(self, argv, dest, cap):
+        flag = "--" + dest.replace("_", "-")
+        args = build_parser().parse_args(argv + [flag, str(cap)])
+        assert getattr(args, dest) == cap
 
     @pytest.mark.parametrize("argv", [
         ["orbit", "--base", "2"],
@@ -216,6 +236,14 @@ class TestExitCodes:
           "--beta-hi", "3", "--x", "1/3", "--length", "5"], 2),
         (["beta-orbit", "--beta-poly", "1,-1", "--beta-lo", "0",
           "--beta-hi", "2", "--x", "1/3", "--length", "5"], 2),
+        # exact multipliers at or below 1
+        (["beta-orbit", "--beta", "1/2", "--x", "1/3"], 2),
+        (["power-orbit", "--x", "1/2"], 2),
+        # numpy refused this q-max with a ValueError (exit 1)
+        (["normality", "--base", "2", "--length", "50",
+          "--q-max", str(10 ** 60)], 4),
+        (["power-orbit", "--x", "3/2", "--precision-bits", "100000000000"],
+         4),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
@@ -226,6 +254,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         if "--out" in argv:
             assert "/nonexistent/dir/x.csv" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["beta-orbit", "--beta", "1/2", "--x", "1/3"],
+        ["beta-orbit", "--beta", "1", "--x", "1/3"],
+        ["power-orbit", "--x", "1/2"],
+        ["power-orbit", "--x", "1"],
+    ])
+    def test_multiplier_not_above_one_is_named(self, capsys, argv):
+        assert main(argv) == 2
+        assert "need a multiplier certified > 1" in capsys.readouterr().err
 
 
 # The exit-code property gives one flag (or none) a literal from
@@ -287,6 +325,30 @@ class TestExitCodeProperty:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert code in (0, 2, 3, 4), argv
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps functions at the bindings it names; a
+    renamed binding would break its traced runs."""
+
+    def test_install_and_restore(self, capsys):
+        path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rec = spans.Recorder()
+        try:
+            spans.install(rec)
+            patched = list(rec._patches)
+            assert main(["power-orbit", "--x", "3/2", "--length", "5"]) == 0
+        finally:
+            rec.restore()
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is original
+        names = {s.name for s in rec.spans}
+        assert {"experiments.run_power_orbit",
+                "sampling.power_orbit"} <= names
 
 
 class TestOutputs:
@@ -428,7 +490,20 @@ class TestSequentialRuns:
     def test_import_leaves_sympy_unloaded(self):
         probe = ("import sys\n"
                  "import normality_lab.cli\n"
-                 "assert 'sympy' not in sys.modules\n")
+                 "assert 'sympy' not in sys.modules\n"
+                 "assert 'mpmath' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_algebraic_beta_orbit_leaves_mpmath_unloaded(self):
+        probe = ("import sys\n"
+                 "from normality_lab.cli import main\n"
+                 "assert main(['beta-orbit', '--beta-poly', '1,-1,-1',"
+                 " '--beta-lo', '1', '--beta-hi', '2', '--x', '2/7',"
+                 " '--length', '50']) == 0\n"
+                 "assert 'sympy' not in sys.modules\n"
+                 "assert 'mpmath' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -454,7 +529,9 @@ class TestSequentialRuns:
 # `uniform_sample`; the beta-orbit/power-orbit cases before beta and power
 # orbits shared one ball-iteration loop; the classify cases before
 # log-commensurability was decided over a gcd-built coprime base instead of
-# prime factorizations.  Any change to these bytes is a change of behaviour.
+# prime factorizations; the exact beta-orbit, integer power JSON and
+# Python-integer window orbit cases before exact beta and power orbits shared
+# one integer carry.  Any change to these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
@@ -590,6 +667,21 @@ GOLDEN_CASES = {
     "beta-orbit-sqrt2-nondyadic": (["beta-orbit", "--beta-poly", "1,0,-2",
                                     "--beta-lo", "4/3", "--beta-hi", "3/2",
                                     "--x", "1/3", "--length", "300"], None),
+    # exact beta orbits: integer beta, a negative start, beta near 1
+    "beta-orbit-exact-integer-beta": (["beta-orbit", "--beta", "3",
+                                       "--x", "7/5"], None),
+    "beta-orbit-exact-negative-x": (["beta-orbit", "--beta", "7/3",
+                                     "--x=-2/5"], None),
+    "beta-orbit-exact-near-one-json": (["beta-orbit", "--beta", "1025/1024",
+                                        "--x", "1/7", "--format", "json"],
+                                       None),
+    "power-orbit-integer-json": (["power-orbit", "--x", "2",
+                                  "--format", "json"], None),
+    # base^k_tail is past 2^64: the tail windows are Python integers
+    "orbit-mixed-b1000": (["orbit", "--base", "1000", "--length", "150",
+                           "--seed", "3"], "mixed"),
+    "orbit-cantor-b2p40": (["orbit", "--base", str(2 ** 40 + 15),
+                            "--length", "100", "--seed", "4"], "cantor"),
     # every verdict, integer and non-integer log ratios, both witness maps
     "classify-cantor-b3": (["classify", "--base", "3"], "cantor"),
     "classify-cantor-b9-json": (["classify", "--base", "9",
@@ -632,6 +724,12 @@ GOLDEN_SHA256 = {
         "490507dfdc33cb43637a2a53e7f7d2ccbdf94940ffa64b3e27d6b63b6387f490",
     "beta-orbit-exact":
         "62a799d5a2e6b75ac7982a946f8cdb08ae461dda03f0851efbc149dbbf303007",
+    "beta-orbit-exact-integer-beta":
+        "4222836e3123c3780fef3f0ce5cbcdde535b1c504fd14f769d7224dbc235510c",
+    "beta-orbit-exact-near-one-json":
+        "7a6f41ae116a332bb87577e7b6f5e2ba406ddc10d14dc1fcca603f4b2b180c79",
+    "beta-orbit-exact-negative-x":
+        "2dd4227caccaf251e01ff70a78a903113e23b937b84b66e7e5141f843ee8042f",
     "beta-orbit-golden-poly":
         "94d97e81cd884bd12a6a8bdd4020657aac1ee28f7ae267950feb9e9fd5ecd127",
     "beta-orbit-golden-poly-json":
@@ -694,14 +792,20 @@ GOLDEN_SHA256 = {
         "65b05926ef3f24b495376045dde82184a5df986d8cda74ce622b4215a8f6a707",
     "orbit-cantor-b2":
         "51aee964219a6c896bef788b5aaa08089f6c9180a0c177ee6141832c1d96c989",
+    "orbit-cantor-b2p40":
+        "87f0b0287c73eb98d5f7145270b8fb13c6db0e79aa1d3d0703620873dff67d23",
     "orbit-flip-b3":
         "023c29d3af3f26befd35e0564cb4f08c6578ab419619f1edb769e1725a0b673b",
     "orbit-mixed-b10-x2":
         "f302cfa9348cbe1d5d6e68c942abd841a60f0675eb0bf1778cb063e0f8e27d7f",
+    "orbit-mixed-b1000":
+        "03cc1f8269c6e9ee6aa618776fe1cfdab82bf88e89b2d34c9d5fc0846be32ab3",
     "orbit-mixed-b100":
         "cfa050b3421b3a878ff9c01693e5e517c4ed25426d72227089f5c79493c7c68d",
     "power-orbit-integer":
         "33ef25d7a747d5bf4682973f7dc7a525f9829ac4578b10f71cb4b9ac8aca29d5",
+    "power-orbit-integer-json":
+        "ca8dcfb65bd98452d19ff0cdc31c9ffe5fde069d0ece32ce4d987834b1fc09a8",
     "power-orbit-near-one":
         "60297dd82af94b892457966e99ece0b3dc62ebd37697e5f4273379d8d567e3ac",
     "power-orbit-seven-thirds":

@@ -40,7 +40,8 @@ from normality_lab.sampling import (
     sampled_point,
 )
 
-from oracles import hull_image_cell_digits, modpow_power_orbit
+from oracles import (hull_image_cell_digits, modpow_power_orbit,
+                     pair_beta_orbit)
 
 F = Fraction
 
@@ -232,7 +233,7 @@ def _reference_orbit(digit_list, base, n_points):
 
 
 # 17 and 36 still fit their tail window in 64 bits; 100 and 1000 do not
-# and take the scalar orbit loop.
+# and read their windows as Python integers.
 READ_OFF_BASES = [2, 3, 10, 16, 17, 36, 100, 1000]
 
 
@@ -401,6 +402,40 @@ class TestBetaOrbit:
     def test_algebraic_beta_at_or_below_one_rejected(self, beta):
         with pytest.raises(InvalidInput, match="certified > 1"):
             beta_orbit(F(1, 3), beta, 5)
+
+
+_EXACT_BETAS = st.one_of(
+    st.integers(2, 60).map(F),
+    st.builds(lambda den, extra: F(den + extra, den),
+              st.sampled_from([2, 3, 7, 10, 1024, 2 ** 20]),
+              st.integers(1, 3000)),
+    st.just(F(1025, 1024)))
+_EXACT_STARTS = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5).map(F),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 9))
+
+
+class TestBetaOrbitAgainstPairOracle:
+    """The exact beta orbit gives the floats of uncancelled (u, v) pairs."""
+
+    @given(beta=_EXACT_BETAS, x=_EXACT_STARTS, n=st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, beta, x, n):
+        sam = beta_orbit(x, beta, n)
+        assert ([v.hex() for v in sam.values]
+                == [v.hex() for v in pair_beta_orbit(x, beta, n)])
+        assert sam.accuracy == 2.0 ** -64 + 2.0 ** -52
+        assert sam.source == f"beta-orbit({beta})"
+        assert sam.metadata == {"beta": str(beta), "exact": True,
+                                "start_index": 1}
+
+    @pytest.mark.parametrize("x, beta", [
+        (F(7, 5), F(3)), (F(-2, 5), F(7, 3)), (F(1, 7), F(1025, 1024)),
+        (F(0), F(5, 2)), (F(9, 2), F(5, 2)), (F(-7), F(2))])
+    def test_matches_oracle_on_cases(self, x, beta):
+        got = [v.hex() for v in beta_orbit(x, beta, 500).values]
+        assert got == [v.hex() for v in pair_beta_orbit(x, beta, 500)]
 
 
 class TestPowerOrbit:
