@@ -499,24 +499,17 @@ def _translation_form(t: Fraction, b: int):
     return True, j
 
 
-def classify_obstruction(system: SelfSimilarSystem, b: int,
-                         conjugator: Optional[AffineMap] = None) -> ObstructionReport:
+def classify_obstruction(system: SelfSimilarSystem, b: int) -> ObstructionReport:
     """Check the algebraic obstruction form for base b on the conjugated system.
 
     Item 1: every slope log-commensurable with b.  Item 2: every conjugated
-    translation of the form k / b^j.  Applied to the hull-normalized system
-    unless an explicit conjugating map is supplied.  All parameters here are
-    rational; irrational translation structure is outside this classifier.
+    translation of the form k / b^j.  Applied to the hull-normalized system.
+    All parameters here are rational; irrational translation structure is
+    outside this classifier.
     """
     if not isinstance(b, int) or b < 2:
         raise InvalidInput("base b must be an integer >= 2")
-    if conjugator is None:
-        conj, g = normalize(system)
-    else:
-        g = conjugator
-        ginv = g.inverse()
-        maps = tuple(ginv.after(m.after(g)) for m in system.maps)
-        conj = SelfSimilarSystem(maps, system.weights, ginv.image(*system.hull))
+    conj, g = normalize(system)
     per_map = []
     for i, m in enumerate(conj.maps, start=1):
         comm = log_commensurable(m.slope, b)

@@ -121,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--length", type=_nonnegative_int, default=1000)
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=_nonnegative_int, default=16)
     p.set_defaults(run=lambda a, system: exp.run_orbit(
         system, a.base, a.length, a.samples, a.seed, a.guard))
 
@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=_nonnegative_int, default=16)
     p.set_defaults(run=lambda a, system: exp.run_digits(
         system, a.base, a.count, a.guard, a.seed))
 
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=_nonnegative_int, default=10000)
     p.add_argument("--q-max", type=_q_max, default=10)
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=_nonnegative_int, default=16)
     p.add_argument("--disc-threshold", type=float, default=0.05)
     p.add_argument("--weyl-threshold", type=float, default=0.05)
     p.set_defaults(run=lambda a, system: exp.run_normality(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraicReal, classify_obstruction
-from .errors import ConfigParseError, InsufficientBands, InvalidInput
+from .errors import ConfigParseError, InsufficientBands
 from .fourier import decay_fit, decay_profile, del_criterion_check, fourier_exact
 from .ifs import (
     SelfSimilarSystem,
@@ -34,6 +34,7 @@ from .sampling import (
     SequenceSample,
     WordStream,
     _log2,
+    _multiplier_enclosure,
     _tail_digit_count,
     beta_orbit,
     digits,
@@ -199,9 +200,8 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
     if x is not None:
         point = as_fraction(x)
     elif system is not None:
+        _multiplier_enclosure(beta)
         hi = beta.hi if isinstance(beta, AlgebraicReal) else beta
-        if hi <= 1:
-            raise InvalidInput("beta must exceed 1")
         bits = math.ceil(length * _log2(hi)) + 80
         point = sampled_point(system, WordStream(system, seed),
                               Fraction(1, 2) ** bits)

@@ -70,11 +70,6 @@ class AffineMap:
         return AffineMap(self.slope * other.slope,
                          self.slope * other.offset + self.offset)
 
-    def inverse(self) -> "AffineMap":
-        if self.slope == 0:
-            raise NonContractingMap("slope 0 map is not invertible")
-        return AffineMap(1 / self.slope, -self.offset / self.slope)
-
     def fixed_point(self) -> Fraction:
         if self.slope == 1:
             raise DegenerateHull("slope-1 map has no unique fixed point")

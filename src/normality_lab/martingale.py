@@ -10,9 +10,10 @@ averages without ever sampling the pushforward.
 
 No Fraction is normalised in the hot loops.  One walk over the word yields
 every stopping record as the raw integers of the composed prefix map
-(x -> (A x + B) / C, uncancelled); `cylinder_modes` then evaluates all
-records at all q in one call: each record's phase numerator p^n B mod C is
-computed once and shared by every q, the float product chain of a
+(x -> (A x + B) / C, uncancelled) together with its phase numerators
+p^n A and p^n B mod C, which the walk carries in steps linear in the size
+of C.  `cylinder_modes` then evaluates all records at all q in one call:
+every q reads the record's numerators, the float product chain of a
 homogeneous system runs for all small frequencies at once in numpy, and the
 remaining modes go through `fourier_exact`, whose memo is keyed by reduced
 integer pairs.
@@ -52,8 +53,10 @@ class StoppingRecord:
 
     The beta_n-prefix composes to x -> (A x + B) / C with C > 0, and
     prevA / prevC is the slope product one symbol earlier (1 for the empty
-    prefix), kept so minimality is checkable exactly.  The integers are not
-    reduced; the Fraction views below are built on demand."""
+    prefix), kept so minimality is checkable exactly.  P = p^n A and
+    X = p^n B mod C (0 <= X < C) are the phase numerators: r = P / C, and
+    the mode's phase is e^{2 pi i q X / C}.  The integers are not reduced;
+    the Fraction views below are built on demand."""
 
     n: int
     beta: int
@@ -63,6 +66,8 @@ class StoppingRecord:
     C: int
     prevA: int
     prevC: int
+    P: int
+    X: int
 
     @property
     def derivative(self) -> Fraction:
@@ -82,7 +87,7 @@ class StoppingRecord:
     @property
     def r(self) -> Fraction:
         """The rescaling factor p^n * derivative."""
-        return Fraction(self.p ** self.n * self.A, self.C)
+        return Fraction(self.P, self.C)
 
     @property
     def derivative_magnitude(self) -> Fraction:
@@ -99,9 +104,13 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     """Stopping records for every n = 0..n_max in one pass over the word.
 
     beta_n is nondecreasing in n, so a single walk maintaining the exact
-    composed map (as uncancelled integer triples) serves all n.  The
-    comparison |slope| < p^-n is |A| * p^n < C on integers, never floats,
-    and each record keeps the triple as it stands: no gcd in the walk.
+    composed map (as uncancelled integer triples) serves all n.  Alongside
+    it the walk carries P = p^n A and X = p^n B mod C: a symbol step
+    (a, b, c) sets X <- (P b + c X) mod cC and P <- a P, an n step sets
+    P <- p P and X <- p X mod C, so each step divides by C with a small
+    quotient.  The comparison |slope| < p^-n is |P| < C on integers, never
+    floats, and each record keeps the integers as they stand: no gcd in
+    the walk.
     """
     if not isinstance(p, int) or p < 2:
         raise InvalidInput("p must be an integer >= 2")
@@ -112,17 +121,19 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     triples = _integer_triples(system)
     records = []
     A, B, C = 1, 0, 1
+    P, X = 1, 0  # p^n A and p^n B mod C for the n currently sought
     prevA, prevC = 1, 1
     depth = 0
-    p_pow = 1  # p^n for the n currently sought
     for n in range(n_max + 1):
-        while abs(A) * p_pow >= C:
+        while abs(P) >= C:
             prevA, prevC = A, C
             a, b, c = triples[stream.symbol(depth) - 1]
             A, B, C = A * a, A * b + B * c, C * c
+            P, X = P * a, (P * b + c * X) % C
             depth += 1
-        records.append(StoppingRecord(n, depth, p, A, B, C, prevA, prevC))
-        p_pow *= p
+        records.append(StoppingRecord(n, depth, p, A, B, C, prevA, prevC,
+                                      P, X))
+        P, X = P * p, X * p % C
     return records
 
 
@@ -259,8 +270,9 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     For integer q the mod-1 shifts drop out of the exponential, leaving the
     closed form e^{2 pi i q p^n f(0)} * F_{q r}.  The phase argument
     q p^n B / C is reduced mod 1 with exact integer arithmetic, so n in the
-    tens of thousands costs nothing in accuracy; its numerator p^n B mod C
-    is computed once per record and shared by every q.  Homogeneous systems
+    tens of thousands costs nothing in accuracy; the stopping walk carries
+    its numerator X = p^n B mod C and the frequency numerator P = p^n A,
+    so every q reads them off the record.  Homogeneous systems
     at |q r| <= _FLOAT_CHAIN_MAX_FREQ take the float product chain, run for
     all those modes at once; every other mode calls fourier_exact at q r
     (dyadically rounded when its reduced denominator is huge), q by q and
@@ -284,24 +296,18 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     nodes = np.zeros(shape, dtype=np.int64)
     budget_exceeded = np.zeros(shape, dtype=bool)
 
-    scaled, phase_num, r_float = [], [], []
-    for rec in records:
-        pn = rec.p ** rec.n
-        scaled.append(pn * rec.A)
-        phase_num.append(pn * rec.B % rec.C)
-        r_float.append(pn * rec.A / rec.C)
-
+    r_float = [rec.P / rec.C for rec in records]
     chain_at, chain_u, chain_phase = [], [], []
     for k, q in enumerate(qs):
         for j, rec in enumerate(records):
-            phase = ratio_phase(q * phase_num[j], rec.C)
+            phase = ratio_phase(q * rec.X, rec.C)
             u_float = q * r_float[j]
             if slope is not None and abs(u_float) <= _FLOAT_CHAIN_MAX_FREQ:
                 chain_at.append((k, j))
                 chain_u.append(u_float)
                 chain_phase.append(phase)
                 continue
-            num, den = q * scaled[j], rec.C
+            num, den = q * rec.P, rec.C
             g = math.gcd(num, den)
             u, extra = _round_frequency(num // g, den // g)
             fv = fourier_exact(system, u, tol=tol, cache=cache, budget=budget)

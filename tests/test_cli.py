@@ -244,6 +244,11 @@ class TestExitCodes:
           "--q-max", str(10 ** 60)], 4),
         (["power-orbit", "--x", "3/2", "--precision-bits", "100000000000"],
          4),
+        # a negative guard was read as a cell-boundary failure (exit 3)
+        (["orbit", "--length", "3000", "--base", "2", "--guard", "-100000"],
+         4),
+        (["digits", "--base", "2", "--guard", "-1"], 4),
+        (["normality", "--base", "2", "--length", "50", "--guard", "-1"], 4),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
@@ -264,6 +269,14 @@ class TestExitCodes:
     def test_multiplier_not_above_one_is_named(self, capsys, argv):
         assert main(argv) == 2
         assert "need a multiplier certified > 1" in capsys.readouterr().err
+
+    def test_sampled_start_shares_the_multiplier_check(self, cantor_file,
+                                                       capsys):
+        errs = []
+        for start in (["--system", cantor_file], ["--x", "1/3"]):
+            assert main(["beta-orbit", "--beta", "1/2", *start]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
 
 
 # The exit-code property gives one flag (or none) a literal from
@@ -331,7 +344,7 @@ class TestBenchmarkTracer:
     """The benchmark's tracer wraps functions at the bindings it names; a
     renamed binding would break its traced runs."""
 
-    def test_install_and_restore(self, capsys):
+    def test_install_and_restore(self, cantor_file, capsys):
         path = Path(__file__).parent.parent / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -341,14 +354,17 @@ class TestBenchmarkTracer:
             spans.install(rec)
             patched = list(rec._patches)
             assert main(["power-orbit", "--x", "3/2", "--length", "5"]) == 0
+            assert main(["martingale", "--base", "2", "--q", "1",
+                         "--N-list", "20", "--system", cantor_file]) == 0
         finally:
             rec.restore()
         assert patched
         for owner, attr, original in patched:
             assert getattr(owner, attr) is original
         names = {s.name for s in rec.spans}
-        assert {"experiments.run_power_orbit",
-                "sampling.power_orbit"} <= names
+        assert {"experiments.run_power_orbit", "sampling.power_orbit",
+                "martingale.stopping_records", "sampling.digits",
+                "sampling.orbit_sequence"} <= names
 
 
 class TestOutputs:
@@ -591,6 +607,10 @@ GOLDEN_CASES = {
     "martingale-mixed-b10-x2": (["martingale", "--base", "10",
                                  "--q", "0,1,7,5000", "--N-list", "10,40",
                                  "--samples", "2", "--seed", "7"], "mixed"),
+    # negative q, a negative slope product and a long walk
+    "martingale-flip-b2-long": (["martingale", "--base", "2",
+                                 "--q=-3,-1,2", "--N-list", "500,3000",
+                                 "--seed", "9", "--format", "json"], "flip"),
     "decay-cantor": (["decay", "--j-max", "12", "--per-band", "16",
                       "--tol", "1e-8"], "cantor"),
     "decay-inh": (["decay", "--j-max", "9", "--per-band", "8"], "inh"),
@@ -776,6 +796,8 @@ GOLDEN_SHA256 = {
         "e0b4ced5f7befb4534f592e5aee2ab63660c242b534f23d720c7bedad529f416",
     "martingale-flip-b10":
         "ed4416ce3e148f326a1fc36081629fb59f094ff723ac55c821cb70eda266ac65",
+    "martingale-flip-b2-long":
+        "b78c9f71fbe4c66d7660466749480eb8190e9e1bc027b0c25171d833d0898646",
     "martingale-inh-b2-x2":
         "95d713710219744e2d4644c8d4166dd60ba72a53956812bc01164bbf47e183f5",
     "martingale-inh-b3":

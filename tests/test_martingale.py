@@ -135,14 +135,30 @@ class TestStoppingRecordFields:
         assert r_factor(good) == good.r
         # |r| >= 1: the stopping rule does not hold
         too_big = StoppingRecord(good.n, good.beta, good.p, 3 * good.A,
-                                 good.B, good.C, good.prevA, good.prevC)
+                                 good.B, good.C, good.prevA, good.prevC,
+                                 3 * good.P, good.X)
         with pytest.raises(InvalidInput, match="stopping rule"):
             r_factor(too_big)
         # the previous slope product already below p^-n: not minimal
         not_minimal = StoppingRecord(good.n, good.beta, good.p, good.A,
-                                     good.B, good.C, good.A, good.C)
+                                     good.B, good.C, good.A, good.C,
+                                     good.P, good.X)
         with pytest.raises(InvalidInput, match="minimality"):
             r_factor(not_minimal)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_carries_the_phase_numerators(self, three_systems, data):
+        systems = {**CHAIN_SYSTEMS, **three_systems}
+        system = systems[data.draw(st.sampled_from(sorted(systems)))]
+        p = data.draw(st.sampled_from([2, 3, 5, 10]))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        n_max = data.draw(st.integers(0, 150))
+        for rec in stopping_records(system, WordStream(system, seed), n_max,
+                                    p):
+            assert rec.P == p ** rec.n * rec.A
+            assert rec.X == p ** rec.n * rec.B % rec.C
+            assert 0 <= rec.X < rec.C
 
 
 class TestCylinderMode:
