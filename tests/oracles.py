@@ -239,7 +239,10 @@ def reference_fourier_tree(system, q, tol, budget, cache=None):
         if u in memo:
             stack.pop()
             continue
-        bound = 2.0 * math.pi * abs(float(u)) * half_width
+        try:
+            bound = 2.0 * math.pi * abs(float(u)) * half_width
+        except OverflowError:  # |u| beyond the float range: never a leaf
+            bound = math.inf
         if bound <= tol or nodes >= budget:
             if bound > tol:
                 hit, bound = True, min(bound, 2.0)

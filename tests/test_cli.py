@@ -344,11 +344,16 @@ class TestBenchmarkTracer:
     """The benchmark's tracer wraps functions at the bindings it names; a
     renamed binding would break its traced runs."""
 
-    def test_install_and_restore(self, cantor_file, capsys):
+    @staticmethod
+    def _spans():
         path = Path(__file__).parent.parent / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
+        return spans
+
+    def test_install_and_restore(self, cantor_file, capsys):
+        spans = self._spans()
         rec = spans.Recorder()
         try:
             spans.install(rec)
@@ -365,6 +370,26 @@ class TestBenchmarkTracer:
         assert {"experiments.run_power_orbit", "sampling.power_orbit",
                 "martingale.stopping_records", "sampling.digits",
                 "sampling.orbit_sequence"} <= names
+
+    def test_transform_spans(self, cantor_file, golden_files, capsys):
+        # the transform layer's metrics read the fourier.fourier_exact spans
+        # under fourier.decay_profile; the exact cylinder modes of an
+        # inhomogeneous system must still run under the recorder
+        spans = self._spans()
+        rec = spans.Recorder()
+        try:
+            spans.install(rec)
+            assert main(["decay", "--j-max", "3", "--per-band", "4",
+                         "--system", cantor_file]) == 0
+            assert main(["martingale", "--base", "2", "--q", "1,2",
+                         "--N-list", "20", "--system",
+                         golden_files["inh"]]) == 0
+        finally:
+            rec.restore()
+        by_id = {s.id: s for s in rec.spans}
+        assert any(s.name == "fourier.fourier_exact" and s.parent in by_id
+                   and by_id[s.parent].name == "fourier.decay_profile"
+                   for s in rec.spans)
 
 
 class TestOutputs:

@@ -19,6 +19,7 @@ from normality_lab.errors import InsufficientBands, InvalidInput
 from normality_lab.fourier import (
     DecayBand,
     DecayProfile,
+    fourier_tree,
     ratio_phase,
     unit_phase,
 )
@@ -70,6 +71,33 @@ class TestUnitPhase:
         assert _bits(unit_phase(x)) == want
         num, den = x.numerator * scale, x.denominator * scale
         assert _bits(ratio_phase(num, den)) == want
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_denominator_class_gives_the_reference_phase(self, data):
+        # the half and quarter angles are only tested for even and 4 | den:
+        # every den mod 4, negative numerators and 3,000-bit integers must
+        # still give the reference bits
+        size = data.draw(st.sampled_from([10 ** 4, 2 ** 3000]))
+        den = 4 * data.draw(st.integers(1, size)) + data.draw(
+            st.integers(-3, 0))
+        turns = data.draw(st.integers(-size, size))
+        quarter = data.draw(st.integers(0, 3))
+        near = turns * den + quarter * den // 4 + data.draw(
+            st.sampled_from([0, 0, 0, -1, 1]))
+        num = data.draw(st.one_of(st.just(near),
+                                  st.integers(-size * size, size * size)))
+        assert _bits(ratio_phase(num, den)) == _bits(
+            reference_phase(F(num, den)))
+
+    @pytest.mark.parametrize("den_mod_4", range(4))
+    def test_quarter_turns_at_3000_bits(self, den_mod_4):
+        den = 2 ** 3000 + den_mod_4
+        for quarter in range(4):
+            for num in (quarter * den // 4, -(3 ** 1800) * den
+                        + quarter * den // 4):
+                assert _bits(ratio_phase(num, den)) == _bits(
+                    reference_phase(F(num, den)))
 
 
 class TestFourierExact:
@@ -169,6 +197,36 @@ class TestFourierExact:
         # the memo holds one reduced (num, den) pair per Fraction frequency
         assert {F(*k) for k in cache} == set(ref_cache)
         assert all(F(*k).denominator == k[1] for k in cache)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_batch_walk_equals_fraction_tree_root_by_root(self, data):
+        name = data.draw(st.sampled_from(sorted(TREE_SYSTEMS)))
+        system = TREE_SYSTEMS[name]
+        tol = data.draw(st.sampled_from([1e-4, 1e-7, 1e-10]))
+        budget = data.draw(st.sampled_from([1, 2, 3, 40, 10 ** 7]))
+        slopes = [m.slope for m in system.maps]
+        roots = []
+        for q in data.draw(st.lists(rationals, min_size=1, max_size=3)):
+            roots.append(q)
+            if data.draw(st.booleans()):  # a descendant after its ancestor
+                roots.append(q * data.draw(st.sampled_from(slopes)))
+        roots += [data.draw(st.sampled_from(roots)), -roots[0]]
+        if budget <= 40 or name in ("cantor", "mixed"):
+            # below 10^-400 the inhomogeneous trees hold ~10^5 frequencies
+            roots.append(F(10) ** 400)
+        pairs = [(q.numerator, q.denominator) for q in roots]
+        for cache, ref_cache in ((None, None), ({}, {})):
+            got = fourier_tree(system, pairs, tol=tol, budget=budget,
+                               cache=cache)
+            assert len(got) == len(roots)
+            for q, (val, err, nodes, hit) in zip(roots, got):
+                want = reference_fourier_tree(system, q, tol, budget,
+                                              cache=ref_cache)
+                assert _bits(val) == _bits(want[0])
+                assert (err, nodes, hit) == want[1:]
+        assert {F(*k): (_bits(v), e) for k, (v, e) in cache.items()} == {
+            k: (_bits(v), e) for k, (v, e) in ref_cache.items()}
 
     def test_resonance_equals_fraction_tree(self, cantor):
         for q in (3 ** 8, 3 ** 40 + 1, F(-(3 ** 25), 7)):

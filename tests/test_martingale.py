@@ -19,6 +19,7 @@ from normality_lab import (
     stopping_time,
 )
 from normality_lab.errors import InvalidInput, StreamExhausted
+from normality_lab.fourier import ratio_phase
 from normality_lab.martingale import (
     cylinder_modes,
     martingale_gaps,
@@ -35,6 +36,14 @@ CHAIN_SYSTEMS = {
     "flip": make_system([("-1/2", "0"), ("-1/2", "1/2")]),
     "thirds": make_system([("1/3", "0"), ("1/3", "1/3"), ("1/3", "2/3")],
                           ["1/2", "1/3", "1/6"]),
+}
+
+# inhomogeneous systems, where every cylinder mode takes the exact
+# transform, with a record count whose last denominators pass 2^64
+EXACT_SYSTEMS = {
+    "inh": (make_system([("1/3", "0"), ("1/2", "1/2")]), 130),
+    "shifted": (make_system([("-2/5", "7/5"), ("1/3", "-1/3")],
+                            ["3/7", "4/7"]), 60),
 }
 
 
@@ -261,6 +270,39 @@ class TestCylinderModesBatch:
             assert abs(abs(modes.values[0, j]) - fv.modulus) <= 2e-8
             assert modes.error_bounds[0, j] <= 1e-8
         assert modes.nodes.sum() == len(cache)
+
+    @pytest.mark.parametrize("budget", [5, 10 ** 7])
+    @pytest.mark.parametrize("name", sorted(EXACT_SYSTEMS))
+    def test_exact_modes_equal_the_per_mode_loop(self, name, budget):
+        # the per-mode reference: one ratio_phase and one fourier_exact per
+        # (q, record), q outer, with the dyadic rounding of huge denominators
+        system, n_max = EXACT_SYSTEMS[name]
+        records = stopping_records(system, WordStream(system, 4), n_max, 2)
+        qs = [1, -3, 7]
+        support = max(abs(float(system.hull[0])), abs(float(system.hull[1])),
+                      1.0)
+        rounded = 0
+        for cache, loop_cache in ((None, None), ({}, {})):
+            modes = cylinder_modes(system, records, qs, tol=1e-6, cache=cache,
+                                   budget=budget)
+            for k, q in enumerate(qs):
+                for j, rec in enumerate(records):
+                    u, extra = F(q * rec.P, rec.C), 0.0
+                    if u.denominator.bit_length() > 64:
+                        top, rem = divmod(u.numerator << 48, u.denominator)
+                        u = F(top + (2 * rem >= u.denominator), 1 << 48)
+                        extra = 2.0 * math.pi * 2.0 ** -49
+                        rounded += 1
+                    fv = fourier_exact(system, u, tol=1e-6, budget=budget,
+                                       cache=loop_cache)
+                    want = ratio_phase(q * rec.X, rec.C) * fv.value
+                    assert _bits(modes.values[k, j]) == _bits(want)
+                    assert modes.error_bounds[k, j] == (fv.error_bound
+                                                        + extra * support)
+                    assert modes.nodes[k, j] == fv.nodes
+                    assert modes.budget_exceeded[k, j] == fv.budget_exceeded
+        assert rounded
+        assert {F(*k) for k in cache} == {F(*k) for k in loop_cache}
 
     def test_budget_flag_passes_through(self, mixed):
         records = stopping_records(mixed, WordStream(mixed, 8), 6, 2)
