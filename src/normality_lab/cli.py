@@ -243,26 +243,48 @@ def _metadata(args, system) -> dict:
     }
 
 
-def _write_csv(stream, meta: dict, rows):
+def _fields(column) -> list:
+    """A column's fields as `csv.writer` writes them: the str of each value
+    (arrays become Python values first: in numpy 2, `repr(np.float64(x))`
+    is not `repr(x)`), and text holding a delimiter, quote or line break
+    quoted by the csv module itself."""
+    values = column.tolist() if hasattr(column, "tolist") else column
+    fields = list(map(str, values))
+    joined = "".join(fields)
+    if not any(c in joined for c in ',"\r\n'):
+        return fields
+    for i, text in enumerate(fields):
+        if any(c in text for c in ',"\r\n'):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([text])
+            fields[i] = buf.getvalue()[:-1]
+    return fields
+
+
+def _write_csv(stream, meta: dict, table: dict):
     for key in ("tool", "version", "subcommand", "seed", "system_hash"):
         stream.write(f"# {key}={meta[key]}\n")
     stream.write(f"# parameters={json.dumps(meta['parameters'], sort_keys=True)}\n")
-    if not rows:
-        return
-    # every row of a run has the first row's keys, in the same order
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows(row.values() for row in rows)
+    if not len(next(iter(table.values()))):
+        return      # a table without rows gets no header line either
+    # the bytes of csv.writer(stream, lineterminator="\n"), formatted one
+    # column at a time: a header field, then one field per row
+    columns = [[name] + _fields(col) for name, col in
+               zip(_fields(list(table)), table.values())]
+    if len(columns) == 1:
+        # csv.writer quotes a row made of one empty field
+        columns = [[f or '""' for f in columns[0]]]
+    stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _emit(args, meta: dict, rows, results) -> None:
+def _emit(args, meta: dict, table: dict, results) -> None:
     if args.format == "json":
         payload = dict(meta)
         payload["results"] = results
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        _write_csv(buf, meta, rows)
+        _write_csv(buf, meta, table)
         text = buf.getvalue()
     if args.out:
         try:
@@ -285,8 +307,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # validate loads unchecked so its report covers every failed invariant
         system = (load_system(args.system, check=not validating)
                   if args.system else None)
-        rows, results = args.run(args, system)
-        _emit(args, _metadata(args, system), rows, results)
+        table, results = args.run(args, system)
+        _emit(args, _metadata(args, system), table, results)
         return (EXIT_VALIDATION if validating and not results["ok"]
                 else EXIT_OK)
     except ConfigParseError as exc:

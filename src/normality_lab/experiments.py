@@ -1,10 +1,11 @@
 """Experiment orchestration shared by the CLI and the demo scripts.
 
-Each runner returns (rows, results): `rows` is a list of flat dicts destined
-for CSV, `results` a JSON-ready summary.  Multi-sample experiments derive
-per-task seeds through SeedSequence spawn keys, so output is deterministic
-for a fixed (config, seed).  Samples run one after another: the work is
-GIL-bound big-integer arithmetic, which a thread pool only slows down.
+Each runner returns (table, results): `table` maps each CSV column name, in
+order, to its column (a numpy array, range or list; all of one length), and
+`results` is a JSON-ready summary.  Multi-sample experiments derive per-task
+seeds through SeedSequence spawn keys, so output is deterministic for a
+fixed (config, seed).  Samples run one after another: the work is GIL-bound
+big-integer arithmetic, which a thread pool only slows down.
 """
 
 from __future__ import annotations
@@ -75,16 +76,21 @@ def _orbit(system: SelfSimilarSystem, base: int, length: int, seed: int,
     return ds, orbit_sequence(ds, length, seed=seed)
 
 
+def _records(table: dict) -> list:
+    """The rows of a table of list columns as dicts, for JSON summaries."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
 # ------------------------------------------------------------------ runners
 
 def run_validate(system: SelfSimilarSystem):
     report = validate(system)
-    rows = [{"ok": report.ok,
-             "failures": ";".join(type(f).__name__ for f in report.failures)}]
+    table = {"ok": [report.ok],
+             "failures": [";".join(type(f).__name__ for f in report.failures)]}
     results = {"ok": report.ok,
                "failures": [{"kind": type(f).__name__, "detail": str(f)}
                             for f in report.failures]}
-    return rows, results
+    return table, results
 
 
 def run_classify(system: SelfSimilarSystem, base: int):
@@ -92,54 +98,57 @@ def run_classify(system: SelfSimilarSystem, base: int):
     # slopes survive the conjugation: the first map failing item 1 witnesses
     witness = next((mo.index for mo in report.per_map
                     if not mo.commensurability.commensurable), None)
-    rows = []
-    for mo in report.per_map:
-        rows.append({
-            "map": mo.index,
-            "slope": frac_str(mo.slope),
-            "offset": frac_str(mo.offset),
-            "commensurable": mo.commensurability.commensurable,
-            "log_ratio": (frac_str(mo.commensurability.ratio)
-                          if mo.commensurability.ratio is not None else ""),
-            "translation_form": mo.translation_form,
-            "translation_exponent": (mo.translation_exponent
-                                     if mo.translation_exponent is not None else ""),
-        })
+    maps = report.per_map
+    table = {
+        "map": [mo.index for mo in maps],
+        "slope": [frac_str(mo.slope) for mo in maps],
+        "offset": [frac_str(mo.offset) for mo in maps],
+        "commensurable": [mo.commensurability.commensurable for mo in maps],
+        "log_ratio": [frac_str(mo.commensurability.ratio)
+                      if mo.commensurability.ratio is not None else ""
+                      for mo in maps],
+        "translation_form": [mo.translation_form for mo in maps],
+        "translation_exponent": [mo.translation_exponent
+                                 if mo.translation_exponent is not None else ""
+                                 for mo in maps],
+    }
     results = {
         "verdict": report.verdict.value,
         "base": base,
         "conjugator": {"slope": frac_str(report.conjugator.slope),
                        "offset": frac_str(report.conjugator.offset)},
         "normality_witness": {"found": witness is not None, "map": witness},
-        "per_map": rows,
+        "per_map": _records(table),
     }
-    return rows, results
+    return table, results
 
 
 def run_fourier(system: SelfSimilarSystem, q, tol: float, budget: int):
     fv = fourier_exact(system, as_fraction(q), tol=tol, budget=budget)
-    row = {"q": frac_str(fv.frequency), "re": fv.real, "im": fv.imag,
-           "modulus": fv.modulus, "error_bound": fv.error_bound,
-           "nodes": fv.nodes, "budget_exceeded": fv.budget_exceeded}
-    return [row], dict(row)
+    table = {"q": [frac_str(fv.frequency)], "re": [fv.real], "im": [fv.imag],
+             "modulus": [fv.modulus], "error_bound": [fv.error_bound],
+             "nodes": [fv.nodes], "budget_exceeded": [fv.budget_exceeded]}
+    return table, _records(table)[0]
 
 
 def run_decay(system: SelfSimilarSystem, j_max: int, per_band: int,
               tol: float, budget: int):
     profile = decay_profile(system, j_max, per_band=per_band, tol=tol,
                             budget=budget)
-    rows = []
-    for b in profile.bands:
-        rows.append({"band": b.index, "q_lo": 1 << b.index,
-                     "q_hi": 1 << (b.index + 1), "sup_modulus": b.sup_modulus,
-                     "argmax_q": frac_str(b.argmax_q), "samples": b.samples,
-                     "budget_exceeded": b.budget_exceeded})
-    results: dict = {"bands": rows}
+    bands = profile.bands
+    table = {"band": [b.index for b in bands],
+             "q_lo": [1 << b.index for b in bands],
+             "q_hi": [1 << (b.index + 1) for b in bands],
+             "sup_modulus": [b.sup_modulus for b in bands],
+             "argmax_q": [frac_str(b.argmax_q) for b in bands],
+             "samples": [b.samples for b in bands],
+             "budget_exceeded": [b.budget_exceeded for b in bands]}
+    results: dict = {"bands": _records(table)}
     try:
         fit = decay_fit(profile)
     except InsufficientBands as exc:
         results["fit"] = {"regime": "unavailable", "reason": str(exc)}
-        return rows, results
+        return table, results
     results["fit"] = {
         "regime": fit.regime, "alpha": fit.alpha,
         "alpha_ci": list(fit.alpha_ci) if fit.alpha_ci else None,
@@ -148,34 +157,33 @@ def run_decay(system: SelfSimilarSystem, j_max: int, per_band: int,
     if fit.alpha is not None:
         results["loglog_envelope_consistent"] = del_criterion_check(
             profile, fit.alpha)
-    return rows, results
+    return table, results
 
 
 def run_orbit(system: SelfSimilarSystem, base: int, length: int,
               samples: int, seed: int, guard: int):
     sams = [_orbit(system, base, length, seed, task, guard)[1]
             for task in range(samples)]
-    rows = []
-    for i, sam in enumerate(sams):
-        for n, v in enumerate(sam.values):
-            rows.append({"sample": i, "n": n, "value": float(v)})
+    table = {"sample": np.repeat(np.arange(samples), length),
+             "n": np.tile(np.arange(length), samples),
+             "value": np.concatenate([s.values for s in sams])}
     results = {"samples": samples, "length": length, "base": base,
                "discrepancy": [discrepancy(s) for s in sams],
                "accuracy": max(s.accuracy for s in sams)}
-    return rows, results
+    return table, results
 
 
 def run_digits(system: SelfSimilarSystem, base: int, count: int,
                guard: int, seed: int):
     stream = WordStream(system, seed)
     ds = digits(system, stream, base, count, guard=guard)
-    rows = [{"n": i, "digit": int(d)} for i, d in enumerate(ds.digits)]
+    table = {"n": range(len(ds.digits)), "digit": ds.digits}
     freqs = digit_frequencies(ds, 1)
     results = {"base": base, "certified_length": ds.certified_length,
                "word_depth": ds.depth,
                "digit_frequencies": {str(k[0]): v / freqs.total
                                      for k, v in freqs.counts.items()}}
-    return rows, results
+    return table, results
 
 
 def parse_beta(beta: Optional[str], beta_poly: Optional[str],
@@ -209,21 +217,21 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
         raise ConfigParseError("need --x or --system to choose the point")
     sam = beta_orbit(point, beta, length, seed=seed,
                      min_prec=precision_bits)
-    rows = [{"n": n + sam.metadata.get("start_index", 1), "value": float(v)}
-            for n, v in enumerate(sam.values)]
+    start = sam.metadata.get("start_index", 1)
+    table = {"n": range(start, start + len(sam)), "value": sam.values}
     results = {"length": len(sam), "metadata": sam.metadata,
                "discrepancy": discrepancy(sam) if len(sam) else None}
-    return rows, results
+    return table, results
 
 
 def run_power_orbit(x: str, length: int, seed: int,
                     precision_bits: Optional[int] = None):
     sam = power_orbit(as_fraction(x), length, seed=seed,
                       min_prec=precision_bits)
-    rows = [{"n": n + 1, "value": float(v)} for n, v in enumerate(sam.values)]
+    table = {"n": range(1, len(sam) + 1), "value": sam.values}
     results = {"length": len(sam), "metadata": sam.metadata,
                "discrepancy": discrepancy(sam)}
-    return rows, results
+    return table, results
 
 
 def run_normality(system: SelfSimilarSystem, base: int, length: int,
@@ -244,9 +252,8 @@ def run_normality(system: SelfSimilarSystem, base: int, length: int,
             "digit_freqs": {str(k[0]): c / freq.total
                             for k, c in freq.counts.items()},
         })
-    rows = [{"sample": s["sample"], "discrepancy": s["discrepancy"],
-             "max_weyl_modulus": s["max_weyl_modulus"],
-             "weyl_flagged": s["weyl_flagged"]} for s in stats]
+    table = {key: [s[key] for s in stats] for key in
+             ("sample", "discrepancy", "max_weyl_modulus", "weyl_flagged")}
     disc_pass = sum(1 for s in stats if s["discrepancy"] <= disc_threshold)
     weyl_pass = sum(1 for s in stats if s["max_weyl_modulus"] <= weyl_threshold)
     results = {
@@ -255,7 +262,7 @@ def run_normality(system: SelfSimilarSystem, base: int, length: int,
         "passes": {"discrepancy": disc_pass, "weyl": weyl_pass},
         "per_sample": stats,
     }
-    return rows, results
+    return table, results
 
 
 def _sequence_source(source: str, system: Optional[SelfSimilarSystem],
@@ -287,14 +294,15 @@ def run_correlations(source: str, system, base, x, length: int, k: int,
     res = _per_sample(source, samples, lambda task: k_level_correlation(
         _sequence_source(source, system, base, x, length, seed, task),
         k, test_fn))
-    rows = [{"sample": i, "k": r.k, "value": r.value,
-             "integral": float(r.integral), "deviation": r.deviation}
-            for i, r in enumerate(res)]
+    table = {"sample": range(len(res)), "k": [r.k for r in res],
+             "value": [r.value for r in res],
+             "integral": [float(r.integral) for r in res],
+             "deviation": [r.deviation for r in res]}
     results = {"k": k, "test_function": test_fn.describe(), "length": length,
                "integral": float(res[0].integral),
                "values": [r.value for r in res],
                "mean_value": float(np.mean([r.value for r in res]))}
-    return rows, results
+    return table, results
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -314,36 +322,38 @@ def run_spacings(source: str, system, base, x, length: int, s_grid: str,
     reps = _per_sample(source, samples, lambda task: level_spacings(
         _sequence_source(source, system, base, x, length, seed, task),
         s_grid=grid))
-    rows = []
-    for i, rep in enumerate(reps):
-        for s, g in zip(rep.s_grid, rep.g_empirical):
-            rows.append({"sample": i, "s": float(s), "G": float(g),
-                         "poisson": 1.0 - float(np.exp(-s))})
+    s = np.concatenate([rep.s_grid for rep in reps])
+    table = {"sample": np.repeat(np.arange(len(reps)), len(grid)), "s": s,
+             "G": np.concatenate([rep.g_empirical for rep in reps]),
+             "poisson": [1.0 - float(np.exp(-v)) for v in s]}
     results = {"length": length, "samples": samples,
                "sup_distances": [r.sup_distance for r in reps]}
-    return rows, results
+    return table, results
 
 
 def run_martingale(system: SelfSimilarSystem, p: int, qs: Sequence[int],
                    n_list: Sequence[int], samples: int, seed: int,
                    tol: float, budget: int):
-    rows = []
+    runs = []
     for task in range(samples):
         task_seed = seed if samples == 1 else int(
             np.random.SeedSequence(seed, spawn_key=(task,)).generate_state(1)[0])
-        for gs in martingale_gaps(system, task_seed, qs, n_list, p, tol=tol,
-                                  budget=budget):
-            for n, e, c, g in zip(gs.n_values, gs.empirical, gs.cylinder,
-                                  gs.gaps):
-                rows.append({"seed": task_seed, "q": gs.q, "N": n,
-                             "empirical_re": e.real, "empirical_im": e.imag,
-                             "cylinder_re": c.real, "cylinder_im": c.imag,
-                             "gap": g})
+        runs += [(task_seed, gs) for gs in martingale_gaps(
+            system, task_seed, qs, n_list, p, tol=tol, budget=budget)]
+    table = {"seed": [s for s, gs in runs for _ in gs.n_values],
+             "q": [gs.q for _, gs in runs for _ in gs.n_values],
+             "N": [n for _, gs in runs for n in gs.n_values],
+             "empirical_re": [e.real for _, gs in runs for e in gs.empirical],
+             "empirical_im": [e.imag for _, gs in runs for e in gs.empirical],
+             "cylinder_re": [c.real for _, gs in runs for c in gs.cylinder],
+             "cylinder_im": [c.imag for _, gs in runs for c in gs.cylinder],
+             "gap": [g for _, gs in runs for g in gs.gaps]}
     medians = {}
     for q in qs:
         for n in sorted(set(int(v) for v in n_list)):
-            gaps = [r["gap"] for r in rows if r["q"] == q and r["N"] == n]
+            gaps = [gs.gaps[gs.n_values.index(n)] for _, gs in runs
+                    if gs.q == q]
             medians[f"q={q},N={n}"] = float(np.median(gaps))
     results = {"p": p, "qs": list(qs), "n_list": [int(v) for v in n_list],
                "samples": samples, "median_gaps": medians}
-    return rows, results
+    return table, results

@@ -1,22 +1,25 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
 from normality_lab import cantor_system, save_system
-from normality_lab.cli import build_parser, main
+from normality_lab.cli import _write_csv, build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "normality_lab" / "schemas"
@@ -453,6 +456,72 @@ class TestOutputs:
         assert "MatchesObstructionForm" not in proc.stderr
 
 
+_META = {"tool": "t", "version": "0", "subcommand": "s", "seed": 1,
+         "system_hash": None, "parameters": {}}
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 1e-05, 1e16])
+_TEXT = st.text(st.sampled_from(',"\n\r;') | st.characters(
+    blacklist_categories=("Cs",)), max_size=8)
+_ELEMENTS = {"int": st.integers(), "float": _FLOATS, "bool": st.booleans(),
+             "text": _TEXT}
+_ELEMENTS["mixed"] = st.one_of(*_ELEMENTS.values(), _FLOATS.map(np.float64))
+_ARRAY_ELEMENTS = dict(_ELEMENTS, int=st.integers(-2 ** 63, 2 ** 63 - 1))
+_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_,
+           "text": str}
+
+
+@st.composite
+def _columns(draw, n_rows):
+    kind = draw(st.sampled_from(sorted(_ELEMENTS)))
+    form = draw(st.sampled_from(
+        ["list"] + (["array"] if kind in _DTYPES else [])
+        + (["range"] if kind == "int" else [])))
+    if form == "range":
+        start = draw(st.integers(-10 ** 20, 10 ** 20))
+        step = draw(st.integers(1, 10 ** 6) | st.integers(-10 ** 6, -1))
+        return range(start, start + n_rows * step, step)
+    elements = (_ARRAY_ELEMENTS if form == "array" else _ELEMENTS)[kind]
+    values = draw(st.lists(elements, min_size=n_rows, max_size=n_rows))
+    return np.array(values, dtype=_DTYPES[kind]) if form == "array" \
+        else values
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 50))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=6, unique=True))
+    return {name: draw(_columns(n_rows)) for name in names}
+
+
+class TestCsvWriter:
+    """`_write_csv` formats a column at a time; its bytes are those of the
+    csv module writing the same table row by row."""
+
+    @staticmethod
+    def _written(table) -> str:
+        buf = io.StringIO()
+        _write_csv(buf, _META, table)
+        return buf.getvalue().split("\n", 6)[6]     # after the metadata
+
+    @staticmethod
+    def _csv_module(table) -> str:
+        buf = io.StringIO()
+        if len(next(iter(table.values()))):
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(table)
+            writer.writerows(zip(*table.values()))
+        return buf.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables())
+    def test_bytes_match_the_csv_module(self, table):
+        assert self._written(table) == self._csv_module(table)
+
+    @pytest.mark.parametrize("column", [[], range(0), np.array([])])
+    def test_a_table_without_rows_has_no_header(self, column):
+        assert self._written({"a": column, "b": []}) == ""
+
+
 class TestSequentialRuns:
     def test_first_of_three_samples_is_the_single_sample_run(self, cantor_file,
                                                              capsys):
@@ -528,6 +597,19 @@ class TestSequentialRuns:
         assert empirical_1 == empirical
         assert cylinder_1 != cylinder
 
+    def test_martingale_medians_match_a_scan_of_the_table(self, golden_files):
+        from normality_lab.ifs import load_system
+        from normality_lab.experiments import run_martingale
+        table, results = run_martingale(load_system(golden_files["inh"]), 2,
+                                        [1, 1, 3], [30, 10, 30], 2, 5, 1e-6,
+                                        10 ** 7)
+        rows = list(zip(table["q"], table["N"], table["gap"]))
+        assert len(rows) == 2 * 3 * 2
+        assert results["median_gaps"] == {
+            f"q={q},N={n}": float(np.median(
+                [g for rq, rn, g in rows if rq == q and rn == n]))
+            for q in (1, 3) for n in (10, 30)}
+
     def test_import_leaves_sympy_unloaded(self):
         probe = ("import sys\n"
                  "import normality_lab.cli\n"
@@ -572,7 +654,9 @@ class TestSequentialRuns:
 # log-commensurability was decided over a gcd-built coprime base instead of
 # prime factorizations; the exact beta-orbit, integer power JSON and
 # Python-integer window orbit cases before exact beta and power orbits shared
-# one integer carry.  Any change to these bytes is a change of behaviour.
+# one integer carry; the validate, multi-sample orbit, long orbit JSON and
+# one-row digits cases before CSV tables became columnar.  Any change to
+# these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
@@ -582,8 +666,11 @@ GOLDEN_SYSTEMS = {
     "gap3": [("1/4", "0"), ("1/4", "1/3"), ("1/4", "3/4")],
     # 1/12 has the primes of 6 but not its exponent ratios
     "twelfths": [("1/12", "0"), ("1/12", "11/12")],
+    # fails validation twice: a slope of modulus >= 1 and weights summing
+    # to 5/6, so its `failures` cell joins two names with ';'
+    "invalid": [("1/3", "0"), ("2", "2/3")],
 }
-GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"]}
+GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"], "invalid": ["1/2", "1/3"]}
 _GOLDEN_POLY = ["--beta-poly", "1,-1,-1", "--beta-lo", "1",
                 "--beta-hi", "2"]
 
@@ -742,7 +829,20 @@ GOLDEN_CASES = {
     "classify-twelfths-b6-json": (["classify", "--base", "6",
                                    "--format", "json"], "twelfths"),
     "classify-twelfths-b144": (["classify", "--base", "144"], "twelfths"),
+    # a bool column and a ';'-joined string column, passing and failing
+    "validate-cantor": (["validate"], "cantor"),
+    "validate-invalid": (["validate"], "invalid"),
+    "orbit-cantor-b2-x3": (["orbit", "--base", "2", "--length", "150",
+                            "--samples", "3", "--seed", "2"], "cantor"),
+    # JSON summarises the orbit without writing its table
+    "orbit-cantor-b2-long-json": (["orbit", "--base", "2",
+                                   "--length", "10000", "--seed", "3",
+                                   "--format", "json"], "cantor"),
+    "digits-cantor-b2-one": (["digits", "--base", "2", "--count", "1",
+                              "--seed", "5"], "cantor"),
 }
+# exit codes of the cases that do not end in 0
+GOLDEN_EXIT = {"validate-invalid": 2}
 
 GOLDEN_SHA256 = {
     "classify-cantor-b3":
@@ -867,6 +967,16 @@ GOLDEN_SHA256 = {
         "3f954e17f1aee4ed26f017a79d20627095751b2f458e26e10d9f6c1fdb54da25",
     "spacings-uniform-x2":
         "650011fd9ae53343d6434c8993563562944c042a18ac5500f626efd7f49a96e0",
+    "validate-cantor":
+        "8dd151caa6e80940b98b0e0d41ff5851602f6fca43c656c3badfecaf46711c64",
+    "validate-invalid":
+        "840ccc5dc1f713eac2b5f1a5bf2e813f748f1d69b6b909ec22cf985c813847b1",
+    "orbit-cantor-b2-x3":
+        "5cd35550e445f500ce56b3d70cf15d79308432f50960c4711ab0575298e0bd82",
+    "orbit-cantor-b2-long-json":
+        "5fce3f518955c452a81ba5b1ac4b5d2a75282b2258c79f1d8ba769c890f8af68",
+    "digits-cantor-b2-one":
+        "fe06ce1d25f05e3ebfde0c43b2be95dc23ea2e5fdaa48aa29dfbc00d2cc845a2",
 }
 
 
@@ -877,7 +987,8 @@ def golden_files(tmp_path_factory):
     paths = {}
     for name, maps in GOLDEN_SYSTEMS.items():
         path = root / f"{name}.json"
-        save_system(make_system(maps, GOLDEN_WEIGHTS.get(name)), path)
+        save_system(make_system(maps, GOLDEN_WEIGHTS.get(name),
+                                check=name != "invalid"), path)
         paths[name] = str(path)
     return paths
 
@@ -890,6 +1001,6 @@ class TestGoldenOutputs:
             argv = argv + ["--system", golden_files[system]]
         out = tmp_path / "out"
         code = main(argv + ["--out", str(out)])
-        assert code == 0
+        assert code == GOLDEN_EXIT.get(case, 0)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[case]
