@@ -183,11 +183,19 @@ def isolate_real_roots(coeffs: Sequence) -> list:
 
 def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
                      eps: Fraction) -> tuple:
-    """Shrink an isolating interval to width <= eps by exact bisection.
+    """Shrink an isolating interval to width <= eps: the cell of exact
+    bisection, reached by sign-checked Newton steps when the bracket holds
+    one root.
 
-    The interval is kept as integers [a / D, b / D] with D doubling at each
-    step, and p is signed by integer Horner on D^deg L p(a / D), L the lcm of
+    The interval is kept as integers [a / D, b / D] with D = d0 2^k at level
+    k, and p is signed by integer Horner on D^deg L p(a / D), L the lcm of
     the coefficient denominators, so no Fraction is normalised in the loop.
+    Bisection ends in the level-K cell that holds the root, K the least level
+    of width <= eps.  When Sturm's count finds one root in (lo, hi], a
+    Newton step from the cell's midpoint picks the cell at about twice the
+    level instead; it is kept only when p has opposite nonzero signs at its
+    two ends, after at most one move to the neighbouring cell, and otherwise
+    one bisection step is taken.  Either way the result is bisection's.
     Returns (lo, hi), or (r, r) when an endpoint or a midpoint r is a root.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
@@ -214,19 +222,44 @@ def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
         return hi, hi
     if slo == shi:
         raise InvalidInput("interval endpoints must bracket a sign change")
+    w = b - a
+    over, unit = w * eps.denominator, eps.numerator * d0
+    newton = unit > 0 and over > unit and count_real_roots(coeffs, lo, hi) == 1
+    if newton:
+        last = (-(-over // unit) - 1).bit_length()  # K: over <= unit 2^K
     k = 0
-    while (b - a) * eps.denominator > eps.numerator * (d0 << k):
-        k += 1
-        mid = a + b
-        s = sign(mid, k)
-        if s == 0:
-            root = Fraction(mid, d0 << k)
+    while over > unit << k:
+        mid = 2 * a + w  # the cell's midpoint, at level k + 1
+        f = df = 0
+        for t, c in enumerate(scaled):
+            df = df * mid + f
+            f = f * mid + (c << ((k + 1) * t))
+        if f == 0:
+            root = Fraction(mid, d0 << (k + 1))
             return root, root
-        if s == slo:
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-    return Fraction(a, d0 << k), Fraction(b, d0 << k)
+        if newton and df:
+            up = min(last, 2 * k + 1)
+            # the level-`up` cell under the Newton point mid - f / df,
+            # clamped to the current cell
+            i = ((((mid * df - f) << (up - k - 1)) - (a << (up - k)) * df)
+                 // (df * w))
+            x = (a << (up - k)) + min(max(i, 0), (1 << (up - k)) - 1) * w
+            s0 = sign(x, up)
+            s1 = s0 and sign(x + w, up)
+            if s0 == -slo and s1:  # overshoot: the root lies left
+                x, s0, s1 = x - w, sign(x - w, up), s0
+            elif s1 == slo:  # the root lies right
+                x, s0, s1 = x + w, s1, sign(x + 2 * w, up)
+            if s0 == 0 or s1 == 0:
+                root = Fraction(x if s0 == 0 else x + w, d0 << up)
+                return root, root
+            if s0 == slo and s1 != slo:
+                a, k = x, up
+                continue
+        # one bisection step; f signs the midpoint
+        a = mid if (f > 0) == (slo > 0) else 2 * a
+        k += 1
+    return Fraction(a, d0 << k), Fraction(a + w, d0 << k)
 
 
 @dataclass(frozen=True)

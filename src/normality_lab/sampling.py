@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraicReal, poly_eval
-from .balls import Ball
+from .balls import Ball, floor_int, mul_ints
 from .errors import (
     BallStraddlesCut,
     BasePointOutsideHull,
@@ -462,7 +462,8 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     radius above 2^-50, restarts at doubled precision.  A straddle that
     survives every restart (the orbit meeting a cut closer than the input's
     own radius) truncates the values and sets `straddled_at` in the returned
-    metadata.
+    metadata.  Each step is bare (mid, rad) integers through the kernels
+    :func:`mul_ints` and :func:`floor_int`, with no `Ball` per step.
     """
     log2_factor = _log2(factor_hi)
     prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
@@ -476,25 +477,29 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     for attempt in range(_MAX_RESTARTS + 1):
         step = Ball.from_interval(*_enclosure(factor, prec), prec)
         cur = Ball.from_interval(*_enclosure(start, prec), prec)
+        step_mid, step_rad = step.mid, step.rad
+        mid, rad = cur.mid, cur.rad
+        scale = 1 << prec
         values = []
         straddle_at = None
         retry = False
         for n in range(1, n_points + 1):
-            cur = step.mul(cur)
+            mid, rad = mul_ints(step_mid, step_rad, mid, rad, prec)
             try:
-                _, frac = cur.floor_split()
+                k = floor_int(mid, rad, prec)
             except BallStraddlesCut:
                 if attempt < _MAX_RESTARTS:
                     retry = True
                 else:
                     straddle_at = n
                 break
-            if frac.rad / (1 << frac.prec) + _FLOAT_SLACK > _VALUE_TARGET:
+            if rad / scale + _FLOAT_SLACK > _VALUE_TARGET:
                 retry = True
                 break
-            values.append(frac.to_float())
+            frac = mid - (k << prec)
+            values.append(frac / scale)
             if reduce:
-                cur = frac
+                mid = frac
         if not retry:
             break
         prec *= 2

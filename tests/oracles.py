@@ -5,7 +5,8 @@ library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
 log-commensurability, Fraction bisection for real roots, modular powering
-for exact x^n mod 1 and uncancelled integer pairs for exact beta orbits.
+for exact x^n mod 1, uncancelled integer pairs for exact beta orbits and
+one `Ball` object per step for the ball orbit loop.
 Keeping them separate from the package is the point.
 """
 
@@ -374,6 +375,58 @@ def pair_beta_orbit(x, beta, n_points: int) -> list:
         u -= (u // v) * v
         out.append(((u * shift) // v) / float(shift))
     return out
+
+
+def ball_object_orbit(factor, start, n_points: int, reduce: bool,
+                      min_prec, factor_hi) -> tuple:
+    """(values, metadata) of the ball loop with one `Ball` object per step:
+    `Ball.mul`, `Ball.floor_split` and `Ball.to_float` in place of the bare
+    integer kernels, and otherwise the library's precision formula, straddle
+    test, 2^-50 radius check and restarts."""
+    from normality_lab.balls import Ball
+    from normality_lab.errors import BallStraddlesCut, PrecisionExhausted
+    from normality_lab.sampling import (_FLOAT_SLACK, _MAX_RESTARTS,
+                                        _VALUE_TARGET, _enclosure, _log2,
+                                        _point_radius_log2)
+
+    log2_factor = _log2(factor_hi)
+    prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
+    prec = max(prec, min_prec or 0)
+    needed_log2 = -(n_points * log2_factor + 54)
+    if _point_radius_log2(start) > needed_log2:
+        raise PrecisionExhausted("input radius too coarse")
+
+    for attempt in range(_MAX_RESTARTS + 1):
+        step = Ball.from_interval(*_enclosure(factor, prec), prec)
+        cur = Ball.from_interval(*_enclosure(start, prec), prec)
+        values = []
+        straddle_at = None
+        retry = False
+        for n in range(1, n_points + 1):
+            cur = step.mul(cur)
+            try:
+                _, frac = cur.floor_split()
+            except BallStraddlesCut:
+                if attempt < _MAX_RESTARTS:
+                    retry = True
+                else:
+                    straddle_at = n
+                break
+            if frac.rad / (1 << frac.prec) + _FLOAT_SLACK > _VALUE_TARGET:
+                retry = True
+                break
+            values.append(frac.to_float())
+            if reduce:
+                cur = frac
+        if not retry:
+            break
+        prec *= 2
+    else:
+        raise PrecisionExhausted("ball iteration failed to stabilize")
+    meta = {"precision_bits": prec, "restarts": attempt, "start_index": 1}
+    if straddle_at is not None:
+        meta["straddled_at"] = straddle_at
+    return np.asarray(values, dtype=np.float64), meta
 
 
 # ---------------------------------------------------------------- digits

@@ -183,6 +183,9 @@ def _bracket(draw):
     return coeffs, root - draw(_offset), root + draw(_offset) + F(1, 9)
 
 
+_DEEP_DYADIC = ((1 << 20), (1 << 20) - 12345, (1 << 20) - 12345, -12345)
+
+
 class TestRefineAgainstFractionBisection:
     """Integer bisection returns the Fraction bisection's tuple exactly."""
 
@@ -217,6 +220,51 @@ class TestRefineAgainstFractionBisection:
     def test_midpoint_root_is_exact(self):
         assert refine_real_root((2, -3), F(1), F(2), F(1, 2 ** 40)) == (
             F(3, 2), F(3, 2))
+
+    # brackets that hold one root take the Newton path down to eps
+    @given(coeffs=st.lists(st.integers(-20, 20), min_size=3, max_size=6)
+           .filter(lambda c: c[0] != 0),
+           pick=st.integers(0, 5),
+           eps=st.one_of(st.integers(0, 700).map(lambda k: F(1, 2 ** k)),
+                         st.builds(F, st.integers(1, 7),
+                                   st.integers(1, 10 ** 200))))
+    @settings(max_examples=100, deadline=None)
+    def test_single_root_brackets_match_oracle(self, coeffs, pick, eps):
+        brackets = isolate_real_roots(coeffs)
+        assume(brackets)
+        lo, hi = brackets[pick % len(brackets)]
+        # a root of even multiplicity has no sign change: both raise
+        assert (_refine_or_error(refine_real_root, coeffs, lo, hi, eps,
+                                 InvalidInput)
+                == _refine_or_error(fraction_bisection, coeffs, lo, hi, eps,
+                                    ValueError))
+
+    @pytest.mark.parametrize("coeffs, lo, hi, eps", [
+        # one root of odd multiplicity: p' vanishes at the root
+        (_from_factors([(7, 3)] * 3), F(0), F(1), F(1, 2 ** 300)),
+        (_from_factors([(7, 3)] * 3 + [(1, 5)]), F(-1), F(2), F(1, 2 ** 200)),
+        (_from_factors([(2, 1)] * 5), F(0), F(1), F(1, 2 ** 100)),
+        # rational roots on grid points that a Newton jump lands on
+        # (8x - 5)(x^2 + 1), (2^20 x - 12345)(x^2 + x + 1), (3x - 4)(x^2 + 1)
+        ((8, -5, 8, -5), F(0), F(1), F(1, 2 ** 64)),
+        (_DEEP_DYADIC, F(0), F(1), F(1, 2 ** 700)),
+        (_DEEP_DYADIC, F(0), F(1), F(1, 2 ** 19)),
+        ((3, -4, 3, -4), F(1, 3), F(5, 3), F(1, 2 ** 500)),
+        # degree >= 3
+        ((1, 0, -1, -1), F(1), F(2), F(1, 2 ** 700)),
+        ((1, 0, 0, 0, -1, -1), F(1), F(2), F(1, 2 ** 650)),
+        ((F(1, 3), 0, -2, F(5, 7)), F(2), F(3), F(1, 10 ** 200)),
+        # several roots in the bracket: bisection picks among them
+        (_from_factors([(3, 1), (2, 1), (3, 2)]), F(0), F(1),
+         F(1, 2 ** 300)),
+        (_from_factors([(3, 1), (5, 2), (7, 4)]), F(0), F(1),
+         F(1, 2 ** 300)),
+        # (x^2 - 2)(x^2 - 3)(2x - 3): sqrt(2), 3/2 and sqrt(3)
+        ((2, -3, -10, 15, 12, -18), F(1), F(2), F(1, 2 ** 400)),
+    ])
+    def test_newton_cases_match_oracle(self, coeffs, lo, hi, eps):
+        assert (refine_real_root(coeffs, lo, hi, eps)
+                == fraction_bisection(coeffs, lo, hi, eps))
 
 
 class TestIsPisot:

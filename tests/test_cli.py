@@ -655,7 +655,9 @@ class TestSequentialRuns:
 # prime factorizations; the exact beta-orbit, integer power JSON and
 # Python-integer window orbit cases before exact beta and power orbits shared
 # one integer carry; the validate, multi-sample orbit, long orbit JSON and
-# one-row digits cases before CSV tables became columnar.  Any change to
+# one-row digits cases before CSV tables became columnar; the long
+# golden-ratio and 65536-bit beta-orbit cases before ball orbits stepped bare
+# integers and algebraic enclosures took Newton steps.  Any change to
 # these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
@@ -767,6 +769,15 @@ GOLDEN_CASES = {
     "beta-orbit-precision-bits": (["beta-orbit", *_GOLDEN_POLY,
                                    "--x", "5/11", "--length", "150",
                                    "--precision-bits", "4000"], None),
+    # the largest golden-ratio orbit of the benchmark
+    "beta-orbit-golden-poly-long": (["beta-orbit", *_GOLDEN_POLY,
+                                     "--x", "1234/56789", "--length", "1800"],
+                                    None),
+    # a 65536-bit floor: the golden ratio is refined to 2^-65538
+    "beta-orbit-precision-bits-65536": (["beta-orbit", *_GOLDEN_POLY,
+                                         "--x", "2/7", "--length", "100",
+                                         "--precision-bits", "65536",
+                                         "--format", "json"], None),
     "beta-orbit-exact": (["beta-orbit", "--beta", "5/2", "--x", "1/3",
                           "--length", "300"], None),
     # ball iteration from a sampled point of the attractor
@@ -887,6 +898,10 @@ GOLDEN_SHA256 = {
         "13054e85f9c75afb30730fc1abbad4f5658ca5c95dc0a5d555e4b26c50a9f448",
     "beta-orbit-precision-bits":
         "01c4cdc89e6f9b357514b366083cbcc1eef043cb32f3809bc60111296d0e751f",
+    "beta-orbit-golden-poly-long":
+        "28c98d742018142ddf0b644b5e7440606fc2db7f538fac0e24aca8242124a5c7",
+    "beta-orbit-precision-bits-65536":
+        "c7e47e40874907a37c6c7f6977ad641f76040e05bbb38b954745f9ca525275d3",
     "correlations-orbit-x2":
         "2895c9dd40154498d1dd31409b874f10c928fd02098e4ba1f3e16be95cdfc210",
     "correlations-power-large-num":

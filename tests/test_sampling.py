@@ -34,14 +34,16 @@ from normality_lab.sampling import (
     DigitStream,
     FixedWord,
     PointApproximation,
+    _ball_orbit,
     _int_to_digits,
+    _multiplier_enclosure,
     _point_radius_log2,
     _tail_digit_count,
     sampled_point,
 )
 
-from oracles import (hull_image_cell_digits, modpow_power_orbit,
-                     pair_beta_orbit)
+from oracles import (ball_object_orbit, hull_image_cell_digits,
+                     modpow_power_orbit, pair_beta_orbit)
 
 F = Fraction
 
@@ -436,6 +438,91 @@ class TestBetaOrbitAgainstPairOracle:
     def test_matches_oracle_on_cases(self, x, beta):
         got = [v.hex() for v in beta_orbit(x, beta, 500).values]
         assert got == [v.hex() for v in pair_beta_orbit(x, beta, 500)]
+
+
+_GOLDEN = AlgebraicReal((1, -1, -1), F(1), F(2))
+_BALL_FACTORS = st.one_of(
+    st.sampled_from([
+        _GOLDEN,
+        AlgebraicReal((1, 0, -2), F(4, 3), F(3, 2)),    # sqrt(2)
+        AlgebraicReal((1, 0, -1, -1), F(1), F(2)),      # the plastic number
+        AlgebraicReal((2, -5), F(2), F(3)),             # 5/2
+    ]),
+    st.builds(lambda den, extra: F(den + extra, den),
+              st.integers(1, 12), st.integers(1, 30)))
+# a rational, a (lo, hi) pair of radius 2^-bits, or a point sampled from a
+# system to radius 2^-bits
+_BALL_STARTS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6),
+    st.tuples(st.just("pair"),
+              st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4),
+              st.integers(40, 3000)),
+    st.tuples(st.sampled_from(["cantor", "beta_52"]), st.integers(0, 50),
+              st.integers(40, 2000)))
+
+
+def _ball_orbit_or_error(orbit, factor, start, n, reduce, min_prec):
+    try:
+        values, meta = orbit(factor, start, n, reduce, min_prec,
+                             _multiplier_enclosure(factor)[1])
+    except PrecisionExhausted:
+        return "exhausted"
+    return [v.hex() for v in values], meta
+
+
+class TestBallOrbitAgainstObjectOracle:
+    """The bare-integer ball loop gives the floats and metadata of the loop
+    with one `Ball` object per step."""
+
+    @staticmethod
+    def _check(factor, start, n, reduce, min_prec=None):
+        got = _ball_orbit_or_error(_ball_orbit, factor, start, n, reduce,
+                                   min_prec)
+        want = _ball_orbit_or_error(ball_object_orbit, factor, start, n,
+                                    reduce, min_prec)
+        assert got == want
+        return got
+
+    @given(factor=_BALL_FACTORS, start=_BALL_STARTS, n=st.integers(1, 300),
+           reduce=st.booleans(),
+           min_prec=st.one_of(st.none(), st.integers(0, 4000)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, factor, start, n, reduce, min_prec,
+                            cantor, beta_52):
+        if isinstance(start, tuple) and start[0] == "pair":
+            _, x, bits = start
+            start = (x - F(1, 2 ** bits), x + F(1, 2 ** bits))
+        elif isinstance(start, tuple):
+            name, seed, bits = start
+            system = {"cantor": cantor, "beta_52": beta_52}[name]
+            start = sampled_point(system, WordStream(system, seed),
+                                  F(1, 2 ** bits))
+        self._check(factor, start, n, reduce, min_prec)
+
+    def test_golden_straddle(self):
+        _, meta = self._check(_GOLDEN, F(1), 5, True)
+        assert meta["straddled_at"] == 2 and meta["restarts"] == 4
+
+    def test_pair_start_straddles_first_step(self):
+        half = (F(1, 2) - F(1, 2 ** 100), F(1, 2) + F(1, 2 ** 100))
+        _, meta = self._check(F(2), half, 10, True)
+        assert meta["straddled_at"] == 1
+
+    @pytest.mark.parametrize("factor, start, n, reduce", [
+        (_GOLDEN, F(1234, 56789), 1800, True),
+        (_GOLDEN, F(5, 11), 150, True),
+        (AlgebraicReal((2, -3), F(1), F(2)), F(1), 300, False),
+        ((F(7, 5) - F(1, 2 ** 700), F(7, 5) + F(1, 2 ** 700)), F(1), 250,
+         False),
+        (F(5, 2), (F(1, 3) - F(1, 2 ** 500), F(1, 3) + F(1, 2 ** 500)), 300,
+         True),
+    ])
+    def test_matches_oracle_on_cases(self, factor, start, n, reduce):
+        self._check(factor, start, n, reduce)
+
+    def test_sampled_point_start(self, beta_52):
+        pt = sampled_point(beta_52, WordStream(beta_52, 17), F(1, 2) ** 600)
+        self._check(F(5, 2), pt, 300, True)
 
 
 class TestPowerOrbit:
