@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .ifs import load_system
+from .sampling import MAX_PRECISION_BITS
 from .stats import TestFunction
 
 EXIT_OK = 0
@@ -60,12 +61,12 @@ def _checked(convert, ok, requirement: str):
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 # resource caps: --q-max sizes arrays of that many frequencies, and ball
-# iteration shifts integers left by --precision-bits
+# iteration works on integers of at least --precision-bits bits (its other
+# cap, length x working precision, is checked once beta is known)
 _MAX_Q = 10 ** 5
-_MAX_PRECISION_BITS = 1 << 24
 _q_max = _checked(int, lambda v: v <= _MAX_Q, f"<= {_MAX_Q}")
-_precision_bits = _checked(int, lambda v: 1 <= v <= _MAX_PRECISION_BITS,
-                           f"between 1 and {_MAX_PRECISION_BITS}")
+_precision_bits = _checked(int, lambda v: 1 <= v <= MAX_PRECISION_BITS,
+                           f"between 1 and {MAX_PRECISION_BITS}")
 # NaN fails every comparison, so it would switch off the truncation tests
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0,
                       "finite and > 0")

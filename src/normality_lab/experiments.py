@@ -37,6 +37,7 @@ from .sampling import (
     _log2,
     _multiplier_enclosure,
     _tail_digit_count,
+    ball_precision,
     beta_orbit,
     digits,
     orbit_sequence,
@@ -208,7 +209,8 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
     if x is not None:
         point = as_fraction(x)
     elif system is not None:
-        _multiplier_enclosure(beta)
+        # the caps of the ball loop are checked before the point is sampled
+        ball_precision(length, _multiplier_enclosure(beta)[1], precision_bits)
         hi = beta.hi if isinstance(beta, AlgebraicReal) else beta
         bits = math.ceil(length * _log2(hi)) + 80
         point = sampled_point(system, WordStream(system, seed),

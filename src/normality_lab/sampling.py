@@ -11,8 +11,9 @@ in machine-word chunks split by one numpy broadcast.  Integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
 digit, rather than by repeated big-rational multiplication.  Orbits of the
 beta-transformation and powers x^n are one recurrence y_n = factor y_{n-1}
-behind one dispatcher: an exact integer carry y_n = k + m / D for rationals,
-one ball-iteration loop otherwise.
+behind one dispatcher: an exact integer carry for rationals (one masked
+integer when every denominator is a power of two, y_n = k + m / D
+otherwise), one ball-iteration loop otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .balls import Ball, floor_int, mul_ints
 from .errors import (
     BallStraddlesCut,
     BasePointOutsideHull,
+    ConfigParseError,
     InsufficientDigits,
     InvalidInput,
     PrecisionExhausted,
@@ -422,20 +424,29 @@ def _multiplier_enclosure(factor) -> tuple:
     return lo, hi
 
 
+_M64 = (1 << 64) - 1
+
+
 def _exact_orbit(factor: Fraction, start: Fraction, n_points: int,
                  reduce: bool) -> np.ndarray:
     """Exact y_n mod 1 (n = 1..N) of y_n = factor * y_{n-1}, y_0 = start.
 
     With factor = p / q, y_n = k + m / D is carried in integers, D =
-    den(start) q^n: p k = a q + r gives y_{n+1} = a + (r D + p m) / (q D),
-    whose numerator splits into the new k and m by one small-quotient
-    division; the value is floor(2^64 m / D) / 2^64.  The start enters
+    den(start) q^n, and the value is floor(2^64 m / D) / 2^64.  When q and
+    den(start) are both powers of two (integer factors included) the
+    dyadic carry of :func:`_dyadic_orbit` reads the same floats from one
+    integer; any odd factor in q or den(start) takes the carry below: p k =
+    a q + r gives y_{n+1} = a + (r D + p m) / (q D), whose numerator splits
+    into the new k and m by one small-quotient division.  The start enters
     unreduced as (0, num, den).  k reaches m only through p k mod q, so it
     is dropped for the beta map (`reduce`) and for q = 1.
     """
     p, q = factor.numerator, factor.denominator
-    p_k = p if q > 1 and not reduce else 0
     k, m, den = 0, start.numerator, start.denominator
+    if q & (q - 1) == 0 and den & (den - 1) == 0:
+        return _dyadic_orbit(p, q.bit_length() - 1, m, den.bit_length() - 1,
+                             n_points, reduce)
+    p_k = p if q > 1 and not reduce else 0
     shift = float(1 << 64)
     values = np.empty(n_points, dtype=np.float64)
     for n in range(n_points):
@@ -448,7 +459,59 @@ def _exact_orbit(factor: Fraction, start: Fraction, n_points: int,
     return values
 
 
+def _dyadic_orbit(p: int, e: int, z: int, b: int, n_points: int,
+                  reduce: bool) -> np.ndarray:
+    """:func:`_exact_orbit` for factor p / 2^e and start z / 2^b.
+
+    y_n = p^n z / 2^(b + e n) is one integer over a power of two, so its
+    fractional numerator m is the low b + e n bits of p^n z, and the value
+    floor(2^64 m / 2^(b + e n)) / 2^64 is the 64 bits just below bit
+    b + e n.  Each step multiplies by p and clears the bits at and above a
+    cut: the beta map (`reduce`) keeps m itself, cut b + e n; a power keeps
+    p^n z mod 2^(b + e N), all the integer-part bits a later value still
+    reads.  No division is made.
+    """
+    shift = float(1 << 64)
+    top = b + e * n_points
+    bits = b
+    values = []
+    for _ in range(n_points):
+        bits += e
+        cut = bits if reduce else top
+        z *= p
+        z ^= z >> cut << cut  # z mod 2^cut, also for a negative start
+        lead = z >> (bits - 64) if bits >= 64 else z << (64 - bits)
+        values.append((lead & _M64) / shift)
+    return np.array(values, dtype=np.float64)
+
+
 _MAX_RESTARTS = 4
+# Resource caps of the ball loop, checked for every attempt: an attempt of
+# N steps at working precision P multiplies P-bit integers N times and
+# refines an algebraic factor to P bits
+MAX_PRECISION_BITS = 1 << 16
+MAX_BALL_WORK = 1 << 26  # N * P
+
+
+def _within_caps(n_points: int, prec: int) -> bool:
+    return prec <= MAX_PRECISION_BITS and n_points * prec <= MAX_BALL_WORK
+
+
+def ball_precision(n_points: int, factor_hi: Fraction,
+                   min_prec: Optional[int]) -> int:
+    """Working precision of the ball loop for N values under a multiplier
+    bounded by `factor_hi`: ceil(N log2 factor_hi) + 64 + bitlen(N + 1) bits,
+    at least `min_prec`.  ConfigParseError (exit 4) when it is over
+    MAX_PRECISION_BITS or N times it is over MAX_BALL_WORK."""
+    prec = (math.ceil(n_points * _log2(factor_hi)) + 64
+            + (n_points + 1).bit_length())
+    prec = max(prec, min_prec or 0)
+    if not _within_caps(n_points, prec):
+        raise ConfigParseError(
+            f"ball iteration of length {n_points} at {prec} bits is over the "
+            f"caps: at most {MAX_PRECISION_BITS} bits and length x bits at "
+            f"most {MAX_BALL_WORK}")
+    return prec
 
 
 def _ball_orbit(factor, start, n_points: int, reduce: bool,
@@ -457,24 +520,26 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     from ball enclosures; `factor_hi` bounds the multiplier from above.
 
     With `reduce` the next step multiplies y_n mod 1 (the beta map), else
-    the unreduced y_n (powers).  Both enclosures become balls at a working
-    precision linear in N; a ball straddling an integer cut, or a value
-    radius above 2^-50, restarts at doubled precision.  A straddle that
-    survives every restart (the orbit meeting a cut closer than the input's
-    own radius) truncates the values and sets `straddled_at` in the returned
-    metadata.  Each step is bare (mid, rad) integers through the kernels
-    :func:`mul_ints` and :func:`floor_int`, with no `Ball` per step.
+    the unreduced y_n (powers).  Both enclosures become balls at the working
+    precision of :func:`ball_precision`, linear in N; a ball straddling an
+    integer cut, or a value radius above 2^-50, restarts at doubled
+    precision, at most _MAX_RESTARTS times and only within the caps.  A
+    straddle that survives the last attempt (the orbit meeting a cut closer
+    than the input's own radius) truncates the values and sets
+    `straddled_at` in the returned metadata.  Each step is bare (mid, rad)
+    integers through the kernels :func:`mul_ints` and :func:`floor_int`,
+    with no `Ball` per step.
     """
-    log2_factor = _log2(factor_hi)
-    prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
-    prec = max(prec, min_prec or 0)
-    needed_log2 = -(n_points * log2_factor + 54)
+    prec = ball_precision(n_points, factor_hi, min_prec)
+    needed_log2 = -(n_points * _log2(factor_hi) + 54)
     if _point_radius_log2(start) > needed_log2:
         raise PrecisionExhausted(
             f"input radius 2^{_point_radius_log2(start):.0f} too coarse; need "
             f"<= 2^{needed_log2:.0f} (deepen the word prefix)")
 
     for attempt in range(_MAX_RESTARTS + 1):
+        last = (attempt == _MAX_RESTARTS
+                or not _within_caps(n_points, 2 * prec))
         step = Ball.from_interval(*_enclosure(factor, prec), prec)
         cur = Ball.from_interval(*_enclosure(start, prec), prec)
         step_mid, step_rad = step.mid, step.rad
@@ -488,10 +553,10 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
             try:
                 k = floor_int(mid, rad, prec)
             except BallStraddlesCut:
-                if attempt < _MAX_RESTARTS:
-                    retry = True
-                else:
+                if last:
                     straddle_at = n
+                else:
+                    retry = True
                 break
             if rad / scale + _FLOAT_SLACK > _VALUE_TARGET:
                 retry = True
@@ -502,9 +567,9 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
                 mid = frac
         if not retry:
             break
+        if last:
+            raise PrecisionExhausted("ball iteration failed to stabilize")
         prec *= 2
-    else:
-        raise PrecisionExhausted("ball iteration failed to stabilize")
     meta = {"precision_bits": prec, "restarts": attempt, "start_index": 1}
     if straddle_at is not None:
         meta["straddled_at"] = straddle_at
@@ -540,8 +605,9 @@ def beta_orbit(x, beta: BetaLike, n_points: int,
     not commute with reduction mod 1 for non-integer beta, so the first
     multiplication must see x itself.  Each later step multiplies the
     reduced value (:func:`_multiply_orbit`): a rational beta with an exactly
-    known x takes the exact integer carry, anything else (an algebraic beta,
-    a sampled point with a radius) the ball loop, where a persistent straddle
+    known x takes the exact integer carry (the dyadic one when den(beta)
+    and den(x) are powers of two), anything else (an algebraic beta, a
+    sampled point with a radius) the ball loop, where a persistent straddle
     of an integer cut truncates the sample and records `straddled_at`.
     """
     if not isinstance(beta, AlgebraicReal) and isinstance(x, _EXACT):
@@ -557,7 +623,8 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
 
     The orbit of :func:`_multiply_orbit` from y_0 = 1 multiplying the
     unreduced power by x: an exact rational x takes the exact integer carry
-    x^n = k + m / den^n, an enclosure of x (an :class:`AlgebraicReal` or a
+    (x = p / 2^e: p^n mod 2^(eN) in one masked integer; any other x:
+    x^n = k + m / den^n), an enclosure of x (an :class:`AlgebraicReal` or a
     rational `(lo, hi)` pair) the ball loop at precision linear in N.
     """
     if isinstance(x, _EXACT):

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
-from normality_lab import cantor_system, save_system
+from normality_lab import cantor_system, experiments as exp, save_system
 from normality_lab.cli import _write_csv, build_parser, main
 
 SCHEMA = json.loads(
@@ -153,7 +153,7 @@ class TestExitCodes:
          "--q-max", str(10 ** 60)],
         ["normality", "--base", "2", "--length", "50", "--q-max", "100001"],
         ["beta-orbit", "--beta", "5/2", "--x", "1/2",
-         "--precision-bits", str(2 ** 24 + 1)],
+         "--precision-bits", str(2 ** 16 + 1)],
         ["power-orbit", "--x", "3/2", "--precision-bits", "100000000000"],
     ])
     def test_rejected_at_parse_time(self, cantor_file, capsys, argv):
@@ -163,8 +163,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, dest, cap", [
         (["normality", "--base", "2", "--system", "x"], "q_max", 10 ** 5),
-        (["beta-orbit", "--beta", "5/2"], "precision_bits", 2 ** 24),
-        (["power-orbit", "--x", "3/2"], "precision_bits", 2 ** 24),
+        (["beta-orbit", "--beta", "5/2"], "precision_bits", 2 ** 16),
+        (["power-orbit", "--x", "3/2"], "precision_bits", 2 ** 16),
     ])
     def test_caps_are_inclusive(self, argv, dest, cap):
         flag = "--" + dest.replace("_", "-")
@@ -280,6 +280,29 @@ class TestExitCodes:
             assert main(["beta-orbit", "--beta", "1/2", *start]) == 2
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
+
+    _GOLDEN = ["beta-orbit", "--beta-poly", "1,-1,-1", "--beta-lo", "1",
+               "--beta-hi", "2"]
+
+    @pytest.mark.parametrize("flags", [
+        # 1025 values at 65536 bits and 9800 at 6882: length x bits > 2^26
+        ["--x", "2/7", "--length", "1025", "--precision-bits", "65536"],
+        ["--x", "2/7", "--length", "9800"],
+        # a 2^20-bit floor ran the ball loop for half a minute
+        ["--x", "2/7", "--length", "100", "--precision-bits", "1048576"],
+    ])
+    def test_ball_work_over_the_caps_exits_4(self, capsys, flags):
+        assert main(self._GOLDEN + flags) == 4
+        assert "config error" in capsys.readouterr().err
+
+    def test_ball_caps_are_checked_before_sampling(self, cantor_file, capsys,
+                                                   monkeypatch):
+        # 7200 values of beta = 5/2 would need a 9595-bit start point
+        monkeypatch.setattr(exp, "sampled_point",
+                            lambda *a: pytest.fail("point was sampled"))
+        assert main(["beta-orbit", "--system", cantor_file, "--beta", "5/2",
+                     "--length", "7200"]) == 4
+        assert "over the caps" in capsys.readouterr().err
 
 
 # The exit-code property gives one flag (or none) a literal from
@@ -851,6 +874,17 @@ GOLDEN_CASES = {
                                    "--format", "json"], "cantor"),
     "digits-cantor-b2-one": (["digits", "--base", "2", "--count", "1",
                               "--seed", "5"], "cantor"),
+    # power-of-two denominators: the dyadic carry of the exact orbit
+    "power-orbit-dyadic-large-num": (["power-orbit", "--x", "1023/2",
+                                      "--length", "3000"], None),
+    "beta-orbit-exact-dyadic-json": (["beta-orbit", "--beta", "5/2",
+                                      "--x", "3/1024", "--length", "1500",
+                                      "--format", "json"], None),
+    "spacings-power-dyadic": (["spacings", "--source", "power",
+                               "--x", "513/2", "--length", "2000"], None),
+    "correlations-power-dyadic-k3": (["correlations", "--source", "power",
+                                      "--x", "33/2", "--k", "3",
+                                      "--length", "1500"], None),
 }
 # exit codes of the cases that do not end in 0
 GOLDEN_EXIT = {"validate-invalid": 2}
@@ -992,6 +1026,14 @@ GOLDEN_SHA256 = {
         "5fce3f518955c452a81ba5b1ac4b5d2a75282b2258c79f1d8ba769c890f8af68",
     "digits-cantor-b2-one":
         "fe06ce1d25f05e3ebfde0c43b2be95dc23ea2e5fdaa48aa29dfbc00d2cc845a2",
+    "power-orbit-dyadic-large-num":
+        "604786686da04cb79f47912e93aeee433a1526da2da021fc1bbbd5ee20238ddc",
+    "beta-orbit-exact-dyadic-json":
+        "1062b59b18daa4a18912ddae4a538f3c6e32a3378dc3c929a5a958bb469714b7",
+    "spacings-power-dyadic":
+        "ab2f552238ed52e46c17eef0e440fcac64446bdc7b519f420794de8d44ed4474",
+    "correlations-power-dyadic-k3":
+        "cdbc7549cc5073c063f6d5bdae07d1baae1452c5f8f39b429b1f5cea4cb2a7f3",
 }
 
 

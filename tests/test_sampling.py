@@ -26,6 +26,7 @@ from normality_lab.algebra import AlgebraicReal
 from normality_lab.balls import Ball
 from normality_lab.errors import (
     BasePointOutsideHull,
+    ConfigParseError,
     InsufficientDigits,
     InvalidInput,
     PrecisionExhausted,
@@ -39,6 +40,7 @@ from normality_lab.sampling import (
     _multiplier_enclosure,
     _point_radius_log2,
     _tail_digit_count,
+    ball_precision,
     sampled_point,
 )
 
@@ -418,12 +420,21 @@ _EXACT_STARTS = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 9))
 
 
+# power-of-two denominators, which take the dyadic carry: p / 2^e > 1 with
+# e = 0..5, and starts 0 or a / 2^b, a odd, b on both sides of 64
+_DYADIC_FACTORS = st.builds(lambda e, p: F(p, 2 ** e), st.integers(0, 5),
+                            st.integers(2, 2 ** 40)).filter(lambda f: f > 1)
+_DYADIC_STARTS = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda a, b: F(2 * a + 1, 2 ** b), st.integers(-2 ** 70, 2 ** 70),
+              st.sampled_from([0, 1, 63, 64, 65, 200])))
+
+
 class TestBetaOrbitAgainstPairOracle:
     """The exact beta orbit gives the floats of uncancelled (u, v) pairs."""
 
-    @given(beta=_EXACT_BETAS, x=_EXACT_STARTS, n=st.integers(1, 400))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_oracle(self, beta, x, n):
+    @staticmethod
+    def _check(x, beta, n):
         sam = beta_orbit(x, beta, n)
         assert ([v.hex() for v in sam.values]
                 == [v.hex() for v in pair_beta_orbit(x, beta, n)])
@@ -432,9 +443,22 @@ class TestBetaOrbitAgainstPairOracle:
         assert sam.metadata == {"beta": str(beta), "exact": True,
                                 "start_index": 1}
 
+    @given(beta=_EXACT_BETAS, x=_EXACT_STARTS, n=st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, beta, x, n):
+        self._check(x, beta, n)
+
+    @given(beta=_DYADIC_FACTORS, x=_DYADIC_STARTS, n=st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_dyadic(self, beta, x, n):
+        self._check(x, beta, n)
+
     @pytest.mark.parametrize("x, beta", [
         (F(7, 5), F(3)), (F(-2, 5), F(7, 3)), (F(1, 7), F(1025, 1024)),
-        (F(0), F(5, 2)), (F(9, 2), F(5, 2)), (F(-7), F(2))])
+        (F(0), F(5, 2)), (F(9, 2), F(5, 2)), (F(-7), F(2)),
+        # dyadic: one integer z carries the fractional numerator
+        (F(3, 1024), F(5, 2)), (F(-7, 2 ** 65), F(2 ** 40 - 1, 32)),
+        (F(1, 2 ** 200), F(7)), (F(-3, 2), F(3, 2)), (F(5, 2 ** 63), F(3))])
     def test_matches_oracle_on_cases(self, x, beta):
         got = [v.hex() for v in beta_orbit(x, beta, 500).values]
         assert got == [v.hex() for v in pair_beta_orbit(x, beta, 500)]
@@ -591,11 +615,40 @@ class TestPowerOrbitAgainstModularPowering:
         assume(math.gcd(num, den) == 1)
         self._check(F(num, den), n)
 
+    @given(x=_DYADIC_FACTORS, n=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_dyadic(self, x, n):
+        self._check(x, n)
+
     @pytest.mark.parametrize("x", [F(101, 100), F(1023, 2), F(2 ** 20 + 1,
                                                               2 ** 20),
-                                   F(7, 3), F(5)])
+                                   F(7, 3), F(5), F(3, 2), F(1025, 1024),
+                                   F(2 ** 40 - 1, 32), F(2 ** 40 + 1)])
     def test_matches_oracle_on_cases(self, x):
         self._check(x, 700)
+
+
+class TestBallCaps:
+    def test_caps_are_inclusive(self):
+        # 1024 x 2^16 = 2^26 values x bits
+        assert ball_precision(1024, F(3, 2), 2 ** 16) == 2 ** 16
+        for n, min_prec in ((1025, 2 ** 16), (1, 2 ** 16 + 1)):
+            with pytest.raises(ConfigParseError, match="over the caps"):
+                ball_precision(n, F(3, 2), min_prec)
+
+    def test_restarts_stop_at_the_caps(self):
+        # T^2(1) = 1 straddles at every precision; from 2^15 bits one
+        # doubling reaches MAX_PRECISION_BITS, and that attempt is the last
+        values, meta = _ball_orbit(_GOLDEN, F(1), 5, True, 2 ** 15,
+                                   _multiplier_enclosure(_GOLDEN)[1])
+        assert meta == {"precision_bits": 2 ** 16, "restarts": 1,
+                        "start_index": 1, "straddled_at": 2}
+        assert len(values) == 1
+
+    def test_exact_orbits_are_not_capped(self):
+        # 12000 values of 3/2 would need 7,000-bit balls, over the work cap
+        sam = power_orbit(F(3, 2), 12000, min_prec=2 ** 16)
+        assert len(sam) == 12000 and sam.metadata["exact"]
 
 
 class TestBalls:
