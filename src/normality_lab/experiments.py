@@ -209,10 +209,11 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
     if x is not None:
         point = as_fraction(x)
     elif system is not None:
-        # the caps of the ball loop are checked before the point is sampled
-        ball_precision(length, _multiplier_enclosure(beta)[1], precision_bits)
-        hi = beta.hi if isinstance(beta, AlgebraicReal) else beta
-        bits = math.ceil(length * _log2(hi)) + 80
+        # the caps of the ball loop are checked before the point is sampled,
+        # and the point is sized from the same certified bound on beta
+        beta_hi = _multiplier_enclosure(beta)[1]
+        ball_precision(length, beta_hi, precision_bits)
+        bits = math.ceil(length * _log2(beta_hi)) + 80
         point = sampled_point(system, WordStream(system, seed),
                               Fraction(1, 2) ** bits)
     else:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraicReal, poly_eval
-from .balls import Ball, floor_int, mul_ints
+from .balls import floor_int, interval_ints, mul_ints
 from .errors import (
     BallStraddlesCut,
     BasePointOutsideHull,
@@ -51,6 +51,8 @@ GENERATOR_ID = "philox"
 _TAIL_BITS = 60
 _FLOAT_SLACK = 2.0 ** -52
 _VALUE_TARGET = 2.0 ** -50
+# the largest float below 1: a value that rounds up to 1.0 is clamped to it
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class WordStream:
@@ -357,7 +359,7 @@ def orbit_sequence(digit_stream: DigitStream, n_points: int,
     for j in range(k_tail):
         windows *= base
         windows += tail[j:j + n_points]
-    values = np.minimum(windows / float(b_tail), math.nextafter(1.0, 0.0))
+    values = np.minimum(windows / float(b_tail), _BELOW_ONE)
     values = values.astype(np.float64, copy=False)
     acc = base ** -float(k_tail) + _FLOAT_SLACK
     return SequenceSample(values, acc,
@@ -520,15 +522,16 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     from ball enclosures; `factor_hi` bounds the multiplier from above.
 
     With `reduce` the next step multiplies y_n mod 1 (the beta map), else
-    the unreduced y_n (powers).  Both enclosures become balls at the working
-    precision of :func:`ball_precision`, linear in N; a ball straddling an
+    the unreduced y_n (powers).  Both enclosures become (mid, rad) balls by
+    :func:`interval_ints` at the working precision of
+    :func:`ball_precision`, linear in N; a ball straddling an
     integer cut, or a value radius above 2^-50, restarts at doubled
     precision, at most _MAX_RESTARTS times and only within the caps.  A
     straddle that survives the last attempt (the orbit meeting a cut closer
     than the input's own radius) truncates the values and sets
     `straddled_at` in the returned metadata.  Each step is bare (mid, rad)
-    integers through the kernels :func:`mul_ints` and :func:`floor_int`,
-    with no `Ball` per step.
+    integers through the kernels :func:`mul_ints` and :func:`floor_int`, and
+    a value is the fractional midpoint over 2^prec, one int / int division.
     """
     prec = ball_precision(n_points, factor_hi, min_prec)
     needed_log2 = -(n_points * _log2(factor_hi) + 54)
@@ -540,10 +543,8 @@ def _ball_orbit(factor, start, n_points: int, reduce: bool,
     for attempt in range(_MAX_RESTARTS + 1):
         last = (attempt == _MAX_RESTARTS
                 or not _within_caps(n_points, 2 * prec))
-        step = Ball.from_interval(*_enclosure(factor, prec), prec)
-        cur = Ball.from_interval(*_enclosure(start, prec), prec)
-        step_mid, step_rad = step.mid, step.rad
-        mid, rad = cur.mid, cur.rad
+        step_mid, step_rad = interval_ints(*_enclosure(factor, prec), prec)
+        mid, rad = interval_ints(*_enclosure(start, prec), prec)
         scale = 1 << prec
         values = []
         straddle_at = None
@@ -583,17 +584,23 @@ def _multiply_orbit(factor, start, n_points: int, reduce: bool,
                     min_prec: Optional[int]) -> tuple:
     """(values, accuracy, metadata) of y_n mod 1 for n = 1..N, where
     y_n = factor * y_{n-1}, y_0 = start and the factor is certified > 1: the
-    exact carry when factor and start are Fractions, else the ball loop."""
+    exact carry when factor and start are Fractions, else the ball loop.
+
+    A value within 2^-54 of 1 can round up to 1.0 on either path; it is
+    clamped to the float below 1, a move of at most 2^-53 that each path's
+    accuracy covers."""
     if n_points < 1:
         raise InvalidInput("need n_points >= 1")
     factor_hi = _multiplier_enclosure(factor)[1]
     if isinstance(factor, Fraction) and isinstance(start, Fraction):
         values = _exact_orbit(factor, start, n_points, reduce)
-        return values, 2.0 ** -64 + _FLOAT_SLACK, {"exact": True,
-                                                   "start_index": 1}
-    values, meta = _ball_orbit(factor, start, n_points, reduce, min_prec,
-                               factor_hi)
-    return values, _VALUE_TARGET, meta
+        acc, meta = 2.0 ** -64 + _FLOAT_SLACK, {"exact": True,
+                                                "start_index": 1}
+    else:
+        values, meta = _ball_orbit(factor, start, n_points, reduce,
+                                   min_prec, factor_hi)
+        acc = _VALUE_TARGET
+    return np.minimum(values, _BELOW_ONE), acc, meta
 
 
 def beta_orbit(x, beta: BetaLike, n_points: int,

@@ -6,7 +6,8 @@ correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
 log-commensurability, Fraction bisection for real roots, modular powering
 for exact x^n mod 1, uncancelled integer pairs for exact beta orbits and
-one `Ball` object per step for the ball orbit loop.
+balls held as pairs of Fractions, with every rounding decided on them, for
+the ball orbit loop.
 Keeping them separate from the package is the point.
 """
 
@@ -347,82 +348,137 @@ def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
 
 # ---------------------------------------------------------- exact orbits
 
+def _float_below_one(m: int, den: int) -> float:
+    """floor(2^64 m / den) / 2^64 for 0 <= m < den, as a float; one that
+    rounds up to 1.0 is read as the float below 1, as orbit values lie in
+    [0, 1)."""
+    return min(((m << 64) // den) / float(1 << 64), math.nextafter(1.0, 0.0))
+
+
 def modpow_power_orbit(x, n_points: int) -> list:
     """Floats of x^n mod 1 for n = 1..N, rational x: the fractional part of
-    x^n is pow(num, n, den^n) / den^n, read as floor(2^64 m / den^n) / 2^64."""
+    x^n is pow(num, n, den^n) / den^n, read by `_float_below_one`."""
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     out = []
     for n in range(1, n_points + 1):
         den_pow = den ** n
         m = pow(num, n, den_pow)
-        out.append(((m << 64) // den_pow) / float(1 << 64))
+        out.append(_float_below_one(m, den_pow))
     return out
 
 
 def pair_beta_orbit(x, beta, n_points: int) -> list:
     """Floats of T^n(x) for n = 1..N of the beta map with rational beta and
     x: the pair (u, v) starts at x = u / v, each step multiplies u by num(beta)
-    and v by den(beta) and reduces u mod v, and the value is read as
-    floor(2^64 u / v) / 2^64."""
+    and v by den(beta) and reduces u mod v, and the value is read by
+    `_float_below_one`."""
     x, beta = Fraction(x), Fraction(beta)
     p, q = beta.numerator, beta.denominator
     u, v = x.numerator, x.denominator
-    shift = 1 << 64
     out = []
     for _ in range(n_points):
         u, v = p * u, q * v
         u -= (u // v) * v
-        out.append(((u * shift) // v) / float(shift))
+        out.append(_float_below_one(u, v))
     return out
 
 
-def ball_object_orbit(factor, start, n_points: int, reduce: bool,
-                      min_prec, factor_hi) -> tuple:
-    """(values, metadata) of the ball loop with one `Ball` object per step:
-    `Ball.mul`, `Ball.floor_split` and `Ball.to_float` in place of the bare
-    integer kernels, and otherwise the library's precision formula, straddle
-    test, 2^-50 radius check and restarts."""
-    from normality_lab.balls import Ball
-    from normality_lab.errors import BallStraddlesCut, PrecisionExhausted
-    from normality_lab.sampling import (_FLOAT_SLACK, _MAX_RESTARTS,
-                                        _VALUE_TARGET, _enclosure, _log2,
-                                        _point_radius_log2)
+def _rational_log2(x) -> float:
+    """log2(float(x)), from the integers' logs where float(x) overflows."""
+    x = Fraction(x)
+    try:
+        return math.log2(float(x))
+    except OverflowError:
+        return math.log2(x.numerator) - math.log2(x.denominator)
 
-    log2_factor = _log2(factor_hi)
+
+def _rational_ball(lo, hi, scale: int) -> tuple:
+    """(center, radius) of [lo, hi] on the grid 1 / scale, as Fractions: the
+    center (lo + hi) / 2 rounded to nearest (ties up), the radius the
+    half-width rounded up, plus one grid step when the center moved."""
+    center = (lo + hi) / 2 * scale
+    mid = math.floor(center + Fraction(1, 2))
+    rad = math.ceil((hi - lo) / 2 * scale) + (mid != center)
+    return Fraction(mid, scale), Fraction(rad, scale)
+
+
+def rational_ball_orbit(factor, start, n_points: int, reduce: bool,
+                        min_prec, factor_hi) -> tuple:
+    """(values, metadata) of the ball loop y_n = factor * y_{n-1} with every
+    ball a pair of Fractions on the grid 2^-prec.
+
+    An algebraic factor (an object with `coeffs`, `lo` and `hi`) is enclosed
+    by `fraction_bisection` to width 2^-(prec+2); a point (`lo`, `hi`), a
+    (lo, hi) pair or a rational is its own enclosure.  The product's center
+    is rounded to nearest on the grid and its radius, the exact cross terms,
+    rounded up, plus one grid step when the center moved.  The floor of
+    center - radius is the value's integer part, and the ball straddles a
+    cut when center + radius reaches the next integer.  The working
+    precision ceil(N log2 factor_hi) + 64 + bitlen(N + 1) (at least
+    `min_prec`, at most 2^16 bits and 2^26 values x bits), the input-radius
+    check, the 2^-50 value-radius test and the restart policy (at most four
+    doublings within the same caps; a straddle on the last attempt truncates
+    the values) are restated here."""
+    from normality_lab.errors import ConfigParseError, PrecisionExhausted
+
+    max_bits, max_work, max_restarts = 1 << 16, 1 << 26, 4
+
+    def within_caps(prec):
+        return prec <= max_bits and n_points * prec <= max_work
+
+    def enclosure(x, prec):
+        if hasattr(x, "coeffs"):
+            return fraction_bisection(x.coeffs, x.lo, x.hi,
+                                      Fraction(1, 1 << (prec + 2)))
+        if hasattr(x, "lo"):
+            return x.lo, x.hi
+        if isinstance(x, (tuple, list)):
+            return Fraction(x[0]), Fraction(x[1])
+        return Fraction(x), Fraction(x)
+
+    log2_factor = _rational_log2(factor_hi)
     prec = math.ceil(n_points * log2_factor) + 64 + (n_points + 1).bit_length()
     prec = max(prec, min_prec or 0)
-    needed_log2 = -(n_points * log2_factor + 54)
-    if _point_radius_log2(start) > needed_log2:
+    if not within_caps(prec):
+        raise ConfigParseError("ball iteration over the caps")
+    radius = getattr(start, "radius", 0)
+    if radius > 0 and (math.log2(radius.numerator)
+                       - math.log2(radius.denominator)
+                       > -(n_points * log2_factor + 54)):
         raise PrecisionExhausted("input radius too coarse")
 
-    for attempt in range(_MAX_RESTARTS + 1):
-        step = Ball.from_interval(*_enclosure(factor, prec), prec)
-        cur = Ball.from_interval(*_enclosure(start, prec), prec)
+    for attempt in range(max_restarts + 1):
+        last = attempt == max_restarts or not within_caps(2 * prec)
+        scale = 1 << prec
+        step_c, step_r = _rational_ball(*enclosure(factor, prec), scale)
+        c, r = _rational_ball(*enclosure(start, prec), scale)
         values = []
         straddle_at = None
         retry = False
         for n in range(1, n_points + 1):
-            cur = step.mul(cur)
-            try:
-                _, frac = cur.floor_split()
-            except BallStraddlesCut:
-                if attempt < _MAX_RESTARTS:
-                    retry = True
-                else:
+            prod = step_c * c
+            cross = abs(step_c) * r + abs(c) * step_r + step_r * r
+            c = Fraction(math.floor(prod * scale + Fraction(1, 2)), scale)
+            r = Fraction(math.ceil(cross * scale) + (c != prod), scale)
+            k = math.floor(c - r)
+            if c + r >= k + 1:
+                if last:
                     straddle_at = n
+                else:
+                    retry = True
                 break
-            if frac.rad / (1 << frac.prec) + _FLOAT_SLACK > _VALUE_TARGET:
+            if float(r) + 2.0 ** -52 > 2.0 ** -50:
                 retry = True
                 break
-            values.append(frac.to_float())
+            values.append(float(c - k))
             if reduce:
-                cur = frac
+                c -= k
         if not retry:
             break
+        if last:
+            raise PrecisionExhausted("ball iteration failed to stabilize")
         prec *= 2
-    else:
-        raise PrecisionExhausted("ball iteration failed to stabilize")
     meta = {"precision_bits": prec, "restarts": attempt, "start_index": 1}
     if straddle_at is not None:
         meta["straddled_at"] = straddle_at

@@ -304,6 +304,21 @@ class TestExitCodes:
                      "--length", "7200"]) == 4
         assert "over the caps" in capsys.readouterr().err
 
+    def test_sampled_start_is_sized_from_the_certified_beta(
+            self, cantor_file, tmp_path, monkeypatch):
+        # the golden ratio's certified enclosure, not the bracket end,
+        # bounds beta: a wider bracket samples the same point
+        targets = []
+        sample = exp.sampled_point
+        monkeypatch.setattr(exp, "sampled_point", lambda *a: (
+            targets.append(a[2]) or sample(*a)))
+        for hi in ("2", "65536"):
+            assert main(["beta-orbit", "--system", cantor_file,
+                         "--beta-poly", "1,-1,-1", "--beta-lo", "1",
+                         "--beta-hi", hi, "--length", "300",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert targets[0] == targets[1]
+
 
 # The exit-code property gives one flag (or none) a literal from
 # _ODD_LITERALS, each bad input for some flag, and every other flag a
@@ -801,6 +816,11 @@ GOLDEN_CASES = {
                                          "--x", "2/7", "--length", "100",
                                          "--precision-bits", "65536",
                                          "--format", "json"], None),
+    # a wide bracket for the golden ratio, sampled start: recorded before
+    # the start point was sized from the certified enclosure of beta
+    "beta-orbit-golden-sampled-wide-bracket": (
+        ["beta-orbit", "--beta-poly", "1,-1,-1", "--beta-lo", "1",
+         "--beta-hi", "65536", "--length", "900", "--seed", "3"], "cantor"),
     "beta-orbit-exact": (["beta-orbit", "--beta", "5/2", "--x", "1/3",
                           "--length", "300"], None),
     # ball iteration from a sampled point of the attractor
@@ -920,6 +940,8 @@ GOLDEN_SHA256 = {
         "7a6f41ae116a332bb87577e7b6f5e2ba406ddc10d14dc1fcca603f4b2b180c79",
     "beta-orbit-exact-negative-x":
         "2dd4227caccaf251e01ff70a78a903113e23b937b84b66e7e5141f843ee8042f",
+    "beta-orbit-golden-sampled-wide-bracket":
+        "3fc521e51cbed4bf4d80dcae3c80874e4a4b846c818f7b9974c35f3fdd6d11c0",
     "beta-orbit-golden-poly":
         "94d97e81cd884bd12a6a8bdd4020657aac1ee28f7ae267950feb9e9fd5ecd127",
     "beta-orbit-golden-poly-json":

@@ -23,8 +23,9 @@ from normality_lab import (
     uniform_sample,
 )
 from normality_lab.algebra import AlgebraicReal
-from normality_lab.balls import Ball
+from normality_lab.balls import floor_int, interval_ints, mul_ints
 from normality_lab.errors import (
+    BallStraddlesCut,
     BasePointOutsideHull,
     ConfigParseError,
     InsufficientDigits,
@@ -44,8 +45,8 @@ from normality_lab.sampling import (
     sampled_point,
 )
 
-from oracles import (ball_object_orbit, hull_image_cell_digits,
-                     modpow_power_orbit, pair_beta_orbit)
+from oracles import (hull_image_cell_digits, modpow_power_orbit,
+                     pair_beta_orbit, rational_ball_orbit)
 
 F = Fraction
 
@@ -396,6 +397,15 @@ class TestBetaOrbit:
         assert len(ball_path) == 5
         assert np.max(np.abs(ball_path.values - exact_path.values)) <= 2.0 ** -49
 
+    @pytest.mark.parametrize("x, beta", [
+        (F(2 ** 64 - 1, 2 ** 64), F(2)),                      # dyadic carry
+        (F(6148914691236517205, 6148914691236517206), F(3)),  # (k, m, D)
+        ((F(2 ** 65 - 1, 2 ** 66),) * 2, F(2)),               # ball loop
+    ])
+    def test_values_within_2_54_of_one_stay_below_one(self, x, beta):
+        assert beta_orbit(x, beta, 2).values.tolist() == [
+            math.nextafter(1.0, 0.0)] * 2
+
     @pytest.mark.parametrize("beta", [
         AlgebraicReal((1, -1), F(1, 2), F(3)),   # 1 inside the enclosure
         AlgebraicReal((1, -1), F(0), F(2)),      # 1 on the first midpoint
@@ -496,13 +506,13 @@ def _ball_orbit_or_error(orbit, factor, start, n, reduce, min_prec):
 
 class TestBallOrbitAgainstObjectOracle:
     """The bare-integer ball loop gives the floats and metadata of the loop
-    with one `Ball` object per step."""
+    with every ball a pair of Fractions and every rounding decided on them."""
 
     @staticmethod
     def _check(factor, start, n, reduce, min_prec=None):
         got = _ball_orbit_or_error(_ball_orbit, factor, start, n, reduce,
                                    min_prec)
-        want = _ball_orbit_or_error(ball_object_orbit, factor, start, n,
+        want = _ball_orbit_or_error(rational_ball_orbit, factor, start, n,
                                     reduce, min_prec)
         assert got == want
         return got
@@ -652,19 +662,21 @@ class TestBallCaps:
 
 
 class TestBalls:
+    """The integer kernels against exact Fraction definitions, and the
+    loop's read-off mid / 2^prec."""
+
     @given(mid=st.integers(-(2 ** 2200), 2 ** 2200), prec=st.integers(0, 2000))
     @settings(max_examples=300, deadline=None)
     def test_to_float_matches_fraction(self, mid, prec):
         mid >>= max(0, mid.bit_length() - prec - 1000)  # keep it below 2^1000
-        got = Ball(mid, 0, prec).to_float()
+        got = mid / (1 << prec)
         assert got.hex() == float(F(mid, 1 << prec)).hex()
 
     @pytest.mark.parametrize("mid, prec", [
         (-1, 1100), (1, 1074), (1, 1075), (3, 1076), (-(2 ** 60 + 1), 1130),
         ((1 << 1200) - 1, 1200), (-((1 << 53) + 1), 53), (0, 1500)])
     def test_to_float_edges(self, mid, prec):
-        assert Ball(mid, 0, prec).to_float().hex() == float(
-            F(mid, 1 << prec)).hex()
+        assert (mid / (1 << prec)).hex() == float(F(mid, 1 << prec)).hex()
 
     @given(a=st.integers(-(2 ** 3000), 2 ** 3000),
            b=st.integers(-(2 ** 3000), 2 ** 3000),
@@ -672,27 +684,53 @@ class TestBalls:
            prec=st.integers(1, 3000))
     @settings(max_examples=200, deadline=None)
     def test_mul_rounds_mid_to_nearest(self, a, b, ra, rb, prec):
-        z = Ball(a, ra, prec).mul(Ball(b, rb, prec))
+        mid, rad = mul_ints(a, ra, b, rb, prec)
         exact = F(a * b, 1 << prec)
-        assert z.mid == math.floor(exact + F(1, 2))
-        assert z.rad == math.ceil(F(abs(a) * rb + abs(b) * ra + ra * rb,
-                                    1 << prec)) + (exact.denominator != 1)
+        assert mid == math.floor(exact + F(1, 2))
+        assert rad == math.ceil(F(abs(a) * rb + abs(b) * ra + ra * rb,
+                                  1 << prec)) + (exact.denominator != 1)
+
+    @given(lo=st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                           max_denominator=10 ** 40),
+           width=st.one_of(st.just(F(0)),
+                           st.fractions(min_value=0, max_value=10,
+                                        max_denominator=10 ** 40)),
+           prec=st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_interval_matches_definition(self, lo, width, prec):
+        hi = lo + width
+        mid, rad = interval_ints(lo, hi, prec)
+        center = (lo + hi) / 2 * 2 ** prec
+        assert mid == math.floor(center + F(1, 2))
+        assert rad == math.ceil((hi - lo) / 2 * 2 ** prec) + (
+            center.denominator != 1)
+        assert F(mid - rad, 2 ** prec) <= lo and hi <= F(mid + rad, 2 ** prec)
 
     def test_exact_roundtrip(self):
-        b = Ball.from_fraction(F(3, 8), 20)
-        assert b.rad == 0 and b.value() == F(3, 8)
+        assert interval_ints(F(3, 8), F(3, 8), 20) == (3 << 17, 0)
+        assert interval_ints(F(-5, 4), F(3, 4), 2) == (-1, 4)
 
     def test_rounding_is_enclosed(self):
-        b = Ball.from_fraction(F(1, 3), 30)
-        assert abs(b.value() - F(1, 3)) <= b.radius()
+        mid, rad = interval_ints(F(1, 3), F(1, 3), 30)
+        assert rad == 1 and abs(F(mid, 2 ** 30) - F(1, 3)) <= F(rad, 2 ** 30)
+
+    def test_interval_out_of_order_raises(self):
+        with pytest.raises(InvalidInput, match="out of order"):
+            interval_ints(F(1, 3), F(1, 4), 10)
 
     def test_mul_soundness(self):
-        x = Ball.from_fraction(F(1, 3), 40)
-        y = Ball.from_fraction(F(7, 5), 40)
-        z = x.mul(y)
-        assert abs(z.value() - F(7, 15)) <= z.radius()
+        x = interval_ints(F(1, 3), F(1, 3), 40)
+        y = interval_ints(F(7, 5), F(7, 5), 40)
+        mid, rad = mul_ints(*x, *y, 40)
+        assert abs(F(mid, 2 ** 40) - F(7, 15)) <= F(rad, 2 ** 40)
 
     def test_floor_split_exact_integer(self):
-        b = Ball.from_fraction(F(3), 16)
-        k, frac = b.floor_split()
-        assert k == 3 and frac.mid == 0 and frac.rad == 0
+        mid, rad = interval_ints(F(3), F(3), 16)
+        k = floor_int(mid, rad, 16)
+        assert k == 3 and mid - (k << 16) == 0 and rad == 0
+
+    def test_floor_straddle_raises(self):
+        # [3 - 2^-16, 3 + 2^-16] holds the cut 3
+        with pytest.raises(BallStraddlesCut):
+            floor_int(3 << 16, 1, 16)
+        assert floor_int((3 << 16) + 1, 1, 16) == 3
