@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .ifs import load_system
-from .sampling import MAX_PRECISION_BITS
+from .sampling import MAX_DIGITS, MAX_PRECISION_BITS
 from .stats import TestFunction
 
 EXIT_OK = 0
@@ -60,11 +60,15 @@ def _checked(convert, ok, requirement: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
-# resource caps: --q-max sizes arrays of that many frequencies, and ball
+# resource caps: --q-max sizes arrays of that many frequencies, ball
 # iteration works on integers of at least --precision-bits bits (its other
-# cap, length x working precision, is checked once beta is known)
+# cap, length x working precision, is checked once beta is known), and a
+# --length that may not go through digits() (whose bit cap bounds the
+# orbit source) sizes a sequence of that many values
 _MAX_Q = 10 ** 5
 _q_max = _checked(int, lambda v: v <= _MAX_Q, f"<= {_MAX_Q}")
+_capped_length = _checked(int, lambda v: 0 <= v <= MAX_DIGITS,
+                          f"between 0 and {MAX_DIGITS}")
 _precision_bits = _checked(int, lambda v: 1 <= v <= MAX_PRECISION_BITS,
                            f"between 1 and {MAX_PRECISION_BITS}")
 # NaN fails every comparison, so it would switch off the truncation tests
@@ -142,7 +146,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-lo", default=None, help="enclosure low endpoint")
     p.add_argument("--beta-hi", default=None, help="enclosure high endpoint")
     p.add_argument("--x", default=None, help="exact rational start point")
-    p.add_argument("--length", type=_nonnegative_int, default=100)
+    p.add_argument("--length", type=_capped_length, default=100)
     p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_beta_orbit(
@@ -152,7 +156,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("power-orbit", help="x^n mod 1 sequence")
     _add_common(p, system_required=False)
     p.add_argument("--x", required=True, help="rational x > 1, e.g. 3/2")
-    p.add_argument("--length", type=_nonnegative_int, default=1000)
+    p.add_argument("--length", type=_capped_length, default=1000)
     p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
     p.set_defaults(run=lambda a, system: exp.run_power_orbit(
@@ -177,7 +181,7 @@ def build_parser() -> _Parser:
                    default="orbit")
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--length", type=_nonnegative_int, default=10000)
+    p.add_argument("--length", type=_capped_length, default=10000)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--box", default=None, help="box half-width (rational)")
     p.add_argument("--triangle", default=None,
@@ -193,7 +197,7 @@ def build_parser() -> _Parser:
                    default="orbit")
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--length", type=_nonnegative_int, default=10000)
+    p.add_argument("--length", type=_capped_length, default=10000)
     p.add_argument("--s-grid", default="0:5:0.1")
     p.add_argument("--samples", type=_positive_int, default=1)
     p.set_defaults(run=lambda a, system: exp.run_spacings(

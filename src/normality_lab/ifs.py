@@ -2,7 +2,9 @@
 
 All parameters are rationals (`fractions.Fraction`), so every statement made
 here — hull invariance, word composition, conjugation — is checked with exact
-arithmetic, never floating point.
+arithmetic, never floating point.  A word composes as one uncancelled integer
+triple: leaves of symbols short enough for int64 fold at once as numpy
+vectors, and a balanced product tree joins the leaves.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ConfigParseError,
@@ -219,10 +223,6 @@ def compose(system: SelfSimilarSystem, word: Sequence) -> AffineMap:
     return AffineMap(Fraction(A, C), Fraction(B, C))
 
 
-#: Symbols folded one at a time before the product tree takes over.
-_LEAF_SYMBOLS = 32
-
-
 def join_triples(left: tuple, right: tuple) -> tuple:
     """Triple of left o right, each (A, B, C) meaning x -> (A x + B) / C."""
     A1, B1, C1 = left
@@ -230,26 +230,52 @@ def join_triples(left: tuple, right: tuple) -> tuple:
     return A1 * A2, A1 * B2 + B1 * C2, C1 * C2
 
 
+def _leaf_length(triples: Sequence) -> tuple:
+    """(L, dtype) of the leaves of :func:`compose_triples`: L the largest
+    length with K^L < 2^63, K = max over maps of max(|a|, |b| + c), and
+    int64; (1, object) when K itself is past int64."""
+    K = max(max(abs(a), abs(b) + c) for a, b, c in triples)
+    L, power = 0, K
+    while power < (1 << 63):
+        L, power = L + 1, power * K
+    return (L, np.int64) if L else (1, object)
+
+
 def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     """Uncancelled integer triple (A, B, C) of f_{w_1} o ... o f_{w_m}.
 
-    `triples[s - 1]` is the triple of map s (see :func:`_integer_triples`).
-    Symbols are folded in order within leaves of `_LEAF_SYMBOLS`; the leaf
-    triples are then joined pairwise in a balanced tree (binary splitting),
-    so the big products pair operands of similar size and the cost is a few
+    `triples[s - 1]` is the triple of map s (see :func:`_integer_triples`);
+    `word` is a sequence or an integer array of symbols.  The word is cut
+    into leaves of L symbols (:func:`_leaf_length`) and all leaves fold at
+    once as numpy vectors: a leaf's A and C are the products of its a's and
+    c's, and B = sum_j a_1 ... a_{j-1} b_j c_{j+1} ... c_L, from two
+    cumulative products.  Folding a symbol multiplies max(|A|, |B|, C) by
+    at most K, and the terms of B in absolute value sum to at most that
+    bound, so no product or partial sum leaves int64.  The leaf triples are
+    then joined pairwise in a balanced tree (binary splitting), so the big
+    products pair operands of similar size and the cost is a few
     multiplications of the final size rather than one per symbol, which is
     quadratic in the word length.  Integer products are exact and
     associative, so the triple equals the one-symbol-at-a-time fold's.
     """
-    level = []
-    for i in range(0, len(word), _LEAF_SYMBOLS):
-        A, B, C = 1, 0, 1
-        for s in word[i:i + _LEAF_SYMBOLS]:
-            a, b, c = triples[s - 1]
-            A, B, C = A * a, A * b + B * c, C * c
-        level.append((A, B, C))
-    if not level:
+    m = len(word)
+    if not m:
         return 1, 0, 1
+    L, dtype = _leaf_length(triples)
+    n = -(-m // L)
+    # symbol 0, the identity triple, pads the last leaf
+    symbols = np.zeros(n * L, dtype=np.intp)
+    symbols[:m] = word
+    symbols = symbols.reshape(n, L)
+    table = np.array([(1, 0, 1), *triples], dtype=dtype)
+    a, b, c = (table[:, i][symbols] for i in range(3))
+    # prefix products a_1 ... a_j and suffix products c_j ... c_L
+    a = np.cumprod(a, axis=1)
+    c = np.cumprod(c[:, ::-1], axis=1)[:, ::-1]
+    b[:, 1:] *= a[:, :-1]
+    b[:, :-1] *= c[:, 1:]
+    level = list(zip(a[:, -1].tolist(), b.sum(axis=1).tolist(),
+                     c[:, 0].tolist()))
     while len(level) > 1:
         paired = [join_triples(level[j], level[j + 1])
                   for j in range(0, len(level) - 1, 2)]

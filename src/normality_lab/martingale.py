@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import ConfigParseError, InvalidInput
 from .fourier import (
     _TWO_PI,
     DEFAULT_NODE_BUDGET,
@@ -100,6 +100,12 @@ def stopping_time(system: SelfSimilarSystem, stream, n: int, p: int) -> Stopping
     return stopping_records(system, stream, n, p)[n]
 
 
+# The records of a walk to n_max keep, for every n, seven integers of about
+# n log2(p) bits, some 3.5 n_max^2 log2(p) bits in all: n_max^2 log2(p) is
+# capped so that they stay below about half a gigabyte
+MAX_STOPPING_SIZE = 1 << 30
+
+
 def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
                      p: int) -> list:
     """Stopping records for every n = 0..n_max in one pass over the word.
@@ -111,12 +117,19 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     P <- p P and X <- p X mod C, so each step divides by C with a small
     quotient.  The comparison |slope| < p^-n is |P| < C on integers, never
     floats, and each record keeps the integers as they stand: no gcd in
-    the walk.
+    the walk.  ConfigParseError (exit 4), before the walk, when n_max^2
+    log2(p) is over MAX_STOPPING_SIZE.
     """
     if not isinstance(p, int) or p < 2:
         raise InvalidInput("p must be an integer >= 2")
     if n_max < 0:
         raise InvalidInput("n_max must be >= 0")
+    size = n_max * n_max * math.log2(p)
+    if size > MAX_STOPPING_SIZE:
+        raise ConfigParseError(
+            f"stopping records to n = {n_max} in base {p} hold about "
+            f"{3.5 * size:.3g} bits, over the cap of n^2 log2(p) <= "
+            f"{MAX_STOPPING_SIZE}")
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     triples = _integer_triples(system)

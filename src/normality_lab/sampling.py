@@ -2,12 +2,17 @@
 
 Points are produced as exact rational enclosures of x_w = lim f_{w|m}(x0) for
 lazily sampled words w.  The word prefix is composed into one integer triple
-by a balanced product tree over 32-symbol leaves (:func:`ifs.compose_triples`),
-so a certified digit stream costs a few big-integer products of its final
-size instead of one product per symbol; a deeper word only composes the new
-segment and joins it on the right.  The digit cell of the enclosure is an
-integer floor at each hull end (no gcd); its digits come out of that integer
-in machine-word chunks split by one numpy broadcast.  Integer-base orbits are
+(:func:`ifs.compose_triples`): its leaves fold at once as int64 vectors and
+a balanced product tree joins them, so a certified digit stream costs a few
+big-integer products of its final size instead of one product per symbol; a
+word stream hands the fold each new segment as an integer array, and a
+deeper word only composes that segment and joins it on the right.  One
+integer floor per depth decides the digit cell of the enclosure (no gcd),
+with the powers of two of base**count and of the denominator moved into a
+shift, and big floors go through one recursive division
+(:func:`int_divmod`), so no big division is quadratic.  The digits of a
+power-of-two base are read from the bytes of that integer; other bases split
+it into machine-word chunks by the same division.  Integer-base orbits are
 read off the digit stream as shifted tail windows, one vector step per tail
 digit, rather than by repeated big-rational multiplication.  Orbits of the
 beta-transformation and powers x^n are one recurrence y_n = factor y_{n-1}
@@ -72,26 +77,41 @@ class WordStream:
         cum = np.cumsum([float(w) for w in system.weights])
         cum[-1] = 1.0
         self._cum = cum
-        self._symbols: list = []
+        # symbols 0 .. _n - 1 of the word, in a buffer that doubles as it grows
+        self._buf = np.empty(0, dtype=np.intp)
+        self._n = 0
 
     def describe(self) -> str:
         key = f", task={self.spawn_key}" if self.spawn_key else ""
         return f"{GENERATOR_ID}(seed={self.seed}{key})"
 
     def _extend_to(self, m: int) -> None:
-        while len(self._symbols) < m:
-            k = max(256, m - len(self._symbols))
-            u = self._rng.random(k)
-            syms = np.searchsorted(self._cum, u, side="right") + 1
-            self._symbols.extend(syms.tolist())
+        n = self._n
+        if m <= n:
+            return
+        k = max(256, m - n)
+        syms = np.searchsorted(self._cum, self._rng.random(k), side="right")
+        if n + k > len(self._buf):
+            buf = np.empty(max(2 * len(self._buf), n + k), dtype=np.intp)
+            buf[:n] = self._buf[:n]
+            self._buf = buf
+        self._buf[n:n + k] = syms + 1
+        self._n = n + k
 
     def symbol(self, i: int) -> int:
         self._extend_to(i + 1)
-        return self._symbols[i]
+        return self._buf.item(i)
 
     def prefix(self, m: int) -> tuple:
         self._extend_to(m)
-        return tuple(self._symbols[:m])
+        return tuple(self._buf[:m].tolist())
+
+    def segment(self, start: int, stop: int) -> np.ndarray:
+        """Symbols start .. stop - 1 as a read-only integer array."""
+        self._extend_to(stop)
+        view = self._buf[start:stop]
+        view.flags.writeable = False
+        return view
 
 
 class FixedWord:
@@ -114,6 +134,9 @@ class FixedWord:
             raise StreamExhausted(
                 f"word of length {len(self._word)} cannot be extended")
         return self._word[:m]
+
+    def segment(self, start: int, stop: int) -> np.ndarray:
+        return np.array(self.prefix(stop)[start:], dtype=np.intp)
 
 
 def sample_word(system: SelfSimilarSystem, m: int, seed: int) -> tuple:
@@ -184,6 +207,67 @@ class DigitStream:
         return self.certified_length
 
 
+# Divisors up to this many bits go to CPython's own divmod, which is as fast
+# there; past it the recursion of :func:`int_divmod` wins.
+_DIV_CUTOFF = 2000
+
+
+def int_divmod(a: int, b: int) -> tuple:
+    """divmod(a, b) for b > 0, by Burnikel-Ziegler recursive division.
+
+    CPython 3.11 divides big integers in quadratic time.  Past _DIV_CUTOFF
+    bits, a is split into blocks of n = bitlen(b) bits from the top, and
+    each step divides a 2n-bit remainder by b in two halves, each a
+    division by the top half of b corrected by at most two subtractions
+    (C. Burnikel and J. Ziegler, "Fast recursive division",
+    MPI-I-98-1-022, 1998): the products run at Karatsuba speed.  The blocks
+    are joined one by one, so the quotient should be at most a few times
+    longer than b, as it is for every caller here.
+    """
+    if a < 0:
+        q, r = int_divmod(~a, b)  # a = -1 - ~a
+        return ~q, b + ~r
+    n = b.bit_length()
+    if n <= _DIV_CUTOFF or a.bit_length() - n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div_2n_by_n(r << n | (a >> shift & mask), b, n)
+        q = q << n | digit
+    return q, r
+
+
+def _div_2n_by_n(a: int, b: int, n: int) -> tuple:
+    """divmod(a, b) for b of n bits and 0 <= a < b * 2^n."""
+    if n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    odd = n & 1
+    if odd:  # halves of an even length
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b_hi, b_lo = b >> h, b & mask
+    q_hi, r = _div_3h_by_2h(a >> n, a >> h & mask, b, b_hi, b_lo, h)
+    q_lo, r = _div_3h_by_2h(r, a & mask, b, b_hi, b_lo, h)
+    return q_hi << h | q_lo, r >> odd
+
+
+def _div_3h_by_2h(a_top: int, a_low: int, b: int, b_hi: int, b_lo: int,
+                  h: int) -> tuple:
+    """divmod(a_top * 2^h + a_low, b) for b = b_hi * 2^h + b_lo of 2h bits
+    and a quotient below 2^h: estimate from b_hi, then correct."""
+    if a_top >> h == b_hi:
+        q, r = (1 << h) - 1, a_top - (b_hi << h) + b_hi
+    else:
+        q, r = _div_2n_by_n(a_top, b_hi, h)
+    r = (r << h | a_low) - q * b_lo
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def _chunk_digits(base: int) -> int:
     """Largest k >= 1 with base**k < 2**62 (1 for larger bases), so that a
     chunk of k digits is an int64."""
@@ -199,8 +283,8 @@ _SPLIT_LEAF_CHUNKS = 32
 def _split_chunks(m: int, big: int, n: int, powers: dict) -> list:
     """The n lowest base-`big` limbs of m, least significant first.
 
-    Halving keeps the two sides of each big division of similar size, which
-    CPython divides several times faster than peeling one limb at a time.
+    Halving keeps the two sides of each big division of similar size, the
+    case :func:`int_divmod` divides fastest.
     """
     if n <= _SPLIT_LEAF_CHUNKS:
         out = []
@@ -211,13 +295,24 @@ def _split_chunks(m: int, big: int, n: int, powers: dict) -> list:
     half = n // 2
     if half not in powers:
         powers[half] = big ** half
-    hi, lo = divmod(m, powers[half])
+    hi, lo = int_divmod(m, powers[half])
     return (_split_chunks(lo, big, half, powers)
             + _split_chunks(hi, big, n - half, powers))
 
 
 def _int_to_digits(m: int, base: int, count: int) -> np.ndarray:
-    """The last `count` base-b digits of m >= 0, most significant first."""
+    """The last `count` base-b digits of m >= 0, most significant first.
+
+    A base 2^t reads the bits of m from its bytes, t bits a digit; any
+    other base splits m into machine-word chunks of digits.
+    """
+    t = base.bit_length() - 1
+    if base == 1 << t:
+        n_bits = t * count
+        raw = (m & ((1 << n_bits) - 1)).to_bytes(-(-n_bits // 8), "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        weights = 1 << np.arange(t - 1, -1, -1, dtype=np.int64)
+        return bits[bits.size - n_bits:].reshape(count, t) @ weights
     k = _chunk_digits(base)
     n_chunks = -(-count // k)
     chunks = _split_chunks(m, base ** k, n_chunks, {})
@@ -237,12 +332,16 @@ def digits_of_rational(x, base: int, count: int) -> DigitStream:
     always fully certified."""
     _check_base(base)
     b_pow = base ** count
-    m = x.numerator * b_pow // x.denominator % b_pow
+    m = int_divmod(x.numerator * b_pow, x.denominator)[0] % b_pow
     return DigitStream(base, _int_to_digits(m, base, count), count,
                        source=f"rational({x})")
 
 
 _MAX_DEPTH_DOUBLINGS = 8
+# The integers of a digit stream hold at most MAX_DIGITS bits: count + guard
+# digits of base b take (count + guard) log2(b) bits.  The command line caps
+# a sequence that need not come from digits at MAX_DIGITS values.
+MAX_DIGITS = 1 << 22
 
 
 def digits(system: SelfSimilarSystem, stream, base: int, count: int,
@@ -252,16 +351,28 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     Consumes a word prefix long enough that the exact enclosure f_w(hull)
     fits strictly inside one cell of width base**-count; a straddling
     enclosure doubles the word depth (up to a cap) before giving up.  With
-    f_w(x) = (A x + B) / C, C > 0, each hull end num/den lies in cell
-    k = floor(base**count (A num + B den) / (C den)); the enclosure fits one
-    cell exactly when both ends give the same k, and the digits are then
-    k mod base**count.  These integer floors need no gcd.  Sampled words hit
-    cell boundaries with probability zero; exactly known boundary rationals
-    should go through :func:`digits_of_rational` instead.
+    f_w(x) = (A x + B) / C, C > 0, and both hull ends written as num / den
+    over one denominator, an end lies in cell floor(N / D), N = base**count
+    (A num + B den) and D = C den.  One floor decides the enclosure: with
+    k, r = divmod(N_lo, D), the high end shares the cell k exactly when
+    0 <= r + N_hi - N_lo < D, and the digits are then k mod base**count.
+    The powers of two of base**count and of D cancel into one shift, as
+    floor(x / (2^s d)) = floor(floor(x / 2^s) / d), so a power-of-two C
+    (slopes 1/2 and 1/4) leaves no division, and the one floor left goes
+    through :func:`int_divmod`.  No gcd is taken.
+    Sampled words hit cell boundaries with probability zero; exactly known
+    boundary rationals should go through :func:`digits_of_rational`
+    instead.  ConfigParseError (exit 4), before any big integer is built,
+    when the count + guard digits hold more than MAX_DIGITS bits.
     """
     _check_base(base)
     if count < 1:
         raise InvalidInput("need count >= 1")
+    bits = (count + guard) * math.log2(base)
+    if bits > MAX_DIGITS:
+        raise ConfigParseError(
+            f"{count} base-{base} digits with guard {guard} need "
+            f"{bits:.0f} bits, over the cap of {MAX_DIGITS}")
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     rho = float(system.contraction)
@@ -271,23 +382,35 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     cap = depth << _MAX_DEPTH_DOUBLINGS
 
     triples = _integer_triples(system)
-    ends = [(h.numerator, h.denominator) for h in system.hull]
-    b_pow = base ** count
+    # the hull ends as num / den over one denominator
+    den = math.lcm(*(h.denominator for h in system.hull))
+    nums = [h.numerator * (den // h.denominator) for h in system.hull]
+    twos = (base & -base).bit_length() - 1
+    odd_pow, shift = (base >> twos) ** count, twos * count
 
     done = 0  # symbols composed into (A, B, C)
     A, B, C = 1, 0, 1
     while True:
         try:
-            segment = stream.prefix(depth)[done:]
+            segment = stream.segment(done, depth)
         except StreamExhausted as exc:
             raise PrecisionExhausted(
                 "word stream refused extension at depth "
                 f"{_reach(stream, done)}") from exc
         A, B, C = join_triples((A, B, C), compose_triples(triples, segment))
         done = depth
-        k_lo, k_hi = (b_pow * (A * num + B * den) // (C * den)
-                      for num, den in ends)
-        if k_lo == k_hi:
+        # the cell of each hull end is floor(x / d), with d the odd part of
+        # C den and its powers of two moved into the shift of x
+        D = C * den
+        twos_d = (D & -D).bit_length() - 1
+        d, s = D >> twos_d, shift - twos_d
+        x_lo, x_hi = (odd_pow * (A * num + B * den) for num in nums)
+        if s >= 0:
+            x_lo, x_hi = x_lo << s, x_hi << s
+        else:
+            x_lo, x_hi = x_lo >> -s, x_hi >> -s
+        k, r = int_divmod(x_lo, d)
+        if 0 <= r + x_hi - x_lo < d:  # floor(x_hi / d) == k
             break
         if depth >= cap:
             raise PrecisionExhausted(
@@ -295,7 +418,8 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
                 f"{depth}; the point may be a cell-boundary rational")
         depth = min(2 * depth, cap)
 
-    return DigitStream(base, _int_to_digits(k_lo % b_pow, base, count), count,
+    m = k % (odd_pow << shift)
+    return DigitStream(base, _int_to_digits(m, base, count), count,
                        source=stream.describe(), depth=done)
 
 

@@ -4,10 +4,10 @@ Every function here recomputes a quantity by a different route than the
 library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
-log-commensurability, Fraction bisection for real roots, modular powering
-for exact x^n mod 1, uncancelled integer pairs for exact beta orbits and
-balls held as pairs of Fractions, with every rounding decided on them, for
-the ball orbit loop.
+log-commensurability, bisection on integer polynomials for real roots,
+modular powering for exact x^n mod 1, uncancelled integer pairs for exact
+beta orbits and balls held as pairs of Fractions, with every rounding
+decided on them, for the ball orbit loop.
 Keeping them separate from the package is the point.
 """
 
@@ -314,12 +314,24 @@ def iterated_hull(maps, rounds=400):
 
 # ------------------------------------------------------------ real roots
 
+# the bisection state reached per (coeffs, lo, hi), see fraction_bisection
+_BISECTIONS = {}
+
+
 def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
     """Shrink [lo, hi] around a sign change of the polynomial (coefficients
-    from the leading term down) to width <= eps, bisecting over Fractions
-    with Horner evaluation at every midpoint.  Returns (lo, hi), or (r, r)
-    when an endpoint or a midpoint r is a root; raises ValueError when the
-    endpoints do not bracket a sign change."""
+    from the leading term down) to width <= eps by bisection.  Returns
+    (lo, hi), or (r, r) when an endpoint or a midpoint r is a root; raises
+    ValueError when the endpoints do not bracket a sign change.
+
+    After k halvings the bracket is [lo + w j / 2^k, lo + w (j + 1) / 2^k],
+    w = hi - lo, and bisection runs on integers: the bracket carries the
+    integer polynomial P(u) = 2^(dk) D p(lo + w (j + u) / 2^k), D > 0, of
+    degree d.  A halving maps it to S(u) = 2^d P(u / 2) for the lower half
+    and to S(u + 1), a Taylor shift, for the upper one, and S(1) has the
+    sign of p at the midpoint.  The state reached (P, k, j and a root met
+    on a midpoint) is kept per (coeffs, lo, hi), so a narrower eps bisects
+    on from it."""
     def p(x):
         acc = Fraction(0)
         for c in coeffs:
@@ -334,16 +346,39 @@ def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
         return hi, hi
     if (flo > 0) == (fhi > 0):
         raise ValueError("interval endpoints must bracket a sign change")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+    w = hi - lo
+    # bisection stops at the first level with w / 2^level <= eps
+    a, b = w.numerator * eps.denominator, eps.numerator * w.denominator
+    level = 0
+    while a > b << level:
+        level += 1
+    key = (tuple(coeffs), lo, hi)
+    if key not in _BISECTIONS:
+        poly = []  # p(lo + w u), leading first
+        for c in coeffs:
+            poly = [w * x + lo * y for x, y in zip(poly + [0], [0] + poly)]
+            poly[-1] += c
+        scale = math.lcm(*(x.denominator for x in poly))
+        _BISECTIONS[key] = ([int(x * scale) for x in poly], 0, 0, None)
+    poly, k, j, root = _BISECTIONS[key]
+    while k < level and root is None:
+        poly = [c << i for i, c in enumerate(poly)]  # S, leading first
+        value = sum(poly)
+        if value == 0:
+            root = (k, lo + w * Fraction(2 * j + 1, 1 << (k + 1)))
+        elif (value > 0) == (flo > 0):  # the upper half: S(u + 1)
+            for i in range(len(poly) - 1):
+                for m in range(1, len(poly) - i):
+                    poly[m] += poly[m - 1]
+            j, k = 2 * j + 1, k + 1
         else:
-            hi = mid
-    return lo, hi
+            j, k = 2 * j, k + 1
+    _BISECTIONS[key] = (poly, k, j, root)
+    if root is not None and level > root[0]:
+        return root[1], root[1]
+    j >>= k - level
+    return (lo + w * Fraction(j, 1 << level),
+            lo + w * Fraction(j + 1, 1 << level))
 
 
 # ---------------------------------------------------------- exact orbits

@@ -165,6 +165,10 @@ class TestExitCodes:
         (["normality", "--base", "2", "--system", "x"], "q_max", 10 ** 5),
         (["beta-orbit", "--beta", "5/2"], "precision_bits", 2 ** 16),
         (["power-orbit", "--x", "3/2"], "precision_bits", 2 ** 16),
+        (["spacings", "--source", "uniform"], "length", 2 ** 22),
+        (["correlations", "--source", "uniform"], "length", 2 ** 22),
+        (["beta-orbit", "--beta", "5/2"], "length", 2 ** 22),
+        (["power-orbit", "--x", "3/2"], "length", 2 ** 22),
     ])
     def test_caps_are_inclusive(self, argv, dest, cap):
         flag = "--" + dest.replace("_", "-")
@@ -252,6 +256,22 @@ class TestExitCodes:
          4),
         (["digits", "--base", "2", "--guard", "-1"], 4),
         (["normality", "--base", "2", "--length", "50", "--guard", "-1"], 4),
+        # digit counts past 2^22: base**count was formed before any check,
+        # and a run did not return within the timeout
+        (["digits", "--base", "2", "--count", "1000000000000"], 4),
+        (["orbit", "--base", "2", "--length", "1000000000000"], 4),
+        (["normality", "--base", "2", "--length", "1000000000000"], 4),
+        (["digits", "--base", "2", "--guard", "1000000000000"], 4),
+        # under 2^22 digits, over 2^22 bits: checked before the word
+        (["digits", "--base", "10", "--count", "4000000"], 4),
+        # the stopping walk, which runs first, is capped at
+        # N^2 log2(p) <= 2^30
+        (["martingale", "--base", "2", "--N-list", "10,1000000000000"], 4),
+        (["martingale", "--base", str(2 ** 40), "--N-list", "200000"], 4),
+        # numpy failed to allocate the sample (exit 1 with a traceback)
+        (["spacings", "--source", "uniform", "--length", "1000000000000"], 4),
+        (["correlations", "--source", "uniform",
+          "--length", "1000000000000"], 4),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
@@ -695,8 +715,10 @@ class TestSequentialRuns:
 # one integer carry; the validate, multi-sample orbit, long orbit JSON and
 # one-row digits cases before CSV tables became columnar; the long
 # golden-ratio and 65536-bit beta-orbit cases before ball orbits stepped bare
-# integers and algebraic enclosures took Newton steps.  Any change to
-# these bytes is a change of behaviour.
+# integers and algebraic enclosures took Newton steps; the long digits, base
+# 8/16 and `ninths` cases before leaves were folded as int64 vectors, one
+# floor decided the digit cell and power-of-two bases were read from bytes.
+# Any change to these bytes is a change of behaviour.
 GOLDEN_SYSTEMS = {
     "cantor": [("1/3", "0"), ("1/3", "2/3")],
     "mixed": [("1/2", "0"), ("1/4", "3/4")],
@@ -709,6 +731,8 @@ GOLDEN_SYSTEMS = {
     # fails validation twice: a slope of modulus >= 1 and weights summing
     # to 5/6, so its `failures` cell joins two names with ';'
     "invalid": [("1/3", "0"), ("2", "2/3")],
+    # hull [0, 2/3]: the two hull ends have different denominators
+    "ninths": [("1/3", "0"), ("1/3", "4/9")],
 }
 GOLDEN_WEIGHTS = {"mixed": ["2/3", "1/3"], "invalid": ["1/2", "1/3"]}
 _GOLDEN_POLY = ["--beta-poly", "1,-1,-1", "--beta-lo", "1",
@@ -905,6 +929,23 @@ GOLDEN_CASES = {
     "correlations-power-dyadic-k3": (["correlations", "--source", "power",
                                       "--x", "33/2", "--k", "3",
                                       "--length", "1500"], None),
+    # words past ten thousand symbols: many int64 leaves and a big floor
+    "digits-cantor-b2-40000": (["digits", "--base", "2", "--count", "40000",
+                                "--seed", "2"], "cantor"),
+    # C = 2^s: the floor of the digit cell is a shift
+    "digits-mixed-b10-20000": (["digits", "--base", "10", "--count",
+                                "20000", "--seed", "3"], "mixed"),
+    # power-of-two bases other than 2, negative slopes
+    "digits-flip-b8": (["digits", "--base", "8", "--count", "3000",
+                        "--seed", "4"], "flip"),
+    "digits-flip-b16-json": (["digits", "--base", "16", "--count", "2500",
+                              "--seed", "5", "--format", "json"], "flip"),
+    "digits-ninths-b10": (["digits", "--base", "10", "--count", "3000",
+                           "--seed", "6"], "ninths"),
+    "digits-ninths-b2-json": (["digits", "--base", "2", "--count", "5000",
+                               "--seed", "7", "--format", "json"], "ninths"),
+    "orbit-ninths-b3": (["orbit", "--base", "3", "--length", "400",
+                         "--seed", "8"], "ninths"),
 }
 # exit codes of the cases that do not end in 0
 GOLDEN_EXIT = {"validate-invalid": 2}
@@ -1056,6 +1097,20 @@ GOLDEN_SHA256 = {
         "ab2f552238ed52e46c17eef0e440fcac64446bdc7b519f420794de8d44ed4474",
     "correlations-power-dyadic-k3":
         "cdbc7549cc5073c063f6d5bdae07d1baae1452c5f8f39b429b1f5cea4cb2a7f3",
+    "digits-cantor-b2-40000":
+        "3fd0232a27655f2596806b00ce86a5a378825b4be3d7fc3756543eb766c7b672",
+    "digits-flip-b16-json":
+        "5ec800e8b51f9ec00975920b579dc5573c8057dc1cf4464d515e771a6783cbee",
+    "digits-flip-b8":
+        "a5c6dba22bfcf5e80e40070ea0dc18286776c53843893c56c25573d0517c2e67",
+    "digits-mixed-b10-20000":
+        "b3084acf5fd2f42e06c55844f02ec60e1c63f78870873e53b20c38d68e087fce",
+    "digits-ninths-b10":
+        "77497965b289d914a65c41f3767f04a69f5c98bd28c871659d9771ea354d8610",
+    "digits-ninths-b2-json":
+        "f6815d37e97dbbe0f8b221c3369750983621ff45a81b9d97314496350f74c1d7",
+    "orbit-ninths-b3":
+        "91b8f9f849166a826fbc07c43d4b592c38cbffd6468f2af3d5f9fa256449b8aa",
 }
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from normality_lab.errors import (
 )
 from normality_lab.ifs import (
     _integer_triples,
+    _leaf_length,
     as_fraction,
     compose_triples,
     frac_str,
@@ -118,6 +120,12 @@ def _sequential_fold(triples, word):
     return A, B, C
 
 
+def _triple_within(K):
+    """A triple (a, b, c) with |a| <= K, c >= 1 and |b| + c <= K."""
+    return st.integers(1, K).flatmap(lambda c: st.tuples(
+        st.integers(-K, K), st.integers(c - K, K - c), st.just(c)))
+
+
 TRIPLE_SYSTEMS = [
     make_system([("1/3", "0"), ("1/3", "2/3")]),
     make_system([("-1/2", "0"), ("-1/2", "1/2")]),
@@ -137,7 +145,9 @@ class TestComposeTriples:
         assert compose_triples(triples, word) == _sequential_fold(triples,
                                                                   word)
 
-    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 97, 300])
+    # this system's leaves hold 9 symbols: K = 121 and 121^9 < 2^63
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 97, 300,
+                                        8, 9, 10, 18, 19])
     def test_leaf_boundaries(self, length):
         system = TRIPLE_SYSTEMS[2]
         word = tuple(1 + (7 * i * i + i) % 3 for i in range(length))
@@ -149,6 +159,37 @@ class TestComposeTriples:
         for s in word:
             expected = expected.after(system.maps[s - 1])
         assert compose(system, word) == expected
+
+    def test_leaf_length(self):
+        assert _leaf_length(_integer_triples(TRIPLE_SYSTEMS[2])) == (
+            9, np.int64)
+        assert _leaf_length(_integer_triples(cantor_system())) == (
+            27, np.int64)  # K = 5
+
+    # K = 2^21 - 1 gives leaves of three symbols with K^3 just below 2^63,
+    # and K = 3037000499 leaves of two with K^2 just below 2^63; the
+    # extreme triples reach the bound at every step.  A triple past int64
+    # folds as Python integers through the same code.
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_sequential_fold_at_the_int64_bound(self, data):
+        K = data.draw(st.sampled_from([2 ** 21 - 1, 3037000499, 2 ** 63 - 1,
+                                       2 ** 63, 2 ** 100 + 7]))
+        c = data.draw(st.integers(1, K))
+        extreme = [(-K, K - c, c), (K, c - K, c), (K - 1, 0, K)]
+        n = data.draw(st.integers(1, 3))
+        triples = (extreme + [data.draw(_triple_within(K))
+                              for _ in range(2)])[:n + 2]
+        word = data.draw(st.lists(st.integers(1, len(triples)),
+                                  max_size=120))
+        L, dtype = _leaf_length(triples)
+        if K < 2 ** 63:
+            assert dtype is np.int64 and K ** L < 2 ** 63 <= K ** (L + 1)
+        else:
+            assert (L, dtype) == (1, object)
+        want = _sequential_fold(triples, word)
+        assert compose_triples(triples, word) == want
+        assert compose_triples(triples, np.array(word, dtype=np.intp)) == want
 
     def test_integer_triples_use_the_least_common_denominator(
             self, three_systems):

@@ -18,7 +18,11 @@ from normality_lab import (
     stopping_records,
     stopping_time,
 )
-from normality_lab.errors import InvalidInput, StreamExhausted
+from normality_lab.errors import (
+    ConfigParseError,
+    InvalidInput,
+    StreamExhausted,
+)
 from normality_lab.fourier import ratio_phase
 from normality_lab.martingale import (
     cylinder_modes,
@@ -114,6 +118,23 @@ class TestStoppingTime:
     def test_short_word_exhausts(self, cantor):
         with pytest.raises(StreamExhausted):
             stopping_time(cantor, (1, 2), 50, 2)
+
+    def test_walk_cap_is_checked_before_the_walk(self, cantor):
+        # n_max^2 log2(p) at most 2^30: the cap itself, and martingale's
+        # default N-list in base 10 (a walk to 9999), pass the check and
+        # then run out of the empty word
+        with pytest.raises(StreamExhausted):
+            stopping_records(cantor, (), 2 ** 15, 2)
+        with pytest.raises(StreamExhausted):
+            stopping_records(cantor, (), 2 ** 14, 16)
+        with pytest.raises(StreamExhausted):
+            stopping_records(cantor, (), 9999, 10)
+        with pytest.raises(ConfigParseError):
+            stopping_records(cantor, (), 2 ** 15 + 1, 2)
+        with pytest.raises(ConfigParseError):
+            stopping_records(cantor, (), 2 ** 14 + 1, 16)
+        with pytest.raises(ConfigParseError):
+            stopping_records(cantor, (), 10 ** 12, 10)
 
 
 class TestStoppingRecordFields:

@@ -31,8 +31,11 @@ from normality_lab.errors import (
     InsufficientDigits,
     InvalidInput,
     PrecisionExhausted,
+    StreamExhausted,
 )
 from normality_lab.sampling import (
+    _DIV_CUTOFF,
+    MAX_DIGITS,
     DigitStream,
     FixedWord,
     PointApproximation,
@@ -42,6 +45,7 @@ from normality_lab.sampling import (
     _point_radius_log2,
     _tail_digit_count,
     ball_precision,
+    int_divmod,
     sampled_point,
 )
 
@@ -62,6 +66,25 @@ class TestWordSampling:
         stream = WordStream(cantor, 42)
         assert stream.prefix(100) == w1[:100]
         assert stream.prefix(500) == w1  # extension kept the prefix
+
+    def test_segment_is_the_prefix_and_survives_growth(self, cantor):
+        stream = WordStream(cantor, 42)
+        seg = stream.segment(100, 400)
+        assert seg.dtype == np.intp and not seg.flags.writeable
+        # growing the buffer far past its size leaves the segment as it was
+        word = stream.prefix(100_000)
+        assert type(word) is tuple and type(word[0]) is int
+        assert seg.tolist() == list(word[100:400])
+        assert stream.segment(99_000, 100_000).tolist() == list(word[99_000:])
+        assert type(stream.symbol(5)) is int and stream.symbol(5) == word[5]
+        with pytest.raises(ValueError):
+            seg[0] = 1
+
+    def test_fixed_word_segment(self):
+        word = FixedWord((1, 2, 2, 1))
+        assert word.segment(1, 3).tolist() == [2, 2]
+        with pytest.raises(StreamExhausted):
+            word.segment(2, 5)
 
     def test_symbol_range(self, mixed):
         word = sample_word(mixed, 1000, seed=3)
@@ -173,6 +196,16 @@ class TestDigits:
         exact = digits_of_rational(point_of_word(cantor, word).center, 2, 50)
         assert list(ds.digits) == list(exact.digits)
 
+    def test_digit_cap_is_checked_before_the_word(self, cantor):
+        # 2^22 - 15 digits and a guard of 16 are one bit over the cap; an
+        # empty word would fail only once it is read
+        with pytest.raises(ConfigParseError):
+            digits(cantor, FixedWord(()), 2, MAX_DIGITS - 15)
+        with pytest.raises(ConfigParseError):
+            digits(cantor, FixedWord(()), 10, MAX_DIGITS // 3)
+        with pytest.raises(PrecisionExhausted):
+            digits(cantor, FixedWord(()), 2, MAX_DIGITS - 16)
+
     def test_negative_rational_wraps(self):
         ds = digits_of_rational(F(-1, 4), 2, 5)
         assert list(ds.digits) == [1, 1, 0, 0, 0]  # -1/4 mod 1 = 3/4
@@ -215,6 +248,43 @@ class TestDigitCellAgainstReference:
         assert ds.digits.tolist() == ref
 
 
+# divisor sizes on both sides of the cutoff, odd lengths among them
+_DIVISOR_BITS = [1, 2, 63, 64, _DIV_CUTOFF - 1, _DIV_CUTOFF, _DIV_CUTOFF + 1,
+                 2 * _DIV_CUTOFF + 1, 4 * _DIV_CUTOFF + 3, 9 * _DIV_CUTOFF]
+
+
+class TestIntDivmod:
+    @given(b_bits=st.sampled_from(_DIVISOR_BITS),
+           b_form=st.sampled_from(["random", "ones", "power"]),
+           a_form=st.sampled_from(["random", "multiple", "below", "zero"]),
+           extra=st.integers(0, 5 * _DIV_CUTOFF),
+           seed=st.integers(0, 2 ** 32 - 1), negative=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_divmod(self, b_bits, b_form, a_form, extra, seed,
+                            negative):
+        rng = random.Random(seed)
+        b = {"random": rng.getrandbits(b_bits) | 1 << (b_bits - 1),
+             "ones": (1 << b_bits) - 1, "power": 1 << (b_bits - 1)}[b_form]
+        a = {"random": rng.getrandbits(b_bits + extra),
+             "multiple": b * rng.getrandbits(extra + 1),
+             "below": (b << extra) - 1,  # just below b * 2^extra
+             "zero": 0}[a_form]
+        if negative:
+            a = -a
+        assert int_divmod(a, b) == divmod(a, b)
+
+    @pytest.mark.parametrize("b_bits", [3 * _DIV_CUTOFF + 1,
+                                        8 * _DIV_CUTOFF + 5])
+    def test_quotients_on_both_sides_of_b(self, b_bits):
+        # quotients as long as b and twice as long, through the recursion
+        rng = random.Random(b_bits)
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        for a in (rng.getrandbits(2 * b_bits), rng.getrandbits(3 * b_bits),
+                  (b << b_bits) - 1, b << b_bits, b * b):
+            assert int_divmod(a, b) == divmod(a, b)
+            assert int_divmod(-a, b) == divmod(-a, b)
+
+
 def _reference_digits(m, base, count):
     """Last `count` digits of m by long division, one digit at a time."""
     out = []
@@ -238,8 +308,9 @@ def _reference_orbit(digit_list, base, n_points):
 
 
 # 17 and 36 still fit their tail window in 64 bits; 100 and 1000 do not
-# and read their windows as Python integers.
-READ_OFF_BASES = [2, 3, 10, 16, 17, 36, 100, 1000]
+# and read their windows as Python integers.  Powers of two read their
+# digits from the bytes of the integer.
+READ_OFF_BASES = [2, 3, 4, 8, 10, 16, 17, 32, 36, 100, 1000]
 
 
 class TestReadOffAgainstReference:
