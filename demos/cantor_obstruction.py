@@ -15,6 +15,7 @@ from normality_lab import (
     digits,
     discrepancy,
     incommensurable_slope_witness,
+    orbit_digit_count,
     orbit_sequence,
     weyl_report,
 )
@@ -51,7 +52,7 @@ print("T_2 orbit statistics, N = 10000 points per seed:")
 print("seed  discrepancy  max |F_q| (q <= 10)")
 for seed in range(5):
     stream = WordStream(system, seed)
-    ds = digits(system, stream, 2, 10_100)
+    ds = digits(system, stream, 2, orbit_digit_count(2, 10_000))
     orbit = orbit_sequence(ds, 10_000, seed=seed)
     rep = weyl_report(orbit, 10)
     print(f"{seed:4d}  {discrepancy(orbit):11.4f}  {rep.moduli.max():.4f}")

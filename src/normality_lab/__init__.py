@@ -50,10 +50,8 @@ from .martingale import (
     StoppingRecord,
     cylinder_mode,
     cylinder_modes,
-    martingale_gap,
     r_factor,
     stopping_records,
-    stopping_time,
 )
 from .sampling import (
     DigitStream,
@@ -63,6 +61,7 @@ from .sampling import (
     beta_orbit,
     digits,
     digits_of_rational,
+    orbit_digit_count,
     orbit_sequence,
     point_of_word,
     power_orbit,

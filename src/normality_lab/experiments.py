@@ -1,4 +1,4 @@
-"""Experiment orchestration shared by the CLI and the demo scripts.
+"""Experiment runners, one per CLI subcommand.
 
 Each runner returns (table, results): `table` maps each CSV column name, in
 order, to its column (a numpy array, range or list; all of one length), and
@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,12 +33,10 @@ from .sampling import (
     DigitStream,
     SequenceSample,
     WordStream,
-    _log2,
-    _multiplier_enclosure,
-    _tail_digit_count,
-    ball_precision,
+    ball_start_radius,
     beta_orbit,
     digits,
+    orbit_digit_count,
     orbit_sequence,
     power_orbit,
     sampled_point,
@@ -72,7 +69,7 @@ def _orbit(system: SelfSimilarSystem, base: int, length: int, seed: int,
            ) -> tuple[DigitStream, SequenceSample]:
     """One sample's certified digits and its first `length` orbit values."""
     stream = WordStream(system, seed, spawn_key=(task,) if task else ())
-    ds = digits(system, stream, base, length + _tail_digit_count(base) + 1,
+    ds = digits(system, stream, base, orbit_digit_count(base, length),
                 guard=guard)
     return ds, orbit_sequence(ds, length, seed=seed)
 
@@ -205,20 +202,14 @@ def parse_beta(beta: Optional[str], beta_poly: Optional[str],
 def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
                    x: Optional[str], length: int, seed: int,
                    precision_bits: Optional[int] = None):
-    beta = beta_spec
     if x is not None:
         point = as_fraction(x)
     elif system is not None:
-        # the caps of the ball loop are checked before the point is sampled,
-        # and the point is sized from the same certified bound on beta
-        beta_hi = _multiplier_enclosure(beta)[1]
-        ball_precision(length, beta_hi, precision_bits)
-        bits = math.ceil(length * _log2(beta_hi)) + 80
-        point = sampled_point(system, WordStream(system, seed),
-                              Fraction(1, 2) ** bits)
+        radius = ball_start_radius(beta_spec, length, precision_bits)
+        point = sampled_point(system, WordStream(system, seed), radius)
     else:
         raise ConfigParseError("need --x or --system to choose the point")
-    sam = beta_orbit(point, beta, length, seed=seed,
+    sam = beta_orbit(point, beta_spec, length, seed=seed,
                      min_prec=precision_bits)
     start = sam.metadata.get("start_index", 1)
     table = {"n": range(start, start + len(sam)), "value": sam.values}
@@ -237,9 +228,18 @@ def run_power_orbit(x: str, length: int, seed: int,
     return table, results
 
 
+# Each Weyl sum adds one phase per orbit value, so a normality run makes
+# samples x length x q_max of them; at the cap it takes about 12 s wall
+MAX_WEYL_TERMS = 2 * 10 ** 8
+
+
 def run_normality(system: SelfSimilarSystem, base: int, length: int,
                   q_max: int, samples: int, seed: int, guard: int,
                   disc_threshold: float, weyl_threshold: float):
+    if samples * length * q_max > MAX_WEYL_TERMS:
+        raise ConfigParseError(
+            f"{samples} samples x length {length} x q-max {q_max} Weyl "
+            f"terms are over the cap of {MAX_WEYL_TERMS}")
     stats = []
     for task in range(samples):
         ds, sam = _orbit(system, base, length, seed, task, guard)
@@ -308,11 +308,22 @@ def run_correlations(source: str, system, base, x, length: int, k: int,
     return table, results
 
 
+# A grid point is one CSV row per sample; the default grid has 51
+MAX_GRID_POINTS = 1 << 16
+
+
 def _parse_grid(spec: str) -> np.ndarray:
+    """lo, lo + step, ... up to hi; ConfigParseError (exit 4) for a bad
+    spec or one of more than MAX_GRID_POINTS points, counted before the
+    grid is made."""
     try:
         lo, hi, step = (float(t) for t in spec.split(":"))
         if not step > 0:
             raise ValueError("step must be > 0")
+        points = (hi + step / 2 - lo) / step
+        if points > MAX_GRID_POINTS:
+            raise ConfigParseError(
+                f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
         return np.arange(lo, hi + step / 2, step)
     except ValueError as exc:
         raise ConfigParseError(

@@ -25,8 +25,6 @@ from .errors import InsufficientBands, InvalidInput
 from .ifs import SelfSimilarSystem
 from .sampling import SequenceSample
 
-_TWO_PI = 2.0 * math.pi
-
 DEFAULT_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -50,7 +48,7 @@ def ratio_phase(num: int, den: int) -> complex:
             return complex(0.0, 1.0)
         if 4 * r == 3 * den:
             return complex(0.0, -1.0)
-    arg = _TWO_PI * (r / den)
+    arg = math.tau * (r / den)
     return complex(math.cos(arg), math.sin(arg))
 
 
@@ -155,7 +153,7 @@ def fourier_tree(system: SelfSimilarSystem, roots, tol: float = DEFAULT_TOL,
                 u = num, den = entry
                 children = None
                 try:
-                    bound = _TWO_PI * abs(num / den) * half_width
+                    bound = math.tau * abs(num / den) * half_width
                 except OverflowError:  # |u| past the float range: never a leaf
                     bound = math.inf
                 if bound <= tol:
@@ -209,9 +207,9 @@ def fourier_empirical(sample, q: int) -> FourierValue:
         values, accuracy = np.asarray(sample, dtype=np.float64), 0.0
     if len(values) == 0:
         raise InvalidInput("sample must be nonempty")
-    phases = np.exp((_TWO_PI * q * 1j) * values)
+    phases = np.exp((math.tau * q * 1j) * values)
     val = complex(phases.mean())
-    err = _TWO_PI * abs(q) * accuracy
+    err = math.tau * abs(q) * accuracy
     return FourierValue(val.real, val.imag, err, Fraction(q))
 
 

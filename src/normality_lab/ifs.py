@@ -219,7 +219,7 @@ def compose(system: SelfSimilarSystem, word: Sequence) -> AffineMap:
     a balanced product tree instead of one big-integer step per symbol).
     """
     check_word(system, word)
-    A, B, C = compose_triples(_integer_triples(system), word)
+    A, B, C = compose_triples(integer_triples(system), word)
     return AffineMap(Fraction(A, C), Fraction(B, C))
 
 
@@ -244,8 +244,9 @@ def _leaf_length(triples: Sequence) -> tuple:
 def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     """Uncancelled integer triple (A, B, C) of f_{w_1} o ... o f_{w_m}.
 
-    `triples[s - 1]` is the triple of map s (see :func:`_integer_triples`);
-    `word` is a sequence or an integer array of symbols.  The word is cut
+    `triples[s - 1]` is the triple of map s (see :func:`integer_triples`);
+    `word` is a sequence or an integer array of symbols, and a symbol
+    outside 1..len(triples) raises SymbolOutOfRange.  The word is cut
     into leaves of L symbols (:func:`_leaf_length`) and all leaves fold at
     once as numpy vectors: a leaf's A and C are the products of its a's and
     c's, and B = sum_j a_1 ... a_{j-1} b_j c_{j+1} ... c_L, from two
@@ -266,6 +267,10 @@ def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     # symbol 0, the identity triple, pads the last leaf
     symbols = np.zeros(n * L, dtype=np.intp)
     symbols[:m] = word
+    lo, hi = symbols[:m].min(), symbols[:m].max()
+    if lo < 1 or hi > len(triples):
+        raise SymbolOutOfRange(f"symbol {lo if lo < 1 else hi} outside "
+                               f"alphabet 1..{len(triples)}")
     symbols = symbols.reshape(n, L)
     table = np.array([(1, 0, 1), *triples], dtype=dtype)
     a, b, c = (table[:, i][symbols] for i in range(3))
@@ -285,7 +290,7 @@ def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     return level[0]
 
 
-def _integer_triples(system: SelfSimilarSystem):
+def integer_triples(system: SelfSimilarSystem):
     """Per-map (a, b, c) with f(x) = (a x + b)/c, c > 0 the least common
     denominator of slope and offset."""
     out = []

@@ -28,21 +28,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidInput
+from .errors import ConfigParseError, InvalidInput, SymbolOutOfRange
 from .fourier import (
-    _TWO_PI,
     DEFAULT_NODE_BUDGET,
     FourierValue,
     fourier_exact,  # unused here, but the benchmark's tracer patches it
     fourier_tree,
     ratio_phase,
 )
-from .ifs import SelfSimilarSystem, _integer_triples
+from .ifs import SelfSimilarSystem, integer_triples
 from .sampling import (
     FixedWord,
     WordStream,
-    _tail_digit_count,
     digits,
+    orbit_digit_count,
     orbit_sequence,
 )
 
@@ -95,11 +94,6 @@ class StoppingRecord:
         return abs(self.derivative)
 
 
-def stopping_time(system: SelfSimilarSystem, stream, n: int, p: int) -> StoppingRecord:
-    """First prefix length m with |slope product| < p^-n, decided exactly."""
-    return stopping_records(system, stream, n, p)[n]
-
-
 # The records of a walk to n_max keep, for every n, seven integers of about
 # n log2(p) bits, some 3.5 n_max^2 log2(p) bits in all: n_max^2 log2(p) is
 # capped so that they stay below about half a gigabyte
@@ -132,7 +126,8 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
             f"{MAX_STOPPING_SIZE}")
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
-    triples = _integer_triples(system)
+    triples = integer_triples(system)
+    n_maps = len(triples)
     records = []
     A, B, C = 1, 0, 1
     P, X = 1, 0  # p^n A and p^n B mod C for the n currently sought
@@ -140,8 +135,12 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     depth = 0
     for n in range(n_max + 1):
         while abs(P) >= C:
+            s = stream.symbol(depth)
+            if not 0 < s <= n_maps:
+                raise SymbolOutOfRange(
+                    f"symbol {s} outside alphabet 1..{n_maps}")
             prevA, prevC = A, C
-            a, b, c = triples[stream.symbol(depth) - 1]
+            a, b, c = triples[s - 1]
             A, B, C = A * a, A * b + B * c, C * c
             P, X = P * a, (P * b + c * X) % C
             depth += 1
@@ -220,14 +219,14 @@ def _float_chains(system: SelfSimilarSystem, slope: Fraction,
     u = np.array(u, dtype=np.float64)
     re = np.ones_like(u)
     im = np.zeros_like(u)
-    live = np.flatnonzero(_TWO_PI * np.abs(u) * half > tol)
+    live = np.flatnonzero(math.tau * np.abs(u) * half > tol)
     steps = 0
     while live.size:
         steps += 1
         if steps > _FLOAT_CHAIN_MAX_STEPS:
             raise InvalidInput("chain failed to contract")
         ul = u[live]
-        w = _TWO_PI * ul
+        w = math.tau * ul
         tr = ti = 0.0
         for p, t in terms:
             c, sn = np.cos(w * t), np.sin(w * t)
@@ -238,9 +237,9 @@ def _float_chains(system: SelfSimilarSystem, slope: Fraction,
         im[live] = xr * ti + xi * tr
         ul = ul * s
         u[live] = ul
-        live = live[_TWO_PI * np.abs(ul) * half > tol]
-    trunc = _TWO_PI * np.abs(u) * half
-    w = _TWO_PI * u * center
+        live = live[math.tau * np.abs(ul) * half > tol]
+    trunc = math.tau * np.abs(u) * half
+    w = math.tau * u * center
     c, sn = np.cos(w), np.sin(w)
     return re * c - im * sn, re * sn + im * c, trunc + _FLOAT_CHAIN_SLACK
 
@@ -376,27 +375,14 @@ class GapSeries:
     tol: float = 1e-6
 
 
-def martingale_gap(system: SelfSimilarSystem, seed: int, q: int,
-                   n_list: Sequence[int], p: int,
-                   tol: float = 1e-6) -> GapSeries:
-    """Both sides of the orbit-vs-cylinder comparison on one sampled word.
-
-    The empirical side reads T_p^n(x_w) for n = 0..N-1 off a single certified
-    digit stream; the cylinder side averages the closed-form modes of
-    T_p^n f_{w|beta_n} over the same n, on the same word.  Returns the
-    absolute difference per N in the (increasing) schedule.
-    """
-    return martingale_gaps(system, seed, [q], n_list, p, tol=tol)[0]
-
-
 def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
                     n_list: Sequence[int], p: int, tol: float = 1e-6,
                     budget: int = DEFAULT_NODE_BUDGET) -> list:
-    """Gap series for several frequencies on one shared sampled word.
-
-    The word stream, stopping records and digit stream are computed once per
-    seed; per-frequency work is only the phase sums and cylinder modes.
-    """
+    """Both sides of the orbit-vs-cylinder comparison on one sampled word,
+    one GapSeries per q: for each N of the schedule, the mean over n < N of
+    e(q T_p^n x_w), read off one certified digit stream, against the mean of
+    the closed-form modes of T_p^n f_{w|beta_n}.  The stopping records and
+    digits are computed once for all q."""
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise InvalidInput("N list must contain positive integers")
@@ -404,7 +390,7 @@ def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
     stream = WordStream(system, seed)
 
     records = stopping_records(system, stream, n_max - 1, p)
-    ds = digits(system, stream, p, n_max + _tail_digit_count(p) + 1)
+    ds = digits(system, stream, p, orbit_digit_count(p, n_max))
     orbit = orbit_sequence(ds, n_max, seed=seed)
     cyl = cylinder_modes(system, records, qs, tol=tol, cache={},
                          budget=budget).values

@@ -40,12 +40,13 @@ from .errors import (
     InvalidInput,
     PrecisionExhausted,
     StreamExhausted,
+    SymbolOutOfRange,
 )
 from .ifs import (
     SelfSimilarSystem,
-    _integer_triples,
     compose,
     compose_triples,
+    integer_triples,
     join_triples,
 )
 
@@ -114,37 +115,30 @@ class WordStream:
         return view
 
 
-class FixedWord:
-    """Adapter giving a finite word the stream interface; refuses extension."""
+class FixedWord(WordStream):
+    """A finite word as a stream: the buffer is the word itself, and asking
+    for a symbol past its end raises StreamExhausted."""
 
     def __init__(self, word: Sequence[int]):
-        self._word = tuple(word)
+        buf = np.asarray(word)
+        if buf.size and buf.dtype.kind not in "iu":
+            raise SymbolOutOfRange(f"symbols must be integers: {buf.dtype}")
+        self._buf = buf.astype(np.intp)
+        self._n = len(self._buf)
 
     def describe(self) -> str:
-        return f"fixed-word(len={len(self._word)})"
+        return f"fixed-word(len={self._n})"
 
-    def symbol(self, i: int) -> int:
-        if i >= len(self._word):
+    def _extend_to(self, m: int) -> None:
+        if m > self._n:
             raise StreamExhausted(
-                f"word of length {len(self._word)} cannot be extended")
-        return self._word[i]
-
-    def prefix(self, m: int) -> tuple:
-        if m > len(self._word):
-            raise StreamExhausted(
-                f"word of length {len(self._word)} cannot be extended")
-        return self._word[:m]
-
-    def segment(self, start: int, stop: int) -> np.ndarray:
-        return np.array(self.prefix(stop)[start:], dtype=np.intp)
+                f"word of length {self._n} cannot be extended")
 
 
 def sample_word(system: SelfSimilarSystem, m: int, seed: int) -> tuple:
     """First m symbols of the seeded Bernoulli(p) word; reproducible."""
     if m < 0:
         raise InvalidInput("word length must be >= 0")
-    if m == 0:
-        return ()
     return WordStream(system, seed).prefix(m)
 
 
@@ -381,7 +375,7 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     depth = max(1, math.ceil(need / math.log(1.0 / rho)) + 1)
     cap = depth << _MAX_DEPTH_DOUBLINGS
 
-    triples = _integer_triples(system)
+    triples = integer_triples(system)
     # the hull ends as num / den over one denominator
     den = math.lcm(*(h.denominator for h in system.hull))
     nums = [h.numerator * (den // h.denominator) for h in system.hull]
@@ -395,8 +389,8 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
             segment = stream.segment(done, depth)
         except StreamExhausted as exc:
             raise PrecisionExhausted(
-                "word stream refused extension at depth "
-                f"{_reach(stream, done)}") from exc
+                f"word stream refused extension at depth {stream._n}"
+            ) from exc
         A, B, C = join_triples((A, B, C), compose_triples(triples, segment))
         done = depth
         # the cell of each hull end is floor(x / d), with d the odd part of
@@ -421,16 +415,6 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     m = k % (odd_pow << shift)
     return DigitStream(base, _int_to_digits(m, base, count), count,
                        source=stream.describe(), depth=done)
-
-
-def _reach(stream, start: int) -> int:
-    """Number of symbols a finite stream yields, counting on from `start`."""
-    try:
-        while True:
-            stream.symbol(start)
-            start += 1
-    except StreamExhausted:
-        return start
 
 
 @dataclass(frozen=True)
@@ -463,6 +447,13 @@ def _tail_digit_count(base: int) -> int:
         power *= base
         k += 1
     return k
+
+
+def orbit_digit_count(base: int, n_points: int) -> int:
+    """Certified base-b digits to ask :func:`digits` for so that
+    :func:`orbit_sequence` reads `n_points` values: one digit tail of
+    k (base**k >= 2**60) past the last value, and one digit more."""
+    return n_points + _tail_digit_count(base) + 1
 
 
 def orbit_sequence(digit_stream: DigitStream, n_points: int,
@@ -551,6 +542,10 @@ def _multiplier_enclosure(factor) -> tuple:
 
 
 _M64 = (1 << 64) - 1
+# Work cap of the exact carries: N steps, each on integers of up to B bits
+# and a multiplier p of w = ceil(bitlen(p) / 32) words, cost about N B w; at
+# the cap the slowest input known takes about 10 s wall
+MAX_CARRY_WORK = 25 * 10 ** 9
 
 
 def _exact_orbit(factor: Fraction, start: Fraction, n_points: int,
@@ -565,14 +560,27 @@ def _exact_orbit(factor: Fraction, start: Fraction, n_points: int,
     a q + r gives y_{n+1} = a + (r D + p m) / (q D), whose numerator splits
     into the new k and m by one small-quotient division.  The start enters
     unreduced as (0, num, den).  k reaches m only through p k mod q, so it
-    is dropped for the beta map (`reduce`) and for q = 1.
+    is dropped for the beta map (`reduce`) and for q = 1.  ConfigParseError
+    (exit 4), before the loop, when its work is over MAX_CARRY_WORK.
     """
     p, q = factor.numerator, factor.denominator
     k, m, den = 0, start.numerator, start.denominator
-    if q & (q - 1) == 0 and den & (den - 1) == 0:
+    dyadic = q & (q - 1) == 0 and den & (den - 1) == 0
+    p_k = p if q > 1 and not (reduce or dyadic) else 0
+    # a step multiplies by p, and divides with small quotients, integers of
+    # up to `bits` bits: D = den(start) q^n (on the dyadic path, the low bits
+    # of p^n z) and a carried k, n log2(p / q) bits more
+    bits = (n_points * math.log2(p if p_k else q) + den.bit_length()
+            + m.bit_length() + p.bit_length())
+    work = n_points * bits * -(-p.bit_length() // 32)
+    if work > MAX_CARRY_WORK:
+        raise ConfigParseError(
+            f"exact orbit of length {n_points} on integers of up to "
+            f"{bits:.0f} bits, times {p.bit_length()}-bit multipliers, is "
+            f"over the cap of {MAX_CARRY_WORK}")
+    if dyadic:
         return _dyadic_orbit(p, q.bit_length() - 1, m, den.bit_length() - 1,
                              n_points, reduce)
-    p_k = p if q > 1 and not reduce else 0
     shift = float(1 << 64)
     values = np.empty(n_points, dtype=np.float64)
     for n in range(n_points):
@@ -638,6 +646,19 @@ def ball_precision(n_points: int, factor_hi: Fraction,
             f"caps: at most {MAX_PRECISION_BITS} bits and length x bits at "
             f"most {MAX_BALL_WORK}")
     return prec
+
+
+def ball_start_radius(factor, n_points: int,
+                      min_prec: Optional[int]) -> Fraction:
+    """Radius to sample the start of an N-value ball orbit to:
+    2^-(ceil(N log2 hi) + 80), hi the multiplier's certified upper bound,
+    26 bits inside the 2^-(N log2 hi + 54) that :func:`_ball_orbit`
+    requires.  Raises before any point is sampled: InvalidInput unless the
+    multiplier is certified > 1, ConfigParseError (exit 4) when the loop is
+    over the caps of :func:`ball_precision`."""
+    factor_hi = _multiplier_enclosure(factor)[1]
+    ball_precision(n_points, factor_hi, min_prec)
+    return Fraction(1, 1 << (math.ceil(n_points * _log2(factor_hi)) + 80))
 
 
 def _ball_orbit(factor, start, n_points: int, reduce: bool,

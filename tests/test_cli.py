@@ -270,6 +270,19 @@ class TestExitCodes:
         (["martingale", "--base", str(2 ** 40), "--N-list", "200000"], 4),
         # numpy failed to allocate the sample (exit 1 with a traceback)
         (["spacings", "--source", "uniform", "--length", "1000000000000"], 4),
+        # ... or a grid of 10^12 points, counted now before it is made
+        (["spacings", "--source", "uniform", "--length", "10",
+          "--s-grid", "0:1e9:1e-3"], 4),
+        # samples x length x q-max Weyl terms at most 2^28: this one is
+        # about a minute of Weyl sums
+        (["normality", "--base", "2", "--length", "100000",
+          "--q-max", "10000"], 4),
+        # the exact carries: length x integer bits at most 2.5e10, checked
+        # before the loop; at these lengths they ran for hours
+        (["power-orbit", "--x", "7/3", "--length", str(2 ** 22)], 4),
+        (["power-orbit", "--x", "3/2", "--length", str(2 ** 22)], 4),
+        (["beta-orbit", "--beta", "5/2", "--x", "1/3",
+          "--length", str(2 ** 22)], 4),
         (["correlations", "--source", "uniform",
           "--length", "1000000000000"], 4),
     ])

@@ -24,11 +24,11 @@ from normality_lab.errors import (
     WeightSumError,
 )
 from normality_lab.ifs import (
-    _integer_triples,
     _leaf_length,
     as_fraction,
     compose_triples,
     frac_str,
+    integer_triples,
     system_from_dict,
     system_to_dict,
 )
@@ -141,7 +141,7 @@ class TestComposeTriples:
         system = data.draw(st.sampled_from(TRIPLE_SYSTEMS))
         word = tuple(data.draw(st.lists(st.integers(1, system.n),
                                         max_size=300)))
-        triples = _integer_triples(system)
+        triples = integer_triples(system)
         assert compose_triples(triples, word) == _sequential_fold(triples,
                                                                   word)
 
@@ -151,7 +151,7 @@ class TestComposeTriples:
     def test_leaf_boundaries(self, length):
         system = TRIPLE_SYSTEMS[2]
         word = tuple(1 + (7 * i * i + i) % 3 for i in range(length))
-        triples = _integer_triples(system)
+        triples = integer_triples(system)
         assert compose_triples(triples, word) == _sequential_fold(triples,
                                                                   word)
         # and compose() agrees with the Fraction-level fold
@@ -161,9 +161,9 @@ class TestComposeTriples:
         assert compose(system, word) == expected
 
     def test_leaf_length(self):
-        assert _leaf_length(_integer_triples(TRIPLE_SYSTEMS[2])) == (
+        assert _leaf_length(integer_triples(TRIPLE_SYSTEMS[2])) == (
             9, np.int64)
-        assert _leaf_length(_integer_triples(cantor_system())) == (
+        assert _leaf_length(integer_triples(cantor_system())) == (
             27, np.int64)  # K = 5
 
     # K = 2^21 - 1 gives leaves of three symbols with K^3 just below 2^63,
@@ -193,10 +193,10 @@ class TestComposeTriples:
 
     def test_integer_triples_use_the_least_common_denominator(
             self, three_systems):
-        assert _integer_triples(three_systems["cantor"])[1] == (1, 2, 3)
-        assert _integer_triples(three_systems["mixed"])[1] == (1, 3, 4)
+        assert integer_triples(three_systems["cantor"])[1] == (1, 2, 3)
+        assert integer_triples(three_systems["mixed"])[1] == (1, 3, 4)
         for system in [*TRIPLE_SYSTEMS, *three_systems.values()]:
-            for m, (a, b, c) in zip(system.maps, _integer_triples(system)):
+            for m, (a, b, c) in zip(system.maps, integer_triples(system)):
                 assert (F(a, c), F(b, c)) == (m.slope, m.offset)
                 assert c == math.lcm(m.slope.denominator,
                                      m.offset.denominator)

@@ -13,15 +13,14 @@ from normality_lab import (
     cylinder_mode,
     fourier_exact,
     make_system,
-    martingale_gap,
     r_factor,
     stopping_records,
-    stopping_time,
 )
 from normality_lab.errors import (
     ConfigParseError,
     InvalidInput,
     StreamExhausted,
+    SymbolOutOfRange,
 )
 from normality_lab.fourier import ratio_phase
 from normality_lab.martingale import (
@@ -29,6 +28,7 @@ from normality_lab.martingale import (
     martingale_gaps,
     min_stopping_depth,
 )
+from normality_lab.sampling import FixedWord
 
 from oracles import scalar_chain_mode
 
@@ -68,16 +68,16 @@ class TestStoppingTime:
         assert all(r.r == F(1, 3) for r in recs)
 
     def test_homogeneous_third_base2(self, cantor):
-        rec = stopping_time(cantor, WordStream(cantor, 1), 1, 2)
+        rec = stopping_records(cantor, WordStream(cantor, 1), 1, 2)[1]
         assert rec.beta == 1 and rec.r == F(2, 3)
 
     def test_n_zero(self, three_systems):
         for system in three_systems.values():
-            rec = stopping_time(system, WordStream(system, 5), 0, 2)
+            rec = stopping_records(system, WordStream(system, 5), 0, 2)[0]
             assert rec.beta == 1
 
     def test_mixed_explicit_word(self, mixed):
-        rec = stopping_time(mixed, (2, 2, 2, 2), 1, 2)
+        rec = stopping_records(mixed, (2, 2, 2, 2), 1, 2)[1]
         assert rec.beta == 1 and rec.r == F(1, 2)
 
     def test_nondecreasing_and_minimal(self, cantor_records):
@@ -113,11 +113,21 @@ class TestStoppingTime:
 
     def test_invalid_p(self, cantor):
         with pytest.raises(InvalidInput):
-            stopping_time(cantor, WordStream(cantor, 1), 3, 1)
+            stopping_records(cantor, WordStream(cantor, 1), 3, 1)
 
     def test_short_word_exhausts(self, cantor):
         with pytest.raises(StreamExhausted):
-            stopping_time(cantor, (1, 2), 50, 2)
+            stopping_records(cantor, (1, 2), 50, 2)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    @pytest.mark.parametrize("wrap", [tuple, FixedWord])
+    def test_symbols_outside_the_alphabet_are_refused(self, cantor, bad,
+                                                      wrap):
+        # symbol 0 and -1 were both read as map 2, through triples[-1]
+        word = (1, 2, 2, 1, 2) * 40
+        for bad_word in [(bad,) + word, word[:2] + (bad,) + word]:
+            with pytest.raises(SymbolOutOfRange):
+                stopping_records(cantor, wrap(bad_word), 3, 3)
 
     def test_walk_cap_is_checked_before_the_walk(self, cantor):
         # n_max^2 log2(p) at most 2^30: the cap itself, and martingale's
@@ -346,34 +356,35 @@ class TestCylinderModesBatch:
 
 class TestMartingaleGap:
     def test_q_zero_gap_vanishes(self, cantor):
-        gs = martingale_gap(cantor, seed=2, q=0, n_list=[10, 100], p=2)
+        gs = martingale_gaps(cantor, seed=2, qs=[0], n_list=[10, 100], p=2)[0]
         assert all(g == 0.0 for g in gs.gaps)
 
     def test_gap_bounded(self, cantor):
-        gs = martingale_gap(cantor, seed=5, q=3, n_list=[50, 200], p=2)
+        gs = martingale_gaps(cantor, seed=5, qs=[3], n_list=[50, 200], p=2)[0]
         assert all(0.0 <= g <= 2.0 for g in gs.gaps)
 
     def test_cantor_gap_shrinks(self, cantor):
-        gs = martingale_gap(cantor, seed=1, q=1, n_list=[100, 2000], p=2)
+        gs = martingale_gaps(cantor, seed=1, qs=[1],
+                             n_list=[100, 2000], p=2)[0]
         assert gs.gaps[-1] <= 0.25
         assert gs.gaps[-1] <= gs.gaps[0] + 0.05
 
     def test_lebesgue_case(self, half):
-        gs = martingale_gap(half, seed=6, q=1, n_list=[1000], p=2)
+        gs = martingale_gaps(half, seed=6, qs=[1], n_list=[1000], p=2)[0]
         assert gs.gaps[0] <= 0.1
 
     def test_batched_matches_single(self, cantor):
         pair = martingale_gaps(cantor, seed=8, qs=[1, 2], n_list=[200], p=2)
-        single = martingale_gap(cantor, seed=8, q=2, n_list=[200], p=2)
+        single = martingale_gaps(cantor, seed=8, qs=[2], n_list=[200], p=2)[0]
         assert pair[1].gaps == single.gaps
 
     def test_same_word_drives_both_sides(self, cantor):
         # the record walk and the digit stream must consume one stream:
         # a reseeded run reproduces everything bit for bit
-        a = martingale_gap(cantor, seed=11, q=1, n_list=[500], p=2)
-        b = martingale_gap(cantor, seed=11, q=1, n_list=[500], p=2)
+        a = martingale_gaps(cantor, seed=11, qs=[1], n_list=[500], p=2)[0]
+        b = martingale_gaps(cantor, seed=11, qs=[1], n_list=[500], p=2)[0]
         assert a.empirical == b.empirical and a.cylinder == b.cylinder
 
     def test_bad_n_list(self, cantor):
         with pytest.raises(InvalidInput):
-            martingale_gap(cantor, seed=1, q=1, n_list=[], p=2)
+            martingale_gaps(cantor, seed=1, qs=[1], n_list=[], p=2)

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 from normality_lab import (
     WordStream,
     beta_orbit,
+    cantor_system,
     compose,
     digits,
     digits_of_rational,
@@ -32,6 +33,7 @@ from normality_lab.errors import (
     InvalidInput,
     PrecisionExhausted,
     StreamExhausted,
+    SymbolOutOfRange,
 )
 from normality_lab.sampling import (
     _DIV_CUTOFF,
@@ -85,6 +87,36 @@ class TestWordSampling:
         assert word.segment(1, 3).tolist() == [2, 2]
         with pytest.raises(StreamExhausted):
             word.segment(2, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600),
+           base=st.sampled_from([2, 3, 10]), count=st.integers(1, 200),
+           data=st.data())
+    def test_fixed_word_reads_as_its_stream(self, seed, m, base, count,
+                                            data):
+        cantor = cantor_system()
+        stream = WordStream(cantor, seed)
+        word = FixedWord(stream.prefix(m))
+        i = data.draw(st.integers(0, m - 1))
+        start, stop = sorted(data.draw(st.integers(0, m)) for _ in "ab")
+        assert word.symbol(i) == stream.symbol(i)
+        assert word.prefix(stop) == stream.prefix(stop)
+        assert (word.segment(start, stop).tolist()
+                == stream.segment(start, stop).tolist())
+        ds = digits(cantor, stream, base, count)
+        if ds.depth > m:
+            # the finite word runs out where the stream reads on
+            with pytest.raises(PrecisionExhausted):
+                digits(cantor, word, base, count)
+        else:
+            fixed = digits(cantor, word, base, count)
+            assert fixed.digits.tolist() == ds.digits.tolist()
+            assert fixed.depth == ds.depth
+
+    def test_fixed_word_refuses_non_integer_symbols(self):
+        for word in [(1, 1.5), ("1", 2), (1, 2 ** 70)]:
+            with pytest.raises(SymbolOutOfRange):
+                FixedWord(word)
 
     def test_symbol_range(self, mixed):
         word = sample_word(mixed, 1000, seed=3)
@@ -185,6 +217,21 @@ class TestDigits:
             digits(cantor, FixedWord(word), 2, 50)
         assert str(info.value) == (
             f"word stream refused extension at depth {depth}")
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    @pytest.mark.parametrize("wrap", [tuple, FixedWord])
+    def test_symbols_outside_the_alphabet_are_refused(self, cantor, bad,
+                                                      wrap):
+        # symbol 0 read as the identity map, -1 as map 2, and 3 failed
+        # with an IndexError; a bad symbol after the digits' depth is
+        # never read
+        word = (1, 2, 2, 1, 2) * 40
+        with pytest.raises(SymbolOutOfRange):
+            digits(cantor, wrap((bad,) + word), 3, 10)
+        with pytest.raises(SymbolOutOfRange):
+            digits(cantor, wrap(word[:20] + (bad,) + word), 3, 10)
+        unread = digits(cantor, wrap(word[:60] + (bad,)), 3, 10)
+        assert list(unread.digits) == list(digits(cantor, word, 3, 10).digits)
 
     def test_depth_doubling_matches_long_division(self, cantor):
         # (12)^22 pins the point within 3^-44 of the cell boundary 1/4:
