@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -26,9 +27,9 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
+from .fourier import MAX_BANDS
 from .ifs import load_system
 from .sampling import MAX_DIGITS, MAX_PRECISION_BITS
-from .stats import TestFunction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,9 +72,14 @@ _capped_length = _checked(int, lambda v: 0 <= v <= MAX_DIGITS,
                           f"between 0 and {MAX_DIGITS}")
 _precision_bits = _checked(int, lambda v: 1 <= v <= MAX_PRECISION_BITS,
                            f"between 1 and {MAX_PRECISION_BITS}")
+# one band of the decay profile per j = 0 .. --j-max
+_j_max = _checked(int, lambda v: 0 <= v <= MAX_BANDS,
+                  f"between 0 and {MAX_BANDS}")
 # NaN fails every comparison, so it would switch off the truncation tests
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0,
                       "finite and > 0")
+# a NaN threshold passes no sample, and NaN or infinity is not JSON
+_finite = _checked(float, math.isfinite, "finite")
 
 
 def _add_common(p: _Parser, system_required: bool = True,
@@ -88,12 +94,8 @@ def _add_common(p: _Parser, system_required: bool = True,
 
 
 def build_parser() -> _Parser:
-    """The argument parser; each subcommand's `run(args, system)` default
-    calls its runner in `experiments`.
-
-    The runners are looked up on `exp` at call time, not bound here, so code
-    that replaces `experiments.run_*` (the benchmark's tracer) sees the calls.
-    """
+    """The argument parser: syntax and size checks only.  What a value
+    means is read by the subcommand's runner, `experiments.run_<name>`."""
     parser = _Parser(prog="normality-lab",
                      description="experiments on normality of self-similar measures")
     parser.add_argument("--version", action="version", version=__version__)
@@ -101,25 +103,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", parents=[], help="check system invariants")
     _add_common(p)
-    p.set_defaults(run=lambda a, system: exp.run_validate(system))
 
     p = sub.add_parser("classify", help="obstruction-form classification")
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(run=lambda a, system: exp.run_classify(system, a.base))
 
     p = sub.add_parser("fourier", help="exact transform at one frequency")
     _add_common(p)
     p.add_argument("--q", required=True, help="rational frequency, e.g. 17/2")
-    p.set_defaults(run=lambda a, system: exp.run_fourier(
-        system, a.q, a.tol, a.budget))
 
     p = sub.add_parser("decay", help="band sups of |F_q| and regime fit")
     _add_common(p, default_tol=1e-6)
-    p.add_argument("--j-max", type=int, default=16)
+    p.add_argument("--j-max", type=_j_max, default=16)
     p.add_argument("--per-band", type=_positive_int, default=512)
-    p.set_defaults(run=lambda a, system: exp.run_decay(
-        system, a.j_max, a.per_band, a.tol, a.budget))
 
     p = sub.add_parser("orbit", help="certified T_b orbit values")
     _add_common(p)
@@ -127,16 +123,12 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=_nonnegative_int, default=1000)
     p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--guard", type=_nonnegative_int, default=16)
-    p.set_defaults(run=lambda a, system: exp.run_orbit(
-        system, a.base, a.length, a.samples, a.seed, a.guard))
 
     p = sub.add_parser("digits", help="certified base-b digit stream")
     _add_common(p)
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--guard", type=_nonnegative_int, default=16)
-    p.set_defaults(run=lambda a, system: exp.run_digits(
-        system, a.base, a.count, a.guard, a.seed))
 
     p = sub.add_parser("beta-orbit", help="beta-transformation orbit")
     _add_common(p, system_required=False)
@@ -149,9 +141,6 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=_capped_length, default=100)
     p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
-    p.set_defaults(run=lambda a, system: exp.run_beta_orbit(
-        system, exp.parse_beta(a.beta, a.beta_poly, a.beta_lo, a.beta_hi),
-        a.x, a.length, a.seed, a.precision_bits))
 
     p = sub.add_parser("power-orbit", help="x^n mod 1 sequence")
     _add_common(p, system_required=False)
@@ -159,8 +148,6 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=_capped_length, default=1000)
     p.add_argument("--precision-bits", type=_precision_bits, default=None,
                    help="minimum working precision for ball iteration")
-    p.set_defaults(run=lambda a, system: exp.run_power_orbit(
-        a.x, a.length, a.seed, a.precision_bits))
 
     p = sub.add_parser("normality", help="discrepancy, digit and Weyl stats")
     _add_common(p)
@@ -169,11 +156,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q-max", type=_q_max, default=10)
     p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--guard", type=_nonnegative_int, default=16)
-    p.add_argument("--disc-threshold", type=float, default=0.05)
-    p.add_argument("--weyl-threshold", type=float, default=0.05)
-    p.set_defaults(run=lambda a, system: exp.run_normality(
-        system, a.base, a.length, a.q_max, a.samples, a.seed, a.guard,
-        a.disc_threshold, a.weyl_threshold))
+    p.add_argument("--disc-threshold", type=_finite, default=0.05)
+    p.add_argument("--weyl-threshold", type=_finite, default=0.05)
 
     p = sub.add_parser("correlations", help="k-level correlation R_k")
     _add_common(p, system_required=False)
@@ -187,9 +171,6 @@ def build_parser() -> _Parser:
     p.add_argument("--triangle", default=None,
                    help="triangle half-width (rational)")
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.set_defaults(run=lambda a, system: exp.run_correlations(
-        a.source, system, a.base, a.x, a.length, a.k, _test_function(a),
-        a.samples, a.seed))
 
     p = sub.add_parser("spacings", help="level-spacing distribution")
     _add_common(p, system_required=False)
@@ -200,9 +181,6 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=_capped_length, default=10000)
     p.add_argument("--s-grid", default="0:5:0.1")
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.set_defaults(run=lambda a, system: exp.run_spacings(
-        a.source, system, a.base, a.x, a.length, a.s_grid, a.samples,
-        a.seed))
 
     p = sub.add_parser("martingale", help="orbit vs cylinder-average modes")
     _add_common(p, default_tol=1e-6)
@@ -210,33 +188,11 @@ def build_parser() -> _Parser:
     p.add_argument("--q", default="1", help="comma-separated integer q list")
     p.add_argument("--N-list", dest="n_list", default="100,1000,10000")
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.set_defaults(run=lambda a, system: exp.run_martingale(
-        system, a.base, _int_list(a.q), _int_list(a.n_list), a.samples,
-        a.seed, a.tol, a.budget))
     return parser
 
 
-def _int_list(spec: str) -> list:
-    try:
-        values = [int(t) for t in str(spec).split(",") if t != ""]
-    except ValueError as exc:
-        raise ConfigParseError(f"bad integer list {spec!r}") from exc
-    if not values:
-        raise ConfigParseError(f"integer list {spec!r} is empty")
-    return values
-
-
-def _test_function(args) -> TestFunction:
-    if args.box is not None and args.triangle is not None:
-        raise ConfigParseError("choose one of --box / --triangle")
-    if args.triangle is not None:
-        return TestFunction.triangle(exp.as_fraction(args.triangle))
-    width = args.box if args.box is not None else "1/2"
-    return TestFunction.box(exp.as_fraction(width))
-
-
 def _metadata(args, system) -> dict:
-    skip = {"out", "format", "subcommand", "system", "run"}
+    skip = {"out", "format", "subcommand", "system"}
     params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     return {
         "tool": "normality-lab",
@@ -266,39 +222,62 @@ def _fields(column) -> list:
     return fields
 
 
-def _write_csv(stream, meta: dict, table: dict):
-    for key in ("tool", "version", "subcommand", "seed", "system_hash"):
-        stream.write(f"# {key}={meta[key]}\n")
-    stream.write(f"# parameters={json.dumps(meta['parameters'], sort_keys=True)}\n")
-    if not len(next(iter(table.values()))):
-        return      # a table without rows gets no header line either
-    # the bytes of csv.writer(stream, lineterminator="\n"), formatted one
-    # column at a time: a header field, then one field per row
-    columns = [[name] + _fields(col) for name, col in
-               zip(_fields(list(table)), table.values())]
+# a table is formatted and written this many rows at a time, so that its
+# text is never held whole
+_BLOCK_ROWS = 1 << 16
+
+
+def _lines(columns: list) -> str:
+    """The CSV lines of rows whose fields are given column by column."""
     if len(columns) == 1:
         # csv.writer quotes a row made of one empty field
         columns = [[f or '""' for f in columns[0]]]
-    stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def _emit(args, meta: dict, table: dict, results) -> None:
+def _write_csv(stream, meta: dict, table: dict):
+    """Write the bytes of csv.writer(stream, lineterminator="\n") writing
+    the header and the rows, after the metadata lines; the fields are
+    formatted one column of a block of rows at a time."""
+    for key in ("tool", "version", "subcommand", "seed", "system_hash"):
+        stream.write(f"# {key}={meta[key]}\n")
+    stream.write(f"# parameters={json.dumps(meta['parameters'], sort_keys=True)}\n")
+    n_rows = len(next(iter(table.values())))
+    if not n_rows:
+        return      # a table without rows gets no header line either
+    stream.write(_lines([[name] for name in _fields(list(table))]))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        stream.write(_lines([_fields(col[block]) for col in table.values()]))
+
+
+def _write(stream, args, meta: dict, table: dict, results) -> None:
     if args.format == "json":
         payload = dict(meta)
         payload["results"] = results
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        _write_csv(buf, meta, table)
-        text = buf.getvalue()
-    if args.out:
+        _write_csv(stream, meta, table)
+
+
+def _emit(args, meta: dict, table: dict, results) -> None:
+    """Write the output to --out, or to stdout without it."""
+    if not args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigParseError(f"cannot write output file: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+            _write(sys.stdout, args, meta, table, results)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (`| head`): end quietly, as one whole write
+            # did, with stdout on devnull so the flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write(fh, args, meta, table, results)
+    except OSError as exc:
+        raise ConfigParseError(f"cannot write output file: {exc}") from exc
 
 
 # built on the first call, not at import: importing the CLI stays cheap
@@ -312,7 +291,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # validate loads unchecked so its report covers every failed invariant
         system = (load_system(args.system, check=not validating)
                   if args.system else None)
-        table, results = args.run(args, system)
+        # looked up on every call, so code that replaces a runner (the
+        # benchmark's tracer) sees the call
+        run = getattr(exp, "run_" + args.subcommand.replace("-", "_"))
+        table, results = run(args, system)
         _emit(args, _metadata(args, system), table, results)
         return (EXIT_VALIDATION if validating and not results["ok"]
                 else EXIT_OK)

@@ -1,11 +1,13 @@
 """Experiment runners, one per CLI subcommand.
 
-Each runner returns (table, results): `table` maps each CSV column name, in
-order, to its column (a numpy array, range or list; all of one length), and
-`results` is a JSON-ready summary.  Multi-sample experiments derive per-task
-seeds through SeedSequence spawn keys, so output is deterministic for a
-fixed (config, seed).  Samples run one after another: the work is GIL-bound
-big-integer arithmetic, which a thread pool only slows down.
+`run_<subcommand>(args, system)` (hyphens as underscores) reads and
+interprets its own parsed arguments, raising ConfigParseError (exit 4) for a
+bad value, and returns (table, results): `table` maps each CSV column name,
+in order, to its column (a numpy array, range or list; all of one length),
+and `results` is a JSON-ready summary.  Multi-sample experiments derive
+per-task seeds through SeedSequence spawn keys, so output is deterministic
+for a fixed (config, seed).  Samples run one after another: the work is
+GIL-bound big-integer arithmetic, which a thread pool only slows down.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,7 +83,7 @@ def _records(table: dict) -> list:
 
 # ------------------------------------------------------------------ runners
 
-def run_validate(system: SelfSimilarSystem):
+def run_validate(args, system: SelfSimilarSystem):
     report = validate(system)
     table = {"ok": [report.ok],
              "failures": [";".join(type(f).__name__ for f in report.failures)]}
@@ -91,8 +93,8 @@ def run_validate(system: SelfSimilarSystem):
     return table, results
 
 
-def run_classify(system: SelfSimilarSystem, base: int):
-    report = classify_obstruction(system, base)
+def run_classify(args, system: SelfSimilarSystem):
+    report = classify_obstruction(system, args.base)
     # slopes survive the conjugation: the first map failing item 1 witnesses
     witness = next((mo.index for mo in report.per_map
                     if not mo.commensurability.commensurable), None)
@@ -112,7 +114,7 @@ def run_classify(system: SelfSimilarSystem, base: int):
     }
     results = {
         "verdict": report.verdict.value,
-        "base": base,
+        "base": args.base,
         "conjugator": {"slope": frac_str(report.conjugator.slope),
                        "offset": frac_str(report.conjugator.offset)},
         "normality_witness": {"found": witness is not None, "map": witness},
@@ -121,18 +123,18 @@ def run_classify(system: SelfSimilarSystem, base: int):
     return table, results
 
 
-def run_fourier(system: SelfSimilarSystem, q, tol: float, budget: int):
-    fv = fourier_exact(system, as_fraction(q), tol=tol, budget=budget)
+def run_fourier(args, system: SelfSimilarSystem):
+    fv = fourier_exact(system, as_fraction(args.q), tol=args.tol,
+                       budget=args.budget)
     table = {"q": [frac_str(fv.frequency)], "re": [fv.real], "im": [fv.imag],
              "modulus": [fv.modulus], "error_bound": [fv.error_bound],
              "nodes": [fv.nodes], "budget_exceeded": [fv.budget_exceeded]}
     return table, _records(table)[0]
 
 
-def run_decay(system: SelfSimilarSystem, j_max: int, per_band: int,
-              tol: float, budget: int):
-    profile = decay_profile(system, j_max, per_band=per_band, tol=tol,
-                            budget=budget)
+def run_decay(args, system: SelfSimilarSystem):
+    profile = decay_profile(system, args.j_max, per_band=args.per_band,
+                            tol=args.tol, budget=args.budget)
     bands = profile.bands
     table = {"band": [b.index for b in bands],
              "q_lo": [1 << b.index for b in bands],
@@ -158,9 +160,9 @@ def run_decay(system: SelfSimilarSystem, j_max: int, per_band: int,
     return table, results
 
 
-def run_orbit(system: SelfSimilarSystem, base: int, length: int,
-              samples: int, seed: int, guard: int):
-    sams = [_orbit(system, base, length, seed, task, guard)[1]
+def run_orbit(args, system: SelfSimilarSystem):
+    base, length, samples = args.base, args.length, args.samples
+    sams = [_orbit(system, base, length, args.seed, task, args.guard)[1]
             for task in range(samples)]
     table = {"sample": np.repeat(np.arange(samples), length),
              "n": np.tile(np.arange(length), samples),
@@ -171,13 +173,12 @@ def run_orbit(system: SelfSimilarSystem, base: int, length: int,
     return table, results
 
 
-def run_digits(system: SelfSimilarSystem, base: int, count: int,
-               guard: int, seed: int):
-    stream = WordStream(system, seed)
-    ds = digits(system, stream, base, count, guard=guard)
+def run_digits(args, system: SelfSimilarSystem):
+    stream = WordStream(system, args.seed)
+    ds = digits(system, stream, args.base, args.count, guard=args.guard)
     table = {"n": range(len(ds.digits)), "digit": ds.digits}
     freqs = digit_frequencies(ds, 1)
-    results = {"base": base, "certified_length": ds.certified_length,
+    results = {"base": args.base, "certified_length": ds.certified_length,
                "word_depth": ds.depth,
                "digit_frequencies": {str(k[0]): v / freqs.total
                                      for k, v in freqs.counts.items()}}
@@ -199,18 +200,18 @@ def parse_beta(beta: Optional[str], beta_poly: Optional[str],
     return AlgebraicReal(coeffs, lo, hi)
 
 
-def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
-                   x: Optional[str], length: int, seed: int,
-                   precision_bits: Optional[int] = None):
-    if x is not None:
-        point = as_fraction(x)
+def run_beta_orbit(args, system: Optional[SelfSimilarSystem]):
+    beta_spec = parse_beta(args.beta, args.beta_poly, args.beta_lo,
+                           args.beta_hi)
+    if args.x is not None:
+        point = as_fraction(args.x)
     elif system is not None:
-        radius = ball_start_radius(beta_spec, length, precision_bits)
-        point = sampled_point(system, WordStream(system, seed), radius)
+        radius = ball_start_radius(beta_spec, args.length, args.precision_bits)
+        point = sampled_point(system, WordStream(system, args.seed), radius)
     else:
         raise ConfigParseError("need --x or --system to choose the point")
-    sam = beta_orbit(point, beta_spec, length, seed=seed,
-                     min_prec=precision_bits)
+    sam = beta_orbit(point, beta_spec, args.length, seed=args.seed,
+                     min_prec=args.precision_bits)
     start = sam.metadata.get("start_index", 1)
     table = {"n": range(start, start + len(sam)), "value": sam.values}
     results = {"length": len(sam), "metadata": sam.metadata,
@@ -218,10 +219,9 @@ def run_beta_orbit(system: Optional[SelfSimilarSystem], beta_spec,
     return table, results
 
 
-def run_power_orbit(x: str, length: int, seed: int,
-                    precision_bits: Optional[int] = None):
-    sam = power_orbit(as_fraction(x), length, seed=seed,
-                      min_prec=precision_bits)
+def run_power_orbit(args, system: Optional[SelfSimilarSystem]):
+    sam = power_orbit(as_fraction(args.x), args.length, seed=args.seed,
+                      min_prec=args.precision_bits)
     table = {"n": range(1, len(sam) + 1), "value": sam.values}
     results = {"length": len(sam), "metadata": sam.metadata,
                "discrepancy": discrepancy(sam)}
@@ -233,20 +233,20 @@ def run_power_orbit(x: str, length: int, seed: int,
 MAX_WEYL_TERMS = 2 * 10 ** 8
 
 
-def run_normality(system: SelfSimilarSystem, base: int, length: int,
-                  q_max: int, samples: int, seed: int, guard: int,
-                  disc_threshold: float, weyl_threshold: float):
+def run_normality(args, system: SelfSimilarSystem):
+    base, length, q_max, samples = (args.base, args.length, args.q_max,
+                                    args.samples)
     if samples * length * q_max > MAX_WEYL_TERMS:
         raise ConfigParseError(
             f"{samples} samples x length {length} x q-max {q_max} Weyl "
             f"terms are over the cap of {MAX_WEYL_TERMS}")
     stats = []
     for task in range(samples):
-        ds, sam = _orbit(system, base, length, seed, task, guard)
+        ds, sam = _orbit(system, base, length, args.seed, task, args.guard)
         # the first digits of the orbit's own certified stream
         head = dataclasses.replace(ds, certified_length=min(length, 4096))
         freq = digit_frequencies(head, 1)
-        wr = weyl_report(sam, q_max, threshold=weyl_threshold)
+        wr = weyl_report(sam, q_max, threshold=args.weyl_threshold)
         stats.append({
             "sample": task,
             "discrepancy": discrepancy(sam),
@@ -257,52 +257,63 @@ def run_normality(system: SelfSimilarSystem, base: int, length: int,
         })
     table = {key: [s[key] for s in stats] for key in
              ("sample", "discrepancy", "max_weyl_modulus", "weyl_flagged")}
-    disc_pass = sum(1 for s in stats if s["discrepancy"] <= disc_threshold)
-    weyl_pass = sum(1 for s in stats if s["max_weyl_modulus"] <= weyl_threshold)
+    disc_pass = sum(1 for s in stats
+                    if s["discrepancy"] <= args.disc_threshold)
+    weyl_pass = sum(1 for s in stats
+                    if s["max_weyl_modulus"] <= args.weyl_threshold)
     results = {
         "base": base, "length": length, "q_max": q_max, "samples": samples,
-        "thresholds": {"discrepancy": disc_threshold, "weyl": weyl_threshold},
+        "thresholds": {"discrepancy": args.disc_threshold,
+                       "weyl": args.weyl_threshold},
         "passes": {"discrepancy": disc_pass, "weyl": weyl_pass},
         "per_sample": stats,
     }
     return table, results
 
 
-def _sequence_source(source: str, system: Optional[SelfSimilarSystem],
-                     base: Optional[int], x: Optional[str], length: int,
-                     seed: int, task: int = 0) -> SequenceSample:
-    if source == "orbit":
-        if system is None or base is None:
+def _sequence_source(args, system, task: int = 0) -> SequenceSample:
+    if args.source == "orbit":
+        if system is None or args.base is None:
             raise ConfigParseError("orbit source needs --system and --base")
-        return _orbit(system, base, length, seed, task)[1]
-    if source == "power":
-        if x is None:
+        return _orbit(system, args.base, args.length, args.seed, task)[1]
+    if args.source == "power":
+        if args.x is None:
             raise ConfigParseError("power source needs --x")
-        return power_orbit(as_fraction(x), length, seed=seed)
-    if source == "uniform":
-        return uniform_sample(length, seed, (task,) if task else ())
-    raise ConfigParseError(f"unknown source {source!r}")
+        return power_orbit(as_fraction(args.x), args.length, seed=args.seed)
+    if args.source == "uniform":
+        return uniform_sample(args.length, args.seed, (task,) if task else ())
+    raise ConfigParseError(f"unknown source {args.source!r}")
 
 
-def _per_sample(source: str, samples: int, stat) -> list:
+def _per_sample(args, stat) -> list:
     """`stat(task)` for each sample.  The power source draws nothing at
     random, so its samples are equal: it runs once and the result repeats."""
-    if source == "power":
-        return [stat(0)] * samples
-    return [stat(task) for task in range(samples)]
+    if args.source == "power":
+        return [stat(0)] * args.samples
+    return [stat(task) for task in range(args.samples)]
 
 
-def run_correlations(source: str, system, base, x, length: int, k: int,
-                     test_fn: TestFunction, samples: int, seed: int):
-    res = _per_sample(source, samples, lambda task: k_level_correlation(
-        _sequence_source(source, system, base, x, length, seed, task),
-        k, test_fn))
+def _test_function(args) -> TestFunction:
+    """The --box or --triangle test function; a box of half-width 1/2 when
+    neither is given."""
+    if args.box is not None and args.triangle is not None:
+        raise ConfigParseError("choose one of --box / --triangle")
+    if args.triangle is not None:
+        return TestFunction.triangle(as_fraction(args.triangle))
+    width = args.box if args.box is not None else "1/2"
+    return TestFunction.box(as_fraction(width))
+
+
+def run_correlations(args, system: Optional[SelfSimilarSystem]):
+    test_fn = _test_function(args)
+    res = _per_sample(args, lambda task: k_level_correlation(
+        _sequence_source(args, system, task), args.k, test_fn))
     table = {"sample": range(len(res)), "k": [r.k for r in res],
              "value": [r.value for r in res],
              "integral": [float(r.integral) for r in res],
              "deviation": [r.deviation for r in res]}
-    results = {"k": k, "test_function": test_fn.describe(), "length": length,
-               "integral": float(res[0].integral),
+    results = {"k": args.k, "test_function": test_fn.describe(),
+               "length": args.length, "integral": float(res[0].integral),
                "values": [r.value for r in res],
                "mean_value": float(np.mean([r.value for r in res]))}
     return table, results
@@ -330,30 +341,40 @@ def _parse_grid(spec: str) -> np.ndarray:
             f"bad grid {spec!r}; use lo:hi:step with step > 0") from exc
 
 
-def run_spacings(source: str, system, base, x, length: int, s_grid: str,
-                 samples: int, seed: int):
-    grid = _parse_grid(s_grid)
-    reps = _per_sample(source, samples, lambda task: level_spacings(
-        _sequence_source(source, system, base, x, length, seed, task),
-        s_grid=grid))
+def run_spacings(args, system: Optional[SelfSimilarSystem]):
+    grid = _parse_grid(args.s_grid)
+    reps = _per_sample(args, lambda task: level_spacings(
+        _sequence_source(args, system, task), s_grid=grid))
     s = np.concatenate([rep.s_grid for rep in reps])
     table = {"sample": np.repeat(np.arange(len(reps)), len(grid)), "s": s,
              "G": np.concatenate([rep.g_empirical for rep in reps]),
              "poisson": [1.0 - float(np.exp(-v)) for v in s]}
-    results = {"length": length, "samples": samples,
+    results = {"length": args.length, "samples": args.samples,
                "sup_distances": [r.sup_distance for r in reps]}
     return table, results
 
 
-def run_martingale(system: SelfSimilarSystem, p: int, qs: Sequence[int],
-                   n_list: Sequence[int], samples: int, seed: int,
-                   tol: float, budget: int):
+def _int_list(spec: str) -> list:
+    """A comma-separated list of integers, at least one."""
+    try:
+        values = [int(t) for t in str(spec).split(",") if t != ""]
+    except ValueError as exc:
+        raise ConfigParseError(f"bad integer list {spec!r}") from exc
+    if not values:
+        raise ConfigParseError(f"integer list {spec!r} is empty")
+    return values
+
+
+def run_martingale(args, system: SelfSimilarSystem):
+    qs, n_list = _int_list(args.q), _int_list(args.n_list)
+    p, samples, seed = args.base, args.samples, args.seed
     runs = []
     for task in range(samples):
         task_seed = seed if samples == 1 else int(
             np.random.SeedSequence(seed, spawn_key=(task,)).generate_state(1)[0])
         runs += [(task_seed, gs) for gs in martingale_gaps(
-            system, task_seed, qs, n_list, p, tol=tol, budget=budget)]
+            system, task_seed, qs, n_list, p, tol=args.tol,
+            budget=args.budget)]
     table = {"seed": [s for s, gs in runs for _ in gs.n_values],
              "q": [gs.q for _, gs in runs for _ in gs.n_values],
              "N": [n for _, gs in runs for n in gs.n_values],
@@ -364,10 +385,10 @@ def run_martingale(system: SelfSimilarSystem, p: int, qs: Sequence[int],
              "gap": [g for _, gs in runs for g in gs.gaps]}
     medians = {}
     for q in qs:
-        for n in sorted(set(int(v) for v in n_list)):
+        for n in sorted(set(n_list)):
             gaps = [gs.gaps[gs.n_values.index(n)] for _, gs in runs
                     if gs.q == q]
             medians[f"q={q},N={n}"] = float(np.median(gaps))
-    results = {"p": p, "qs": list(qs), "n_list": [int(v) for v in n_list],
+    results = {"p": p, "qs": qs, "n_list": n_list,
                "samples": samples, "median_gaps": medians}
     return table, results

@@ -204,13 +204,6 @@ def validate(system: SelfSimilarSystem) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
-def check_word(system: SelfSimilarSystem, word: Sequence) -> None:
-    for s in word:
-        if not (isinstance(s, int) and 1 <= s <= system.n):
-            raise SymbolOutOfRange(
-                f"symbol {s!r} outside alphabet 1..{system.n}")
-
-
 def compose(system: SelfSimilarSystem, word: Sequence) -> AffineMap:
     """Exact composition f_{w_1} o f_{w_2} o ... o f_{w_m}.
 
@@ -218,7 +211,6 @@ def compose(system: SelfSimilarSystem, word: Sequence) -> AffineMap:
     triple by :func:`compose_triples` (no gcd until the final Fractions, and
     a balanced product tree instead of one big-integer step per symbol).
     """
-    check_word(system, word)
     A, B, C = compose_triples(integer_triples(system), word)
     return AffineMap(Fraction(A, C), Fraction(B, C))
 
@@ -245,11 +237,11 @@ def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     """Uncancelled integer triple (A, B, C) of f_{w_1} o ... o f_{w_m}.
 
     `triples[s - 1]` is the triple of map s (see :func:`integer_triples`);
-    `word` is a sequence or an integer array of symbols, and a symbol
-    outside 1..len(triples) raises SymbolOutOfRange.  The word is cut
-    into leaves of L symbols (:func:`_leaf_length`) and all leaves fold at
-    once as numpy vectors: a leaf's A and C are the products of its a's and
-    c's, and B = sum_j a_1 ... a_{j-1} b_j c_{j+1} ... c_L, from two
+    `word` is a sequence or an integer array of symbols, and a symbol that
+    is not an integer in 1..len(triples) raises SymbolOutOfRange.  The word
+    is cut into leaves of L symbols (:func:`_leaf_length`) and all leaves
+    fold at once as numpy vectors: a leaf's A and C are the products of its
+    a's and c's, and B = sum_j a_1 ... a_{j-1} b_j c_{j+1} ... c_L, from two
     cumulative products.  Folding a symbol multiplies max(|A|, |B|, C) by
     at most K, and the terms of B in absolute value sum to at most that
     bound, so no product or partial sum leaves int64.  The leaf triples are
@@ -262,6 +254,9 @@ def compose_triples(triples: Sequence, word: Sequence) -> tuple:
     m = len(word)
     if not m:
         return 1, 0, 1
+    word = np.asarray(word)
+    if word.dtype.kind not in "iu":
+        raise SymbolOutOfRange(f"symbols must be integers: {word.dtype}")
     L, dtype = _leaf_length(triples)
     n = -(-m // L)
     # symbol 0, the identity triple, pads the last leaf

@@ -11,14 +11,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
-from normality_lab import cantor_system, experiments as exp, save_system
+from normality_lab import cantor_system, cli, experiments as exp, save_system
 from normality_lab.cli import _write_csv, build_parser, main
 
 SCHEMA = json.loads(
@@ -155,6 +156,11 @@ class TestExitCodes:
         ["beta-orbit", "--beta", "5/2", "--x", "1/2",
          "--precision-bits", str(2 ** 16 + 1)],
         ["power-orbit", "--x", "3/2", "--precision-bits", "100000000000"],
+        # a NaN threshold passed no sample, and NaN and infinity were
+        # printed into the JSON summary
+        *(["normality", "--base", "2", "--length", "50", f"{flag}={value}"]
+          for flag in ("--disc-threshold", "--weyl-threshold")
+          for value in ("nan", "inf", "-inf")),
     ])
     def test_rejected_at_parse_time(self, cantor_file, capsys, argv):
         assert main(argv + ["--system", cantor_file]) == 4
@@ -285,6 +291,10 @@ class TestExitCodes:
           "--length", str(2 ** 22)], 4),
         (["correlations", "--source", "uniform",
           "--length", "1000000000000"], 4),
+        # --j-max is a size, checked at parse time like the others (exit 2
+        # from decay_profile before)
+        (["decay", "--j-max", "41"], 4),
+        (["decay", "--j-max", "-1"], 4),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
         proc = subprocess.run(
@@ -518,6 +528,47 @@ class TestOutputs:
         assert code == 0
         schema_validate(json.loads(out), SCHEMA)
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_full_device_exits_4(self, cantor_file, capsys, fmt):
+        code = main(["digits", "--system", cantor_file, "--base", "2",
+                     "--count", "100", "--format", fmt, "--out", "/dev/full"])
+        assert code == 4
+        assert "cannot write output file" in capsys.readouterr().err
+
+    def test_a_closed_pipe_ends_the_run_quietly(self, cantor_file):
+        # `normality-lab digits ... | head -1`: the reader leaves while the
+        # table is still being written, a block at a time
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "normality_lab.cli", "digits", "--system",
+             cantor_file, "--base", "2", "--count", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"# tool=normality-lab\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_csv_peak_stays_near_the_json_peak(self, cantor_file, tmp_path):
+        # the table is written a block of rows at a time, never whole: the
+        # CSV run peaked at 2.6x the JSON run when it was built first
+        probe = ("import resource, sys\n"
+                 "from normality_lab.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(code, resource.getrusage("
+                 "resource.RUSAGE_SELF).ru_maxrss)\n")
+        peaks = {}
+        for fmt in ("csv", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, "digits", "--system",
+                 cantor_file, "--base", "2", "--count", "500000",
+                 "--format", fmt, "--out", str(tmp_path / f"digits.{fmt}")],
+                capture_output=True, text=True, timeout=120)
+            code, peaks[fmt] = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+        assert peaks["csv"] <= 1.3 * peaks["json"], peaks
+
     def test_entry_point_smoke(self, cantor_file):
         proc = subprocess.run(
             [sys.executable, "-m", "normality_lab.cli", "classify",
@@ -592,6 +643,16 @@ class TestCsvWriter:
     def test_a_table_without_rows_has_no_header(self, column):
         assert self._written({"a": column, "b": []}) == ""
 
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables(), rows=st.integers(1, 3))
+    @example(table={"a": range(7), "b": np.arange(7.0), "": [""] * 7},
+             rows=3)
+    @example(table={"": ["", "x,y", "", ""]}, rows=1)
+    @example(table={"a": [], "b": range(0)}, rows=2)
+    def test_blocks_of_rows_write_the_same_bytes(self, table, rows):
+        with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+            assert self._written(table) == self._csv_module(table)
+
 
 class TestSequentialRuns:
     def test_first_of_three_samples_is_the_single_sample_run(self, cantor_file,
@@ -629,6 +690,11 @@ class TestSequentialRuns:
                            "--count", "10"], capsys)
         assert code == 0
         assert calls == ["load_system", "run_digits"]
+
+    def test_each_subcommand_has_one_runner(self):
+        runners = {name for name in dir(exp) if name.startswith("run_")}
+        assert runners == {"run_" + name.replace("-", "_")
+                           for name in _SUBCOMMANDS}
 
     @pytest.mark.parametrize("subcommand", ["correlations", "spacings"])
     def test_power_source_runs_once_per_run(self, subcommand, monkeypatch,
@@ -671,9 +737,10 @@ class TestSequentialRuns:
     def test_martingale_medians_match_a_scan_of_the_table(self, golden_files):
         from normality_lab.ifs import load_system
         from normality_lab.experiments import run_martingale
-        table, results = run_martingale(load_system(golden_files["inh"]), 2,
-                                        [1, 1, 3], [30, 10, 30], 2, 5, 1e-6,
-                                        10 ** 7)
+        args = argparse.Namespace(base=2, q="1,1,3", n_list="30,10,30",
+                                  samples=2, seed=5, tol=1e-6,
+                                  budget=10 ** 7)
+        table, results = run_martingale(args, load_system(golden_files["inh"]))
         rows = list(zip(table["q"], table["N"], table["gap"]))
         assert len(rows) == 2 * 3 * 2
         assert results["median_gaps"] == {

@@ -32,6 +32,7 @@ from normality_lab.ifs import (
     system_from_dict,
     system_to_dict,
 )
+from normality_lab.sampling import digits
 
 from oracles import iterated_hull
 
@@ -88,6 +89,26 @@ class TestCompose:
     def test_symbol_out_of_range(self, cantor):
         with pytest.raises(SymbolOutOfRange):
             compose(cantor, (1, 3))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_integer_arrays_compose_like_tuples(self, cantor, dtype):
+        # numpy integers were refused as symbols by an isinstance check
+        word = (1, 2, 2, 1, 2) * 20
+        assert compose(cantor, np.array(word, dtype=dtype)) \
+            == compose(cantor, word)
+        assert compose(cantor, np.array([1, 2], dtype=dtype)) \
+            == AffineMap(F(1, 9), F(2, 9))
+
+    @pytest.mark.parametrize("word", [(1.7, 2), [1.0, 2.0], ("1", "2"),
+                                      np.array([2.0, 1.0])])
+    def test_non_integer_symbols_are_refused(self, cantor, word):
+        # compose_triples truncated 1.7 to symbol 1
+        with pytest.raises(SymbolOutOfRange):
+            compose(cantor, word)
+        with pytest.raises(SymbolOutOfRange):
+            compose_triples(integer_triples(cantor), word)
+        with pytest.raises(SymbolOutOfRange):
+            digits(cantor, list(word), 2, 5)
 
     @given(w1=st.lists(st.integers(1, 2), max_size=8),
            w2=st.lists(st.integers(1, 2), max_size=8))
