@@ -266,12 +266,15 @@ def _emit(args, meta: dict, table: dict, results) -> None:
         try:
             _write(sys.stdout, args, meta, table, results)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left (`| head`): end quietly, as one whole write
-            # did, with stdout on devnull so the flush at exit cannot fail
+        except OSError as exc:
+            # stdout goes to devnull so the flush at exit cannot fail again:
+            # a reader that left (`| head`) ends the run quietly, else exit 4
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise ConfigParseError(
+                    f"cannot write output: {exc}") from exc
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -132,7 +132,19 @@ def run_fourier(args, system: SelfSimilarSystem):
     return table, _records(table)[0]
 
 
+# A grid point is one CSV row per sample of `spacings` (the default --s-grid
+# has 51) and one transform value of `decay` (the default bands hold 4,607)
+MAX_GRID_POINTS = 1 << 16
+
+
 def run_decay(args, system: SelfSimilarSystem):
+    # band j holds min(per_band, 2^j) leading integers and at most one power
+    # of each slope denominator: counted before any band is built
+    points = sum(min(args.per_band, 1 << j) + len(system.maps)
+                 for j in range(args.j_max + 1))
+    if points > MAX_GRID_POINTS:
+        raise ConfigParseError(f"decay grid of up to {points} points is over "
+                               f"the cap of {MAX_GRID_POINTS}")
     profile = decay_profile(system, args.j_max, per_band=args.per_band,
                             tol=args.tol, budget=args.budget)
     bands = profile.bands
@@ -317,10 +329,6 @@ def run_correlations(args, system: Optional[SelfSimilarSystem]):
                "values": [r.value for r in res],
                "mean_value": float(np.mean([r.value for r in res]))}
     return table, results
-
-
-# A grid point is one CSV row per sample; the default grid has 51
-MAX_GRID_POINTS = 1 << 16
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -9,10 +9,10 @@ q * r, which is what lets the orbit average be compared against cylinder
 averages without ever sampling the pushforward.
 
 No Fraction is normalised in the hot loops.  One walk over the word yields
-every stopping record as the raw integers of the composed prefix map
-(x -> (A x + B) / C, uncancelled) together with its phase numerators
-p^n A and p^n B mod C, which the walk carries in steps linear in the size
-of C.  `cylinder_modes` then evaluates all records at all q in one call:
+every stopping record as three raw integers of the composed prefix map
+x -> (A x + B) / C (uncancelled): C and the phase numerators p^n A and
+p^n B mod C, which the walk carries in steps linear in the size of C.
+`cylinder_modes` then evaluates all records at all q in one call:
 every q reads the record's numerators, the float product chain of a
 homogeneous system runs for all small frequencies at once in numpy, and the
 remaining modes go through one batch walk of the exact transform
@@ -51,38 +51,19 @@ class StoppingRecord:
     """Exact data at the stopping time n -> beta_n, as the raw integers of
     the walk.
 
-    The beta_n-prefix composes to x -> (A x + B) / C with C > 0, and
-    prevA / prevC is the slope product one symbol earlier (1 for the empty
-    prefix), kept so minimality is checkable exactly.  P = p^n A and
-    X = p^n B mod C (0 <= X < C) are the phase numerators: r = P / C, and
-    the mode's phase is e^{2 pi i q X / C}.  The integers are not reduced;
-    the Fraction views below are built on demand."""
+    The beta_n-prefix composes to x -> (A x + B) / C with C > 0; the record
+    keeps C and the phase numerators P = p^n A and X = p^n B mod C
+    (0 <= X < C): r = P / C, and the mode's phase is e^{2 pi i q X / C}.
+    `last_slope`, the slope of the prefix's last map, makes minimality
+    checkable exactly.  The Fraction views are built on demand."""
 
     n: int
     beta: int
     p: int
-    A: int
-    B: int
     C: int
-    prevA: int
-    prevC: int
     P: int
     X: int
-
-    @property
-    def derivative(self) -> Fraction:
-        """Signed slope product at depth beta_n."""
-        return Fraction(self.A, self.C)
-
-    @property
-    def prev_derivative(self) -> Fraction:
-        """Signed slope product at depth beta_n - 1."""
-        return Fraction(self.prevA, self.prevC)
-
-    @property
-    def offset(self) -> Fraction:
-        """Offset of the composed prefix map."""
-        return Fraction(self.B, self.C)
+    last_slope: Fraction
 
     @property
     def r(self) -> Fraction:
@@ -90,13 +71,23 @@ class StoppingRecord:
         return Fraction(self.P, self.C)
 
     @property
+    def derivative(self) -> Fraction:
+        """Signed slope product at depth beta_n."""
+        return Fraction(self.P, self.C * self.p ** self.n)
+
+    @property
+    def prev_derivative(self) -> Fraction:
+        """Signed slope product at depth beta_n - 1."""
+        return self.derivative / self.last_slope
+
+    @property
     def derivative_magnitude(self) -> Fraction:
         return abs(self.derivative)
 
 
-# The records of a walk to n_max keep, for every n, seven integers of about
-# n log2(p) bits, some 3.5 n_max^2 log2(p) bits in all: n_max^2 log2(p) is
-# capped so that they stay below about half a gigabyte
+# The records of a walk to n_max keep, for every n, three integers of about
+# n log2(p) bits, some 1.5 n_max^2 log2(p) bits in all: n_max^2 log2(p) is
+# capped so that they stay below about 200 MB
 MAX_STOPPING_SIZE = 1 << 30
 
 
@@ -104,15 +95,15 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
                      p: int) -> list:
     """Stopping records for every n = 0..n_max in one pass over the word.
 
-    beta_n is nondecreasing in n, so a single walk maintaining the exact
-    composed map (as uncancelled integer triples) serves all n.  Alongside
-    it the walk carries P = p^n A and X = p^n B mod C: a symbol step
-    (a, b, c) sets X <- (P b + c X) mod cC and P <- a P, an n step sets
-    P <- p P and X <- p X mod C, so each step divides by C with a small
-    quotient.  The comparison |slope| < p^-n is |P| < C on integers, never
-    floats, and each record keeps the integers as they stand: no gcd in
-    the walk.  ConfigParseError (exit 4), before the walk, when n_max^2
-    log2(p) is over MAX_STOPPING_SIZE.
+    beta_n is nondecreasing in n, so a single walk over the composed map
+    serves all n.  It carries only C and P = p^n A, X = p^n B mod C of the
+    uncancelled triple (A, B, C): a symbol step (a, b, c) sets C <- cC, then
+    X <- (P b + c X) mod C and P <- a P; an n step sets P <- p P and
+    X <- p X mod C, so each step divides by C with a small quotient.  The
+    comparison |slope| < p^-n is |P| < C on integers, never floats, and
+    each record keeps the integers as they stand: no gcd in the walk.
+    ConfigParseError (exit 4), before the walk, when n_max^2 log2(p) is
+    over MAX_STOPPING_SIZE.
     """
     if not isinstance(p, int) or p < 2:
         raise InvalidInput("p must be an integer >= 2")
@@ -122,30 +113,28 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     if size > MAX_STOPPING_SIZE:
         raise ConfigParseError(
             f"stopping records to n = {n_max} in base {p} hold about "
-            f"{3.5 * size:.3g} bits, over the cap of n^2 log2(p) <= "
+            f"{1.5 * size:.3g} bits, over the cap of n^2 log2(p) <= "
             f"{MAX_STOPPING_SIZE}")
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     triples = integer_triples(system)
+    slopes = [m.slope for m in system.maps]
     n_maps = len(triples)
     records = []
-    A, B, C = 1, 0, 1
-    P, X = 1, 0  # p^n A and p^n B mod C for the n currently sought
-    prevA, prevC = 1, 1
+    C, P, X = 1, 1, 0  # P = p^n A and X = p^n B mod C for the n sought
     depth = 0
     for n in range(n_max + 1):
+        # |P| = C = 1 at n = 0: the walk takes a step before any record
         while abs(P) >= C:
             s = stream.symbol(depth)
             if not 0 < s <= n_maps:
                 raise SymbolOutOfRange(
                     f"symbol {s} outside alphabet 1..{n_maps}")
-            prevA, prevC = A, C
             a, b, c = triples[s - 1]
-            A, B, C = A * a, A * b + B * c, C * c
+            C *= c
             P, X = P * a, (P * b + c * X) % C
             depth += 1
-        records.append(StoppingRecord(n, depth, p, A, B, C, prevA, prevC,
-                                      P, X))
+        records.append(StoppingRecord(n, depth, p, C, P, X, slopes[s - 1]))
         P, X = P * p, X * p % C
     return records
 
@@ -153,15 +142,14 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
 def r_factor(record: StoppingRecord) -> Fraction:
     """The rescaling factor r, re-validated against its exact bounds.
 
-    |r| < 1 restates the stopping rule; |r| >= |last slope| follows from
-    minimality (the previous prefix product was still >= p^-n), and the last
-    slope is recoverable from the record as derivative / prev_derivative.
+    |r| < 1 restates the stopping rule; |r| >= |last slope| restates
+    minimality: r is p^n times the previous prefix product, which was still
+    >= p^-n in magnitude, times the last slope.
     """
     r = record.r
     if not abs(r) < 1:
         raise InvalidInput("record violates the stopping rule: |r| >= 1")
-    last_slope = record.derivative / record.prev_derivative
-    if not abs(r) >= abs(last_slope):
+    if not abs(r) >= abs(record.last_slope):
         raise InvalidInput("record violates minimality: |r| < |s_last|")
     return r
 

@@ -347,6 +347,40 @@ class TestExitCodes:
                      "--length", "7200"]) == 4
         assert "over the caps" in capsys.readouterr().err
 
+    def test_a_decay_grid_over_the_cap_exits_4_at_once(self, cantor_file,
+                                                       capsys):
+        # 2^40 per band up to j = 40 asks for about 2^41 points; band 30
+        # alone was a set of 2^30 ints, built before any check
+        t0 = time.perf_counter()
+        assert main(["decay", "--system", cantor_file, "--j-max", "40",
+                     "--per-band", str(2 ** 40)]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "over the cap of 65536" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("j_max, per_band, passes", [
+        (16, 512, True),       # the default: 4,607 leading integers
+        (16, 8192, True),      # 40,959 leading integers
+        (40, 1, True),
+        (16, 2 ** 16, False),  # 131,071 leading integers
+        (15, 2 ** 15, False),  # 65,535 leading integers and 16 x 2 powers
+    ])
+    def test_decay_grid_bound(self, cantor_file, monkeypatch, j_max,
+                              per_band, passes):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(exp, "decay_profile", reached)
+        argv = ["decay", "--system", cantor_file, "--j-max", str(j_max),
+                "--per-band", str(per_band)]
+        if passes:
+            with pytest.raises(Reached):
+                main(argv)
+        else:
+            assert main(argv) == 4
+
     def test_sampled_start_is_sized_from_the_certified_beta(
             self, cantor_file, tmp_path, monkeypatch):
         # the golden ratio's certified enclosure, not the bracket end,
@@ -536,6 +570,22 @@ class TestOutputs:
                      "--count", "100", "--format", fmt, "--out", "/dev/full"])
         assert code == 4
         assert "cannot write output file" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_full_stdout_exits_4(self, cantor_file, fmt):
+        # `normality-lab digits ... > /dev/full`: exit 4 as with --out, and
+        # no traceback from the write or from the flush at exit
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "normality_lab.cli", "digits",
+                 "--system", cantor_file, "--base", "2", "--count", "100",
+                 "--format", fmt],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert "cannot write output" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_a_closed_pipe_ends_the_run_quietly(self, cantor_file):
         # `normality-lab digits ... | head -1`: the reader leaves while the

@@ -159,30 +159,29 @@ class TestStoppingRecordFields:
             for rec in recs:
                 full = compose(system, word[:rec.beta])
                 prev = compose(system, word[:rec.beta - 1])
+                last = compose(system, word[rec.beta - 1:rec.beta])
                 assert rec.derivative == full.slope
-                assert rec.offset == full.offset
                 assert rec.prev_derivative == prev.slope
+                assert rec.last_slope == last.slope
                 assert rec.r == p ** rec.n * full.slope
                 assert rec.derivative_magnitude == abs(full.slope)
-                for f in (rec.derivative, rec.offset, rec.prev_derivative,
-                          rec.r):
+                for f in (rec.derivative, rec.prev_derivative, rec.r):
                     assert type(f) is Fraction
-                # the raw integers are the uncancelled triple of the walk
-                assert F(rec.A, rec.C) == full.slope and rec.C > 0
+                # the phase numerator is p^n times the prefix offset, mod 1
+                assert F(rec.X, rec.C) == p ** rec.n * full.offset % 1
+                assert rec.C > 0
 
     def test_r_factor_rejects_bad_records(self, cantor, cantor_records):
         good = cantor_records[7]
         assert r_factor(good) == good.r
         # |r| >= 1: the stopping rule does not hold
-        too_big = StoppingRecord(good.n, good.beta, good.p, 3 * good.A,
-                                 good.B, good.C, good.prevA, good.prevC,
-                                 3 * good.P, good.X)
+        too_big = StoppingRecord(good.n, good.beta, good.p, good.C,
+                                 3 * good.P, good.X, good.last_slope)
         with pytest.raises(InvalidInput, match="stopping rule"):
             r_factor(too_big)
         # the previous slope product already below p^-n: not minimal
-        not_minimal = StoppingRecord(good.n, good.beta, good.p, good.A,
-                                     good.B, good.C, good.A, good.C,
-                                     good.P, good.X)
+        not_minimal = StoppingRecord(good.n, good.beta, good.p, good.C,
+                                     good.P, good.X, F(1))
         with pytest.raises(InvalidInput, match="minimality"):
             r_factor(not_minimal)
 
@@ -194,10 +193,18 @@ class TestStoppingRecordFields:
         p = data.draw(st.sampled_from([2, 3, 5, 10]))
         seed = data.draw(st.integers(0, 10 ** 6))
         n_max = data.draw(st.integers(0, 150))
-        for rec in stopping_records(system, WordStream(system, seed), n_max,
-                                    p):
-            assert rec.P == p ** rec.n * rec.A
-            assert rec.X == p ** rec.n * rec.B % rec.C
+        stream = WordStream(system, seed)
+        records = stopping_records(system, stream, n_max, p)
+        word = stream.prefix(records[-1].beta)
+        # C is the uncancelled denominator: the product of each map's least
+        # common denominator of slope and offset
+        dens = [math.lcm(m.slope.denominator, m.offset.denominator)
+                for m in system.maps]
+        for rec in records:
+            full = compose(system, word[:rec.beta])
+            assert rec.C == math.prod(dens[s - 1] for s in word[:rec.beta])
+            assert F(rec.P, rec.C) == p ** rec.n * full.slope
+            assert F(rec.X, rec.C) == p ** rec.n * full.offset % 1
             assert 0 <= rec.X < rec.C
 
 
@@ -246,7 +253,9 @@ class TestCylinderModesBatch:
         p = data.draw(st.sampled_from([2, 3, 5, 10]))
         seed = data.draw(st.integers(0, 10 ** 6))
         n_max = data.draw(st.integers(0, 120))
-        records = stopping_records(system, WordStream(system, seed), n_max, p)
+        stream = WordStream(system, seed)
+        records = stopping_records(system, stream, n_max, p)
+        word = stream.prefix(records[-1].beta)
         picks = data.draw(st.lists(st.integers(0, n_max), min_size=1,
                                    max_size=12))
         records = [records[i] for i in picks]
@@ -258,9 +267,10 @@ class TestCylinderModesBatch:
             for j, rec in enumerate(records):
                 if abs(q * float(rec.r)) > 1024.0:
                     continue   # past the chain cutoff: exact path
+                offset = compose(system, word[:rec.beta]).offset
                 want, bound = scalar_chain_mode(system, rec.n, p,
-                                                rec.derivative, rec.offset,
-                                                q, tol)
+                                                rec.derivative, offset, q,
+                                                tol)
                 assert _bits(modes.values[k, j]) == _bits(want)
                 assert modes.error_bounds[k, j] == bound
                 assert modes.nodes[k, j] == 0
@@ -269,13 +279,16 @@ class TestCylinderModesBatch:
     def test_signed_zeros_match(self):
         # q = 0 and quarter phases produce exact zeros in the products
         system = CHAIN_SYSTEMS["flip"]
-        records = stopping_records(system, WordStream(system, 4), 30, 2)
+        stream = WordStream(system, 4)
+        records = stopping_records(system, stream, 30, 2)
+        word = stream.prefix(records[-1].beta)
         qs = [0, 1, -1, 2, 4]
         modes = cylinder_modes(system, records, qs, tol=1e-9)
         for k, q in enumerate(qs):
             for j, rec in enumerate(records):
+                offset = compose(system, word[:rec.beta]).offset
                 want, _ = scalar_chain_mode(system, rec.n, 2, rec.derivative,
-                                            rec.offset, q, 1e-9)
+                                            offset, q, 1e-9)
                 assert _bits(modes.values[k, j]) == _bits(want)
 
     def test_one_record_case_is_cylinder_mode(self, cantor, mixed):
