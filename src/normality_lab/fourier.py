@@ -9,11 +9,13 @@ A branch at reduced frequency u stops once 2 pi |u| * (hull width / 2) falls
 below the tolerance; the sub-measure is then replaced by a point mass at the
 hull midpoint, an elementary mean-value bound that keeps every reported error
 rigorous.  One depth-first walk, `fourier_tree`, expands each node once and
-takes a batch of roots; `fourier_exact` is its one-root call.
+takes a batch of roots; it is compiled once per system shape, its per-map
+work unrolled.  `fourier_exact` is its one-root call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,91 +109,163 @@ def fourier_exact(system: SelfSimilarSystem, q, tol: float = DEFAULT_TOL,
 def fourier_tree(system: SelfSimilarSystem, roots, tol: float = DEFAULT_TOL,
                  budget: int = DEFAULT_NODE_BUDGET,
                  cache: Optional[dict] = None) -> list:
-    """F_u for each reduced ``(num, den)`` root in turn, in one walk that
-    builds the per-system integer data once; returns one ``(value, error
-    bound, nodes, budget hit)`` tuple per root.
+    """F_u for each reduced ``(num, den)`` root in turn, in one walk;
+    returns one ``(value, error bound, nodes, budget hit)`` tuple per root.
 
     Each root has its own node count and budget, as one
     :func:`fourier_exact` call; `cache` is shared by all roots, and None
     gives every root a fresh memo.  Tree frequencies u * s_{w_1} * ... are
     carried as reduced integer pairs, so memo hits are exact and no Fraction
-    is normalised per node.  An interior node is expanded once, its
-    children computed once per distinct slope: it goes back on the stack
-    with its children and bound, above which the children are pushed (those
-    already memoised are skipped when popped), and once they are done the
-    budget is tested again before the combine.
+    is normalised per node.
+
+    The walk runs in this order, which ``reference_fourier_tree`` in the
+    tests pins (values, bounds, node counts and budget flags):
+
+    - a popped frequency already in the memo is skipped;
+    - a leaf (bound <= tol) is counted without a budget test;
+    - any other node tests the budget on entry, then goes back on the stack
+      as ``(u, k0, ..., bound)``, one child per distinct slope, above which
+      the children are pushed so that the last map's child is popped first;
+      a child shared by several maps is pushed once, at its last map;
+    - once its children are done, the budget is tested again, and the
+      combine sums value and error in map order from ``0j`` and ``0.0``.
+
+    The walk is compiled once per system shape (see :func:`_walker`); only
+    names and indices derived from the shape enter its source, and every
+    number of the system is passed in as an argument.
     """
     if not tol > 0:
         raise InvalidInput("tol must be positive")
-    # per-system data as integers: no Fraction arithmetic per node
+    kernel, constants = _system_kernel(system)
+    return kernel(roots, cache, tol, budget, constants)
+
+
+# The last system walked, as one (system, kernel, constants) triple: it is
+# tested with `is` and rebound whole, so a thread never pairs one system's
+# kernel with another's constants.  decay_profile calls fourier_exact on one
+# system once per grid point, and this keeps the set-up out of those calls.
+_last_system = (None, None, None)
+
+
+def _system_kernel(system: SelfSimilarSystem):
+    """The compiled walk for `system`'s shape, and the system's numbers as
+    ints and floats for it to take as an argument."""
+    global _last_system
+    last = _last_system
+    if last[0] is system:
+        return last[1], last[2]
     lo, hi = system.hull
     lo_num, hi_num = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     hull_den = lo.denominator * hi.denominator
-    cnum, cden = lo_num + hi_num, 2 * hull_den   # hull midpoint, unreduced
-    half_width = ((hi_num - lo_num) / hull_den) / 2.0
     per_map = [(m.slope.numerator, m.slope.denominator) for m in system.maps]
-    slopes = list(dict.fromkeys(per_map))
-    pick = [slopes.index(s) for s in per_map] if slopes != per_map else None
-    terms = [(w.numerator / w.denominator, m.offset.numerator,
-              m.offset.denominator)
-             for w, m in zip(system.weights, system.maps)]
+    # the walk pops the last map's child first, so distinct slopes are
+    # numbered from the last map backwards
+    slopes = list(dict.fromkeys(reversed(per_map)))
+    index = {s: j for j, s in enumerate(slopes)}
+    shape = (tuple(snum == 1 for snum, _ in slopes),
+             tuple((index[s], m.offset != 0)
+                   for s, m in zip(per_map, system.maps)))
+    constants = (lo_num + hi_num, 2 * hull_den,   # hull midpoint, unreduced
+                 ((hi_num - lo_num) / hull_den) / 2.0, tuple(slopes),
+                 tuple((w.numerator / w.denominator, m.offset.numerator,
+                        m.offset.denominator)
+                       for w, m in zip(system.weights, system.maps)))
+    kernel = _walker(shape)
+    _last_system = (system, kernel, constants)
+    return kernel, constants
 
+
+_WALK = """\
+def walk(roots, cache, tol, budget, constants):
+    cnum, cden, half_width, slopes, terms = constants
+    {unpack}
+    gcd, phase, tau, inf = _gcd, _phase, _tau, _inf
     out = []
     for root in roots:
-        memo = cache if cache is not None else {}
-        budget_hit = False
-        new_nodes = 0
+        memo = cache if cache is not None else {{}}
+        hit, nodes = False, 0
         stack = [root]
+        pop, push = stack.pop, stack.append
         while stack:
-            entry = stack.pop()
-            if len(entry) == 3:  # an expanded node whose children are done
-                u, children, bound = entry
-                num, den = u
-            else:
+            entry = pop()
+            if len(entry) == 2:
                 if entry in memo:
                     continue
-                u = num, den = entry
-                children = None
+                num, den = u = entry
                 try:
-                    bound = math.tau * abs(num / den) * half_width
+                    bound = tau * abs(num / den) * half_width
                 except OverflowError:  # |u| past the float range: never a leaf
-                    bound = math.inf
+                    bound = inf
                 if bound <= tol:
-                    memo[u] = (ratio_phase(num * cnum, den * cden), bound)
-                    new_nodes += 1
+                    memo[u] = (phase(num * cnum, den * cden), bound)
+                    nodes += 1
                     continue
-            if new_nodes >= budget:
-                budget_hit = True
-                memo[u] = (ratio_phase(num * cnum, den * cden),
-                           min(bound, 2.0))
-                new_nodes += 1
-                continue
-            if children is None:
-                # u * s in lowest terms: both factors are reduced, so only
-                # the cross gcds can cancel
-                kids = []
-                for snum, sden in slopes:
-                    g1, g2 = math.gcd(num, sden), math.gcd(snum, den)
-                    kids.append(((num // g1) * (snum // g2),
-                                 (den // g2) * (sden // g1)))
-                children = [kids[i] for i in pick] if pick else kids
-                stack.append((u, children, bound))
-                stack.extend(children)
-                continue
-            val = complex(0.0, 0.0)
-            err = 0.0
-            for (p, tnum, tden), v in zip(terms, children):
-                cv, ce = memo[v]
-                if tnum:
-                    val += p * ratio_phase(num * tnum, den * tden) * cv
-                else:  # phase 1: p * cv rounds as p * 1 * cv
-                    val += p * cv
-                err += p * ce
-            memo[u] = (val, err)
-            new_nodes += 1
+                if nodes < budget:
+                    {children}
+                    continue
+            else:
+                {expanded} = entry
+                num, den = u
+                if nodes < budget:
+                    {combine}
+                    memo[u] = (val, err)
+                    nodes += 1
+                    continue
+            hit = True
+            memo[u] = (phase(num * cnum, den * cden), min(bound, 2.0))
+            nodes += 1
         val, err = memo[root]
-        out.append((val, err, new_nodes, budget_hit))
+        out.append((val, err, nodes, hit))
     return out
+"""
+
+
+@functools.cache
+def _walker(shape):
+    """The walk of :func:`fourier_tree` specialised to one system shape and
+    compiled once per shape, the per-map loops unrolled.
+
+    `shape` is ``(unit, maps)``: per distinct slope, in the order the walk
+    first visits its child, whether its numerator is 1; per map, the index
+    of its distinct slope and whether its offset is nonzero.  The source
+    holds only names and indices derived from it; one statement per map
+    keeps its size linear and its expressions shallow for any map count.
+    """
+    unit, maps = shape
+    kids = [f"k{j}" for j in range(len(unit))]
+    unpack, children, combine = [], [], []
+    for j, one in enumerate(unit):
+        unpack.append(f"s{j}n, s{j}d = slopes[{j}]")
+        if one:  # u / d: only the gcd with d can cancel
+            children += [f"g = gcd(num, s{j}d)",
+                         f"k{j} = (num // g, den * (s{j}d // g))"]
+        else:  # u * s in lowest terms: only the cross gcds can cancel
+            children += [f"g1, g2 = gcd(num, s{j}d), gcd(s{j}n, den)",
+                         f"k{j} = ((num // g1) * (s{j}n // g2), "
+                         f"(den // g2) * (s{j}d // g1))"]
+        combine.append(f"c{j}v, c{j}e = memo[k{j}]")
+    children.append(f"push((u, {', '.join(kids)}, bound))")
+    children += [f"push({k})" for k in reversed(kids)]
+    combine.append("val = 0j")
+    for i, (j, offset) in enumerate(maps):
+        unpack.append(f"p{i}, t{i}n, t{i}d = terms[{i}]")
+        if offset:
+            combine.append(
+                f"val += p{i} * phase(num * t{i}n, den * t{i}d) * c{j}v")
+        else:  # phase 1: p * cv rounds as p * 1 * cv
+            combine.append(f"val += p{i} * c{j}v")
+    combine.append("err = 0.0")
+    combine += [f"err += p{i} * c{j}e" for i, (j, _) in enumerate(maps)]
+    source = _WALK.format(
+        unpack="\n    ".join(unpack),
+        children="\n                    ".join(children),
+        expanded=f"u, {', '.join(kids)}, bound",
+        combine="\n                    ".join(combine))
+    namespace = dict(_gcd=math.gcd, _phase=ratio_phase, _tau=math.tau,
+                     _inf=math.inf)
+    exec(compile(source, f"<fourier walk {len(unit)}/{len(maps)}>", "exec"),
+         namespace)
+    return namespace["walk"]
 
 
 def fourier_empirical(sample, q: int) -> FourierValue:

@@ -41,6 +41,10 @@ TREE_SYSTEMS = {
     "flip": make_system([("-1/2", "0"), ("-1/2", "1/2")]),
     "shifted": make_system([("-2/5", "7/5"), ("1/3", "-1/3")],
                            ["3/7", "4/7"]),
+    # three maps: one slope on the first and last map, a zero offset in the
+    # middle, and a slope numerator other than 1
+    "three": make_system([("1/3", "1/3"), ("2/5", "0"), ("1/3", "2/3")],
+                         ["1/4", "1/2", "1/4"]),
 }
 
 rationals = st.builds(F, st.integers(-10 ** 7, 10 ** 7),
@@ -227,6 +231,37 @@ class TestFourierExact:
                 assert (err, nodes, hit) == want[1:]
         assert {F(*k): (_bits(v), e) for k, (v, e) in cache.items()} == {
             k: (_bits(v), e) for k, (v, e) in ref_cache.items()}
+
+    def test_many_maps_equal_fraction_tree(self):
+        # 258 maps: the walk's source grows by one statement per map
+        maps = [(F(1, 256), F(i, 256)) for i in range(256)]
+        maps += [("1/3", "1/3"), ("1/3", "2/3")]
+        system = make_system(maps, [F(1, 512)] * 256 + ["1/4", "1/4"])
+        for q, budget in ((1, 10 ** 7), (12345, 10 ** 7), (-7, 10 ** 7),
+                          (12345, 3)):
+            fv = fourier_exact(system, q, tol=1e-9, budget=budget)
+            val, err, nodes, hit = reference_fourier_tree(system, q, 1e-9,
+                                                          budget)
+            assert _bits(fv.value) == _bits(val)
+            assert (fv.error_bound, fv.nodes, fv.budget_exceeded) == (
+                err, nodes, hit)
+
+    def test_systems_of_one_shape_keep_their_own_constants(self, cantor):
+        # {x/3, x/3 + 1/3} has Cantor's shape (one slope 1/3, offsets zero
+        # then nonzero) but other offsets and weights; alternating the two
+        # must not reuse one system's constants for the other
+        other = make_system([("1/3", "0"), ("1/3", "1/3")], ["1/3", "2/3"])
+        caches = {id(cantor): ({}, {}), id(other): ({}, {})}
+        for q in (1, 5, F(7, 2), 1, 5, F(7, 2)):
+            for system in (cantor, other, cantor, other):
+                cache, ref_cache = caches[id(system)]
+                for shared, ref_shared in ((None, None), (cache, ref_cache)):
+                    fv = fourier_exact(system, q, tol=1e-10, cache=shared)
+                    val, err, nodes, hit = reference_fourier_tree(
+                        system, q, 1e-10, 10 ** 7, cache=ref_shared)
+                    assert _bits(fv.value) == _bits(val)
+                    assert (fv.error_bound, fv.nodes, fv.budget_exceeded) == (
+                        err, nodes, hit)
 
     def test_resonance_equals_fraction_tree(self, cantor):
         for q in (3 ** 8, 3 ** 40 + 1, F(-(3 ** 25), 7)):
