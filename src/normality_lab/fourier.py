@@ -162,9 +162,8 @@ def _system_kernel(system: SelfSimilarSystem):
     # numbered from the last map backwards
     slopes = list(dict.fromkeys(reversed(per_map)))
     index = {s: j for j, s in enumerate(slopes)}
-    shape = (tuple(snum == 1 for snum, _ in slopes),
-             tuple((index[s], m.offset != 0)
-                   for s, m in zip(per_map, system.maps)))
+    shape = tuple((index[s], m.offset != 0)
+                  for s, m in zip(per_map, system.maps))
     constants = (lo_num + hi_num, 2 * hull_den,   # hull midpoint, unreduced
                  ((hi_num - lo_num) / hull_den) / 2.0, tuple(slopes),
                  tuple((w.numerator / w.denominator, m.offset.numerator,
@@ -225,29 +224,25 @@ def _walker(shape):
     """The walk of :func:`fourier_tree` specialised to one system shape and
     compiled once per shape, the per-map loops unrolled.
 
-    `shape` is ``(unit, maps)``: per distinct slope, in the order the walk
-    first visits its child, whether its numerator is 1; per map, the index
-    of its distinct slope and whether its offset is nonzero.  The source
-    holds only names and indices derived from it; one statement per map
-    keeps its size linear and its expressions shallow for any map count.
+    `shape` holds, per map, the index of its distinct slope (numbered in
+    the order the walk first visits its child) and whether its offset is
+    nonzero.  The source holds only names and indices derived from it; one
+    statement per map keeps its size linear and its expressions shallow for
+    any map count.
     """
-    unit, maps = shape
-    kids = [f"k{j}" for j in range(len(unit))]
+    kids = [f"k{j}" for j in range(1 + max(j for j, _ in shape))]
     unpack, children, combine = [], [], []
-    for j, one in enumerate(unit):
+    for j in range(len(kids)):
         unpack.append(f"s{j}n, s{j}d = slopes[{j}]")
-        if one:  # u / d: only the gcd with d can cancel
-            children += [f"g = gcd(num, s{j}d)",
-                         f"k{j} = (num // g, den * (s{j}d // g))"]
-        else:  # u * s in lowest terms: only the cross gcds can cancel
-            children += [f"g1, g2 = gcd(num, s{j}d), gcd(s{j}n, den)",
-                         f"k{j} = ((num // g1) * (s{j}n // g2), "
-                         f"(den // g2) * (s{j}d // g1))"]
+        # u * s in lowest terms: only the cross gcds can cancel
+        children += [f"g1, g2 = gcd(num, s{j}d), gcd(s{j}n, den)",
+                     f"k{j} = ((num // g1) * (s{j}n // g2), "
+                     f"(den // g2) * (s{j}d // g1))"]
         combine.append(f"c{j}v, c{j}e = memo[k{j}]")
     children.append(f"push((u, {', '.join(kids)}, bound))")
     children += [f"push({k})" for k in reversed(kids)]
     combine.append("val = 0j")
-    for i, (j, offset) in enumerate(maps):
+    for i, (j, offset) in enumerate(shape):
         unpack.append(f"p{i}, t{i}n, t{i}d = terms[{i}]")
         if offset:
             combine.append(
@@ -255,7 +250,7 @@ def _walker(shape):
         else:  # phase 1: p * cv rounds as p * 1 * cv
             combine.append(f"val += p{i} * c{j}v")
     combine.append("err = 0.0")
-    combine += [f"err += p{i} * c{j}e" for i, (j, _) in enumerate(maps)]
+    combine += [f"err += p{i} * c{j}e" for i, (j, _) in enumerate(shape)]
     source = _WALK.format(
         unpack="\n    ".join(unpack),
         children="\n                    ".join(children),
@@ -263,7 +258,7 @@ def _walker(shape):
         combine="\n                    ".join(combine))
     namespace = dict(_gcd=math.gcd, _phase=ratio_phase, _tau=math.tau,
                      _inf=math.inf)
-    exec(compile(source, f"<fourier walk {len(unit)}/{len(maps)}>", "exec"),
+    exec(compile(source, f"<fourier walk {len(kids)}/{len(shape)}>", "exec"),
          namespace)
     return namespace["walk"]
 
