@@ -4,8 +4,9 @@ Three decision procedures, all exact:
 
 * log-commensurability of a rational contraction ratio with an integer base,
   decided over a coprime base built with gcds alone (no factoring);
-* Pisot certification of a monic integer polynomial, via Sturm isolation of
-  real roots and a posteriori disk bounds for complex conjugate pairs;
+* Pisot certification of a monic integer polynomial: Sturm isolation of
+  its real roots, and root counts in disks |z| < r (Routh-Hurwitz by
+  Cauchy indices, on the same Sturm chains) for its complex conjugates;
 * the obstruction-form check of a system against a base b (slope
   commensurability plus the translation form k / b^j), applied to the
   hull-normalized system.
@@ -16,15 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import (
-    InvalidInput,
-    NotAlgebraicInteger,
-    PrecisionExhausted,
-    ReduciblePolynomial,
-)
+from .errors import InvalidInput, NotAlgebraicInteger, ReduciblePolynomial
 from .ifs import AffineMap, SelfSimilarSystem, normalize
 
 
@@ -107,6 +103,14 @@ def poly_deriv(coeffs: Sequence) -> list:
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
 
+def _trim(poly) -> list:
+    """The coefficients without leading zeros ([] for the zero polynomial)."""
+    poly = list(poly)
+    while poly and poly[0] == 0:
+        poly.pop(0)
+    return poly
+
+
 def _poly_rem(num, den):
     """Remainder of polynomial division over Q (descending coefficients)."""
     num = list(num)
@@ -115,37 +119,42 @@ def _poly_rem(num, den):
         q = num[0] / den[0]
         for i in range(1, dn):
             num[i] -= q * den[i]
-        num.pop(0)
-        while num and num[0] == 0:
-            num.pop(0)
+        num = _trim(num[1:])
     return num
 
 
-def _sturm_chain(coeffs: Sequence) -> list:
-    chain = [[Fraction(c) for c in coeffs]]
-    deriv = [Fraction(c) for c in poly_deriv(coeffs)]
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
+def _sturm_chain(a: Sequence, b: Sequence) -> list:
+    """The signed remainder sequence a, b, -rem(a, b), ... up to its last
+    nonzero entry, a gcd of a and b.  Its sign variations at x less those
+    at y > x are the Cauchy index of b / a on (x, y] (Sturm: b = a' counts
+    the distinct roots of a)."""
+    chain = [[Fraction(c) for c in _trim(a)], [Fraction(c) for c in _trim(b)]]
+    while chain[-1]:
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+    return chain[:-1]
+
+
+def _changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = poly_eval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _changes(poly_eval(poly, x) for poly in chain)
+
+
+def _line_index(a: Sequence, b: Sequence) -> tuple:
+    """(Cauchy index of b / a over the whole line, a gcd of a and b): the
+    chain's sign variations at -inf less those at +inf, read off the
+    leading terms."""
+    chain = _sturm_chain(a, b)
+    at_minus_inf = _changes(c[0] if len(c) % 2 else -c[0] for c in chain)
+    return at_minus_inf - _changes(c[0] for c in chain), chain[-1]
 
 
 def count_real_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi], by Sturm's theorem."""
-    chain = _sturm_chain(coeffs)
+    chain = _sturm_chain(coeffs, poly_deriv(coeffs))
     return _sign_changes(chain, Fraction(lo)) - _sign_changes(chain, Fraction(hi))
 
 
@@ -158,7 +167,7 @@ def cauchy_bound(coeffs: Sequence) -> Fraction:
 
 def isolate_real_roots(coeffs: Sequence) -> list:
     """Disjoint rational intervals (lo, hi], one simple real root in each."""
-    chain = _sturm_chain(coeffs)
+    chain = _sturm_chain(coeffs, poly_deriv(coeffs))
     bound = cauchy_bound(coeffs)
     out = []
 
@@ -301,99 +310,6 @@ class PisotReport:
     reciprocal: bool = False
 
 
-def _sqrt_bounds(x: Fraction) -> tuple:
-    """Rational lower/upper bounds for sqrt(x), x >= 0."""
-    if x < 0:
-        raise InvalidInput("negative radicand")
-    r = isqrt(x.numerator * x.denominator)
-    return Fraction(r, x.denominator), Fraction(r + 1, x.denominator)
-
-
-def _is_reciprocal(coeffs: Sequence) -> bool:
-    """True when x^d p(1/x) == p(0) p(x); the only way roots can sit on |z|=1."""
-    p0 = coeffs[-1]
-    if abs(p0) != 1:
-        return False
-    return list(reversed(coeffs)) == [p0 * c for c in coeffs]
-
-
-def _approx_complex_roots(coeffs, dps):
-    import mpmath  # the Pisot helpers import it on first use, like sympy
-    threshold = mpmath.mpf(10) ** (-dps // 2)
-    try:
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs],
-                                     maxsteps=500, extraprec=dps * 4)
-            return [mpmath.mpc(r) for r in roots if mpmath.im(r) > threshold]
-    except Exception:
-        return None
-
-
-def _to_fraction(x, bits) -> Fraction:
-    import mpmath
-    scaled = int(mpmath.floor(x * (1 << bits) + mpmath.mpf("0.5")))
-    return Fraction(scaled, 1 << bits)
-
-
-def _complex_poly_eval(coeffs, xr: Fraction, xi: Fraction) -> tuple:
-    ar, ai = Fraction(0), Fraction(0)
-    for c in coeffs:
-        ar, ai = ar * xr - ai * xi + c, ar * xi + ai * xr
-    return ar, ai
-
-
-def _complex_disks(coeffs, dps, bits):
-    """Certified (center, radius) disks around the upper-half-plane roots.
-
-    Every disk D(w, d * |p(w) / p'(w)|) contains at least one root of p, so a
-    pairwise disjoint family isolates one root each.  Radii are exact rational
-    upper bounds evaluated at dyadic approximations of the numeric roots.
-    """
-    import mpmath
-    d = len(coeffs) - 1
-    deriv = poly_deriv(coeffs)
-    approx = _approx_complex_roots(coeffs, dps)
-    if approx is None:
-        return None
-    disks = []
-    for z in approx:
-        with mpmath.workdps(dps):
-            wr = _to_fraction(mpmath.re(z), bits)
-            wi = _to_fraction(mpmath.im(z), bits)
-        pr, pi = _complex_poly_eval(coeffs, wr, wi)
-        dr, di = _complex_poly_eval(deriv, wr, wi)
-        num_sq = pr * pr + pi * pi
-        den_sq = dr * dr + di * di
-        if den_sq == 0:
-            return None
-        _, num_up = _sqrt_bounds(num_sq)
-        den_lo, _ = _sqrt_bounds(den_sq)
-        if den_lo == 0:
-            return None
-        disks.append(((wr, wi), d * num_up / den_lo))
-    return disks
-
-
-def _disks_valid(disks) -> bool:
-    for i in range(len(disks)):
-        (xr, xi), r = disks[i]
-        # each disk must stay strictly above the real axis (and so clear of
-        # its own mirror image and of all real roots)
-        if xi <= r:
-            return False
-        for j in range(i + 1, len(disks)):
-            (yr, yi), s = disks[j]
-            if (xr - yr) ** 2 + (xi - yi) ** 2 <= (r + s) ** 2:
-                return False
-    return True
-
-
-def _modulus_interval(center, radius) -> tuple:
-    xr, xi = center
-    m_lo, m_hi = _sqrt_bounds(xr * xr + xi * xi)
-    return (max(m_lo - radius, Fraction(0)), m_hi + radius)
-
-
 def _abs_interval(iv) -> tuple:
     lo, hi = iv
     if hi < 0:
@@ -407,19 +323,61 @@ def _straddles_one(iv) -> bool:
     return iv[0] <= 1 <= iv[1]
 
 
+def count_roots_in_disk(coeffs: Sequence, r) -> Optional[int]:
+    """Number of roots of p, with multiplicity, of modulus < r (rational
+    r > 0); None when some root has modulus exactly r.
+
+    z = r (1 + w) / (1 - w) maps Re w < 0 onto |z| < r, so this counts the
+    roots in the left half-plane of h(w) = (1 - w)^d p(r (1 + w) / (1 - w)),
+    scaled to integers by den(r)^d.  A root z = -r lowers deg h: None.
+    Otherwise, with h(iy) = P(y) + i Q(y), each root left of the axis adds
+    pi to arg h(iy) as y runs over the line and each root right of it takes
+    pi away, so the count is (d + s) / 2 with s = -Ind(Q / P) when
+    deg P > deg Q and Ind(P / Q) otherwise (Routh-Hurwitz by Cauchy indices:
+    Gantmacher, The Theory of Matrices II, ch. XV).  A common root of P and
+    Q that is real is a root of h on the axis, a root of p on |z| = r:
+    None.  The other common roots come from roots of h mirrored in the axis
+    (of p mirrored in the circle, as for a reciprocal p at r = 1), one on
+    each side, which leaves the count exact.
+    """
+    coeffs, r = _trim(coeffs), Fraction(r)
+    a, b = r.numerator, r.denominator
+    # homogeneous Horner: h = sum_k c_k (a (1 + w))^(d-k) (b (1 - w))^k,
+    # c_0 the leading coefficient; f (u w + v) is u f + v (f shifted)
+    h, y_pow = [coeffs[0]], [1]
+    for c in coeffs[1:]:
+        y_pow = [b * (t - s) for s, t in zip(y_pow + [0], [0] + y_pow)]
+        h = [a * (s + t) + c * v
+             for s, t, v in zip(h + [0], [0] + h, y_pow)]
+    h = _trim(h)
+    if len(h) < len(coeffs):
+        return None
+    d = len(h) - 1
+    # (iy)^j = i^j y^j: even powers go to P, odd ones to Q, sign (-1)^(j//2)
+    pq = ([0] * (d + 1), [0] * (d + 1))
+    for j, c in enumerate(reversed(h)):
+        pq[j % 2][d - j] = c if j % 4 < 2 else -c
+    # the part of degree d first: s = -Ind(Q / P) for even d, Ind(P / Q) else
+    index, gcd_pq = _line_index(pq[d % 2], pq[1 - d % 2])
+    if _line_index(gcd_pq, poly_deriv(gcd_pq))[0]:
+        return None
+    return (d + (index if d % 2 else -index)) // 2
+
+
 def is_pisot(coeffs: Sequence) -> PisotReport:
     """Decide whether a monic irreducible integer polynomial defines a Pisot
     number: a real root > 1 all of whose algebraic conjugates have modulus
     strictly below 1.
 
     Real roots are isolated by exact Sturm bisection and refined by integer
-    bisection (:func:`refine_real_root`).  Complex
-    conjugate pairs get a posteriori disk enclosures, refined until every
-    modulus interval excludes 1.  Roots exactly on the unit circle force the
-    polynomial to be self-reciprocal, which is detected by an exact
-    coefficient test and settled combinatorially (degree 2: decided by the
-    dominant real root; degree >= 4: never Pisot), so refinement always
-    terminates.
+    bisection (:func:`refine_real_root`) until each |root| is decisively
+    above or below 1.  The non-real roots of modulus < r number
+    :func:`count_roots_in_disk` less the real roots in (-r, r), and r is
+    bisected on that count from (0, Cauchy bound) until each enclosure of
+    their moduli excludes 1.  A conjugate on the unit circle, which the
+    count at r = 1 detects exactly, stops the bisection at width 2^-64
+    instead.  The verdict: a dominant real root > 1, and every conjugate
+    enclosure below 1.  Everything is exact, so every input is decided.
     """
     coeffs = [int(c) for c in coeffs]
     if len(coeffs) < 2:
@@ -438,11 +396,9 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
         dominant = (root, root) if root > 1 else None
         return PisotReport(coeffs, dominant, (), root > 1)
 
-    reciprocal = _is_reciprocal(coeffs)
-
     # Real roots, refined until each |root| is decisively above or below 1
     # (irreducibility rules out roots exactly at +-1, so this terminates).
-    eps = Fraction(1, 1 << 64)
+    eps = width = Fraction(1, 1 << 64)
     refined = [refine_real_root(coeffs, lo, hi, eps)
                for lo, hi in isolate_real_roots(coeffs)]
     while any(_straddles_one(_abs_interval(iv)) for iv in refined):
@@ -451,45 +407,35 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
     above_one = [iv for iv in refined if iv[0] > 1]
     dominant = max(above_one, key=lambda iv: iv[0]) if above_one else None
 
-    if reciprocal and degree == 2 and dominant is not None:
-        # the unique conjugate is +-1/theta
-        lo, hi = dominant
-        return PisotReport(coeffs, dominant, ((1 / hi, 1 / lo),), True,
-                           reciprocal=True)
+    def complex_inside(r):
+        inside = count_roots_in_disk(coeffs, r)
+        return None if inside is None else (
+            inside - count_real_roots(coeffs, -r, r))
 
-    n_real = len(refined)
-    if (degree - n_real) % 2 != 0:
-        raise PrecisionExhausted("real root count inconsistent with degree")
-    need_pairs = (degree - n_real) // 2
+    # no root lies on a circle through an endpoint, so the roots counted
+    # between two endpoints lie strictly between them
+    on_circle = count_roots_in_disk(coeffs, 1) is None
+    moduli = []
 
-    complex_moduli = None
-    for dps, bits in ((40, 96), (80, 192), (160, 384), (320, 768), (640, 1536)):
-        disks = _complex_disks(coeffs, dps, bits)
-        if disks is None or len(disks) != need_pairs or not _disks_valid(disks):
-            continue
-        moduli = []
-        for center, radius in disks:
-            iv = _modulus_interval(center, radius)
-            moduli.append(iv)
-            moduli.append(iv)  # mirror conjugate, same modulus
-        if not reciprocal and any(_straddles_one(iv) for iv in moduli):
-            continue  # refine until decisive; off-circle roots guarantee exit
-        complex_moduli = moduli
-        break
-    if complex_moduli is None:
-        raise PrecisionExhausted(
-            "could not certify conjugate moduli against 1 at maximum precision")
+    def split(lo, hi, n_lo, n_hi):
+        if n_lo == n_hi:
+            return
+        if not _straddles_one((lo, hi)) or (on_circle and hi - lo <= width):
+            moduli.extend([(lo, hi)] * (n_hi - n_lo))
+            return
+        mid = (lo + hi) / 2
+        while (n_mid := complex_inside(mid)) is None:
+            mid += (hi - lo) / 1000003
+        split(lo, mid, n_lo, n_mid)
+        split(mid, hi, n_mid, n_hi)
 
-    conj = list(complex_moduli)
-    conj.extend(_abs_interval(iv) for iv in refined if iv is not dominant)
-    if reciprocal and degree >= 3 and dominant is not None:
-        # roots pair z <-> 1/z: any conjugate pair is on the circle or split
-        # across it, so some conjugate has modulus >= 1
-        verdict = False
-    else:
-        verdict = dominant is not None and all(hi < 1 for _, hi in conj)
-    return PisotReport(coeffs, dominant, tuple(conj), verdict,
-                       reciprocal=reciprocal)
+    split(Fraction(0), cauchy_bound(coeffs), 0, degree - len(refined))
+    conj = moduli + [_abs_interval(iv) for iv in refined if iv is not dominant]
+    verdict = dominant is not None and all(hi < 1 for _, hi in conj)
+    # x^d p(1/x) == p(0) p(x): the roots pair z <-> 1/z
+    p0 = coeffs[-1]
+    reciprocal = abs(p0) == 1 and coeffs[::-1] == tuple(p0 * c for c in coeffs)
+    return PisotReport(coeffs, dominant, tuple(conj), verdict, reciprocal)
 
 
 # --------------------------------------------------------- obstruction check

@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -30,13 +30,15 @@ from .ifs import (
     system_to_dict,
     validate,
 )
-from .martingale import martingale_gaps
+from .martingale import check_stopping_size, martingale_gaps
 from .sampling import (
+    MAX_DIGITS,
     DigitStream,
     SequenceSample,
     WordStream,
     ball_start_radius,
     beta_orbit,
+    check_digit_bits,
     digits,
     orbit_digit_count,
     orbit_sequence,
@@ -66,14 +68,18 @@ def system_hash(system: SelfSimilarSystem) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _orbit(system: SelfSimilarSystem, base: int, length: int, seed: int,
-           task: int = 0, guard: int = 16
-           ) -> tuple[DigitStream, SequenceSample]:
-    """One sample's certified digits and its first `length` orbit values."""
-    stream = WordStream(system, seed, spawn_key=(task,) if task else ())
-    ds = digits(system, stream, base, orbit_digit_count(base, length),
-                guard=guard)
-    return ds, orbit_sequence(ds, length, seed=seed)
+def _orbits(system: SelfSimilarSystem, base: int, length: int, seed: int,
+            samples: int, guard: int = 16
+            ) -> Iterator[tuple[DigitStream, SequenceSample]]:
+    """Each sample's certified digits and its first `length` orbit values.
+    ConfigParseError (exit 4), before any sample is drawn, when the digits
+    of all samples hold more than MAX_DIGITS bits."""
+    count = orbit_digit_count(base, length)
+    check_digit_bits(base, count, guard, samples)
+    for task in range(samples):
+        stream = WordStream(system, seed, spawn_key=(task,) if task else ())
+        ds = digits(system, stream, base, count, guard=guard)
+        yield ds, orbit_sequence(ds, length, seed=seed)
 
 
 def _records(table: dict) -> list:
@@ -174,8 +180,8 @@ def run_decay(args, system: SelfSimilarSystem):
 
 def run_orbit(args, system: SelfSimilarSystem):
     base, length, samples = args.base, args.length, args.samples
-    sams = [_orbit(system, base, length, args.seed, task, args.guard)[1]
-            for task in range(samples)]
+    sams = [sam for _, sam in _orbits(system, base, length, args.seed,
+                                      samples, args.guard)]
     table = {"sample": np.repeat(np.arange(samples), length),
              "n": np.tile(np.arange(length), samples),
              "value": np.concatenate([s.values for s in sams])}
@@ -253,8 +259,8 @@ def run_normality(args, system: SelfSimilarSystem):
             f"{samples} samples x length {length} x q-max {q_max} Weyl "
             f"terms are over the cap of {MAX_WEYL_TERMS}")
     stats = []
-    for task in range(samples):
-        ds, sam = _orbit(system, base, length, args.seed, task, args.guard)
+    for task, (ds, sam) in enumerate(_orbits(system, base, length, args.seed,
+                                             samples, args.guard)):
         # the first digits of the orbit's own certified stream
         head = dataclasses.replace(ds, certified_length=min(length, 4096))
         freq = digit_frequencies(head, 1)
@@ -283,26 +289,32 @@ def run_normality(args, system: SelfSimilarSystem):
     return table, results
 
 
-def _sequence_source(args, system, task: int = 0) -> SequenceSample:
+def _per_sample(args, system, stat) -> list:
+    """`stat(sequence)` for each sample of the --source sequence.  Before
+    any sample is drawn, --samples times one sample's size is checked
+    against MAX_DIGITS (exit 4): its digit bits for the orbit source, its
+    values (at least one) for the others.  The power source draws nothing
+    at random, so its samples are equal: it runs once and the result
+    repeats."""
     if args.source == "orbit":
         if system is None or args.base is None:
             raise ConfigParseError("orbit source needs --system and --base")
-        return _orbit(system, args.base, args.length, args.seed, task)[1]
+        return [stat(sam) for _, sam in _orbits(
+            system, args.base, args.length, args.seed, args.samples)]
+    if args.samples * max(args.length, 1) > MAX_DIGITS:
+        raise ConfigParseError(
+            f"{args.samples} samples x length {args.length} are over the "
+            f"cap of {MAX_DIGITS} values")
     if args.source == "power":
         if args.x is None:
             raise ConfigParseError("power source needs --x")
-        return power_orbit(as_fraction(args.x), args.length, seed=args.seed)
+        return [stat(power_orbit(as_fraction(args.x), args.length,
+                                 seed=args.seed))] * args.samples
     if args.source == "uniform":
-        return uniform_sample(args.length, args.seed, (task,) if task else ())
+        return [stat(uniform_sample(args.length, args.seed,
+                                    (task,) if task else ()))
+                for task in range(args.samples)]
     raise ConfigParseError(f"unknown source {args.source!r}")
-
-
-def _per_sample(args, stat) -> list:
-    """`stat(task)` for each sample.  The power source draws nothing at
-    random, so its samples are equal: it runs once and the result repeats."""
-    if args.source == "power":
-        return [stat(0)] * args.samples
-    return [stat(task) for task in range(args.samples)]
 
 
 def _test_function(args) -> TestFunction:
@@ -318,8 +330,8 @@ def _test_function(args) -> TestFunction:
 
 def run_correlations(args, system: Optional[SelfSimilarSystem]):
     test_fn = _test_function(args)
-    res = _per_sample(args, lambda task: k_level_correlation(
-        _sequence_source(args, system, task), args.k, test_fn))
+    res = _per_sample(args, system, lambda seq: k_level_correlation(
+        seq, args.k, test_fn))
     table = {"sample": range(len(res)), "k": [r.k for r in res],
              "value": [r.value for r in res],
              "integral": [float(r.integral) for r in res],
@@ -351,8 +363,12 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def run_spacings(args, system: Optional[SelfSimilarSystem]):
     grid = _parse_grid(args.s_grid)
-    reps = _per_sample(args, lambda task: level_spacings(
-        _sequence_source(args, system, task), s_grid=grid))
+    if args.samples * len(grid) > MAX_GRID_POINTS:
+        raise ConfigParseError(
+            f"{args.samples} samples x {len(grid)} grid points are over the "
+            f"cap of {MAX_GRID_POINTS} rows")
+    reps = _per_sample(args, system, lambda seq: level_spacings(
+        seq, s_grid=grid))
     s = np.concatenate([rep.s_grid for rep in reps])
     table = {"sample": np.repeat(np.arange(len(reps)), len(grid)), "s": s,
              "G": np.concatenate([rep.g_empirical for rep in reps]),
@@ -376,6 +392,8 @@ def _int_list(spec: str) -> list:
 def run_martingale(args, system: SelfSimilarSystem):
     qs, n_list = _int_list(args.q), _int_list(args.n_list)
     p, samples, seed = args.base, args.samples, args.seed
+    # each sample walks to the largest N - 1
+    check_stopping_size(max(n_list) - 1, p, samples)
     runs = []
     for task in range(samples):
         task_seed = seed if samples == 1 else int(

@@ -385,13 +385,25 @@ def system_to_dict(system: SelfSimilarSystem) -> dict:
 
 
 def system_from_dict(data: dict, check: bool = True) -> SelfSimilarSystem:
-    try:
-        maps = [(d["s"], d["t"]) for d in data["maps"]]
-        weights = data.get("weights")
-        hull = data.get("hull")
-    except (KeyError, TypeError) as exc:
-        raise ConfigParseError(f"malformed system definition: {exc}") from exc
-    return make_system(maps, weights, hull, check=check)
+    """The system of a JSON definition.  ConfigParseError (exit 4) names a
+    field of the wrong shape: `maps` must be a list of objects with keys s
+    and t, `weights` (when given) a list and `hull` (when given) a list of
+    two entries."""
+    if not isinstance(data, dict):
+        raise ConfigParseError("malformed system definition: not an object")
+    maps, weights, hull = (data.get(k) for k in ("maps", "weights", "hull"))
+    if not (isinstance(maps, list) and all(
+            isinstance(d, dict) and "s" in d and "t" in d for d in maps)):
+        raise ConfigParseError("malformed system definition: 'maps' must be "
+                               "a list of objects with keys s and t")
+    if weights is not None and not isinstance(weights, list):
+        raise ConfigParseError(
+            "malformed system definition: 'weights' must be a list")
+    if hull is not None and not (isinstance(hull, list) and len(hull) == 2):
+        raise ConfigParseError("malformed system definition: 'hull' must be "
+                               "a list of two entries")
+    return make_system([(d["s"], d["t"]) for d in maps], weights, hull,
+                       check=check)
 
 
 def save_system(system: SelfSimilarSystem, path) -> None:

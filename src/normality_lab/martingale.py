@@ -91,6 +91,23 @@ class StoppingRecord:
 MAX_STOPPING_SIZE = 1 << 30
 
 
+def check_stopping_size(n_max: int, p: int, samples: int = 1) -> None:
+    """ConfigParseError (exit 4) when `samples` walks to n_max in base p
+    are over MAX_STOPPING_SIZE in all; InvalidInput (exit 2) for p < 2 or
+    n_max < 0."""
+    if not isinstance(p, int) or p < 2:
+        raise InvalidInput("p must be an integer >= 2")
+    if n_max < 0:
+        raise InvalidInput("n_max must be >= 0")
+    size = samples * n_max * n_max * math.log2(p)
+    if size > MAX_STOPPING_SIZE:
+        each = f"{samples} samples x " if samples > 1 else ""
+        raise ConfigParseError(
+            f"{each}stopping records to n = {n_max} in base {p} hold about "
+            f"{1.5 * size:.3g} bits, over the cap of {each}n^2 log2(p) <= "
+            f"{MAX_STOPPING_SIZE}")
+
+
 def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
                      p: int) -> list:
     """Stopping records for every n = 0..n_max in one pass over the word.
@@ -105,16 +122,7 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     ConfigParseError (exit 4), before the walk, when n_max^2 log2(p) is
     over MAX_STOPPING_SIZE.
     """
-    if not isinstance(p, int) or p < 2:
-        raise InvalidInput("p must be an integer >= 2")
-    if n_max < 0:
-        raise InvalidInput("n_max must be >= 0")
-    size = n_max * n_max * math.log2(p)
-    if size > MAX_STOPPING_SIZE:
-        raise ConfigParseError(
-            f"stopping records to n = {n_max} in base {p} hold about "
-            f"{1.5 * size:.3g} bits, over the cap of n^2 log2(p) <= "
-            f"{MAX_STOPPING_SIZE}")
+    check_stopping_size(n_max, p)
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     triples = integer_triples(system)

@@ -338,6 +338,18 @@ _MAX_DEPTH_DOUBLINGS = 8
 MAX_DIGITS = 1 << 22
 
 
+def check_digit_bits(base: int, count: int, guard: int,
+                     samples: int = 1) -> None:
+    """ConfigParseError (exit 4) when `samples` streams of count + guard
+    base-b digits (a base >= 2) hold more than MAX_DIGITS bits in all."""
+    bits = samples * (count + guard) * math.log2(base)
+    if bits > MAX_DIGITS:
+        each = f"{samples} samples x " if samples > 1 else ""
+        raise ConfigParseError(
+            f"{each}{count} base-{base} digits with guard {guard} need "
+            f"{bits:.0f} bits, over the cap of {MAX_DIGITS}")
+
+
 def digits(system: SelfSimilarSystem, stream, base: int, count: int,
            guard: int = 16) -> DigitStream:
     """Certified base-b digits of the sampled point x_w mod 1.
@@ -362,11 +374,7 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     _check_base(base)
     if count < 1:
         raise InvalidInput("need count >= 1")
-    bits = (count + guard) * math.log2(base)
-    if bits > MAX_DIGITS:
-        raise ConfigParseError(
-            f"{count} base-{base} digits with guard {guard} need "
-            f"{bits:.0f} bits, over the cap of {MAX_DIGITS}")
+    check_digit_bits(base, count, guard)
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     rho = float(system.contraction)

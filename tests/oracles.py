@@ -5,9 +5,10 @@ library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
 log-commensurability, bisection on integer polynomials for real roots,
-modular powering for exact x^n mod 1, uncancelled integer pairs for exact
-beta orbits and balls held as pairs of Fractions, with every rounding
-decided on them, for the ball orbit loop.
+mpmath's numeric root finder for root moduli, modular powering for exact
+x^n mod 1, uncancelled integer pairs for exact beta orbits and balls held
+as pairs of Fractions, with every rounding decided on them, for the ball
+orbit loop.
 Keeping them separate from the package is the point.
 """
 
@@ -379,6 +380,30 @@ def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
     j >>= k - level
     return (lo + w * Fraction(j, 1 << level),
             lo + w * Fraction(j + 1, 1 << level))
+
+
+def root_moduli(coeffs, dps=50) -> list:
+    """Moduli of the complex roots of an integer polynomial (coefficients
+    from the leading term down), with multiplicity: sympy's square-free
+    factorization, then mpmath's Durand-Kerner iteration (`polyroots`) at
+    `dps` digits on each factor.  Returns (modulus, imaginary part) pairs,
+    each the exact Fraction of its `dps`-digit value."""
+    import mpmath
+    import sympy
+
+    def exact(x) -> Fraction:
+        man, exp = mpmath.mpf(x).man_exp
+        return Fraction(man) * Fraction(2) ** exp
+
+    _, factors = sympy.sqf_list(sympy.Poly(coeffs, sympy.Symbol("x")))
+    out = []
+    with mpmath.workdps(dps):
+        for factor, mult in factors:
+            roots = mpmath.polyroots([int(c) for c in factor.all_coeffs()],
+                                     maxsteps=200, extraprec=4 * dps)
+            out += [(exact(abs(z)), exact(mpmath.im(z)))
+                    for z in roots] * mult
+    return out
 
 
 # ---------------------------------------------------------- exact orbits

@@ -16,6 +16,7 @@ from normality_lab.algebra import (
     AlgebraicReal,
     ObstructionVerdict,
     count_real_roots,
+    count_roots_in_disk,
     isolate_real_roots,
     refine_real_root,
 )
@@ -24,7 +25,7 @@ from normality_lab.errors import (
     NotAlgebraicInteger,
     ReduciblePolynomial,
 )
-from oracles import factored_log_ratio, fraction_bisection
+from oracles import factored_log_ratio, fraction_bisection, root_moduli
 
 F = Fraction
 
@@ -316,6 +317,89 @@ class TestIsPisot:
     def test_non_monic_rejected(self):
         with pytest.raises(NotAlgebraicInteger):
             is_pisot([2, -3])
+
+
+# a root within this distance of a circle is taken to lie on it: the oracle
+# is accurate to about 1e-45 at 50 digits
+_ON_CIRCLE = F(1, 10 ** 20)
+
+
+class TestDiskCount:
+    @given(coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=11)
+           .filter(lambda c: c[0] != 0),
+           r=st.builds(F, st.integers(1, 24), st.integers(1, 8)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numeric_roots(self, coeffs, r):
+        moduli = [m for m, _ in root_moduli(coeffs)]
+        assume(all(abs(m - r) > _ON_CIRCLE for m in moduli))
+        assert count_roots_in_disk(coeffs, r) == sum(1 for m in moduli
+                                                     if m < r)
+
+    @pytest.mark.parametrize("coeffs, r", [
+        ((1, 0, 1), 1),             # +-i on the circle
+        ((1, 2), 2),                # z = -r: deg h drops
+        ((1, -2), 2),               # z = r
+        ((1, -1, -1, -1, 1), 1),    # Salem: a pair on the unit circle
+        ((4, 0, -1), F(1, 2)),      # +-1/2
+    ])
+    def test_a_root_on_the_circle_gives_none(self, coeffs, r):
+        assert count_roots_in_disk(coeffs, r) is None
+
+    @pytest.mark.parametrize("coeffs, r, count", [
+        ((1, -3, 1), 1, 1),         # reciprocal: 0.38 and 2.62
+        ((1, 0, -1, 0, 0, 0, 1), 2, 6),
+        ((1, 0, 0, 0, 1), 2, 4),
+        ((1, 5, 6), F(5, 2), 1),    # -2 and -3
+        ((1, 0, 0), 1, 2),          # a double root at 0
+        ((7,), 3, 0),
+    ])
+    def test_examples(self, coeffs, r, count):
+        assert count_roots_in_disk(coeffs, r) == count
+
+
+_PISOT = [(1, 0, -1, -1), (1, -1, 0, 0, -1), (1, -1, -1, 1, 0, -1),
+          (1, -1, -1, -1)]
+_NOT_PISOT = [
+    (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # Lehmer's polynomial
+    (1, 0, 0, 0, 0, 0, 0, -1, -1),           # x^8 - x - 1
+    # x^2 + 1 and x^2 -+ 2x + 2: an exact |z|^2 or a root hit exactly
+    (1, 0, 1), (1, -2, 2), (1, 2, 2),
+]
+
+
+class TestIsPisotByRootCounts:
+    @pytest.mark.parametrize("coeffs", _PISOT + _NOT_PISOT)
+    def test_known_verdicts(self, coeffs):
+        assert is_pisot(coeffs).is_pisot is (coeffs in _PISOT)
+
+    @given(tail=st.lists(st.integers(-3, 3), min_size=2, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_enclosures_hold_the_numeric_moduli(self, tail):
+        coeffs = (1, *tail)
+        try:
+            rep = is_pisot(coeffs)
+        except ReduciblePolynomial:
+            assume(False)
+        roots = root_moduli(coeffs)
+        pairs = sorted(m for m, im in roots if abs(im) > _ON_CIRCLE)
+        reals = sorted(m for m, im in roots if abs(im) <= _ON_CIRCLE)
+        if rep.dominant_root is not None:
+            lo, hi = rep.dominant_root
+            dominant = min(reals, key=lambda m: abs(m - (lo + hi) / 2))
+            reals.remove(dominant)
+            assert lo - _ON_CIRCLE <= dominant <= hi + _ON_CIRCLE
+        # complex pairs, twice each, then the real conjugates
+        encl = rep.conjugate_moduli
+        assert len(encl) == len(pairs) + len(reals)
+        for group, moduli in ((encl[:len(pairs)], pairs),
+                              (encl[len(pairs):], reals)):
+            for (lo, hi), m in zip(sorted(group), moduli):
+                assert lo - _ON_CIRCLE <= m <= hi + _ON_CIRCLE
+                assert not lo <= 1 <= hi or abs(m - 1) <= _ON_CIRCLE
+        # a conjugate on the circle is not below 1
+        numeric = (rep.dominant_root is not None
+                   and all(m < 1 - _ON_CIRCLE for m in pairs + reals))
+        assert rep.is_pisot is numeric
 
 
 class TestObstruction:

@@ -21,6 +21,7 @@ from jsonschema import validate as schema_validate
 
 from normality_lab import cantor_system, cli, experiments as exp, save_system
 from normality_lab.cli import _write_csv, build_parser, main
+from normality_lab.ifs import system_to_dict
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "normality_lab" / "schemas"
@@ -295,16 +296,64 @@ class TestExitCodes:
         # from decay_profile before)
         (["decay", "--j-max", "41"], 4),
         (["decay", "--j-max", "-1"], 4),
+        # a system file holding Cantor's definition with one field
+        # replaced: tracebacks (exit 1) before, or a string or three
+        # entries silently taken as a hull
+        *[(argv, 4) for field in ({"hull": 5}, {"hull": []},
+                                  {"hull": ["0"]}, {"hull": {"a": 1}},
+                                  {"weights": 5}, {"hull": "01"},
+                                  {"hull": ["0", "1", "2"]})
+          for argv in (["validate", "--system", field],
+                       ["fourier", "--q", "1", "--system", field])],
+        # --samples times one sample's size, checked before any sample
+        (["orbit", "--base", "2", "--length", "100000",
+          "--samples", "100"], 4),
+        (["normality", "--base", "2", "--length", "100000",
+          "--samples", "100"], 4),
+        (["correlations", "--source", "uniform", "--length", "100000",
+          "--samples", "100"], 4),
+        (["correlations", "--source", "power", "--x", "3/2", "--length",
+          "0", "--samples", str(10 ** 12)], 4),
+        (["spacings", "--source", "power", "--x", "3/2", "--length", "20",
+          "--samples", "10000"], 4),
+        (["spacings", "--source", "orbit", "--base", "10", "--length",
+          "100000", "--samples", "20"], 4),
+        (["martingale", "--base", "2", "--N-list", "20000",
+          "--samples", "3"], 4),
     ])
-    def test_bad_input_exits_with_its_code(self, cantor_file, argv, code):
+    def test_bad_input_exits_with_its_code(self, cantor_file, tmp_path, argv,
+                                           code):
+        # a dict is a system file: Cantor's definition updated with it
+        for i, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                path = tmp_path / "system.json"
+                path.write_text(json.dumps(
+                    {**system_to_dict(cantor_system()), **arg}))
+                argv = [*argv[:i], str(path), *argv[i + 1:]]
+        if "--system" not in argv:
+            argv = [*argv, "--system", cantor_file]
         proc = subprocess.run(
-            [sys.executable, "-m", "normality_lab.cli", *argv,
-             "--system", cantor_file], capture_output=True, text=True,
-            timeout=60)
+            [sys.executable, "-m", "normality_lab.cli", *argv],
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if "--out" in argv:
             assert "/nonexistent/dir/x.csv" in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("maps", 5), ("maps", [{"s": "1/3"}]), ("weights", 5),
+        ("weights", "11"), ("hull", []), ("hull", ["0", "1", "2"]),
+        ("hull", "01"),
+    ])
+    def test_a_malformed_system_field_is_named(self, tmp_path, capsys, field,
+                                               value):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(
+            {**system_to_dict(cantor_system()), field: value}))
+        start = time.perf_counter()
+        assert main(["fourier", "--q", "1", "--system", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert f"'{field}' must be a list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["beta-orbit", "--beta", "1/2", "--x", "1/3"],
