@@ -14,13 +14,14 @@ Three decision procedures, all exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import dropwhile, zip_longest
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InvalidInput, NotAlgebraicInteger, ReduciblePolynomial
+from .errors import InvalidInput, NotAlgebraicInteger
 from .ifs import AffineMap, SelfSimilarSystem, normalize
 
 
@@ -90,14 +91,6 @@ def log_commensurable(s, b: int) -> CommensurabilityResult:
 
 # ----------------------------------------------------------- real root tools
 
-def poly_eval(coeffs: Sequence, x: Fraction) -> Fraction:
-    """Horner evaluation; `coeffs` are listed from the leading term down."""
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def poly_deriv(coeffs: Sequence) -> list:
     d = len(coeffs) - 1
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
@@ -105,32 +98,43 @@ def poly_deriv(coeffs: Sequence) -> list:
 
 def _trim(poly) -> list:
     """The coefficients without leading zeros ([] for the zero polynomial)."""
-    poly = list(poly)
-    while poly and poly[0] == 0:
-        poly.pop(0)
-    return poly
+    return list(dropwhile(lambda c: c == 0, poly))
 
 
-def _poly_rem(num, den):
-    """Remainder of polynomial division over Q (descending coefficients)."""
-    num = list(num)
-    dn = len(den)
-    while len(num) >= dn:
-        q = num[0] / den[0]
-        for i in range(1, dn):
-            num[i] -= q * den[i]
-        num = _trim(num[1:])
-    return num
+def poly_sign(coeffs: Sequence, x) -> int:
+    """Sign of p(x), `coeffs` listed from the leading term down: the sign of
+    D^d p(a / D) for x = a / D, D > 0, by integer Horner."""
+    x, acc, scale = Fraction(x), 0, 1
+    for c in coeffs:
+        acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _primitive(poly: Sequence) -> list:
+    """The positive multiple of `poly` with coprime integer coefficients."""
+    poly = [Fraction(c) for c in _trim(poly)]
+    den = lcm(*(c.denominator for c in poly))
+    poly = [c.numerator * (den // c.denominator) for c in poly]
+    g = gcd(*poly)
+    return [c // g for c in poly] if g > 1 else poly
 
 
 def _sturm_chain(a: Sequence, b: Sequence) -> list:
     """The signed remainder sequence a, b, -rem(a, b), ... up to its last
-    nonzero entry, a gcd of a and b.  Its sign variations at x less those
-    at y > x are the Cauchy index of b / a on (x, y] (Sturm: b = a' counts
-    the distinct roots of a)."""
-    chain = [[Fraction(c) for c in _trim(a)], [Fraction(c) for c in _trim(b)]]
+    nonzero entry, a gcd of a and b, each entry its :func:`_primitive`
+    multiple; its sign variations at x less those at y > x are the Cauchy
+    index of b / a on (x, y] (Sturm: b = a' counts the distinct roots of a).
+    Every elimination step first multiplies the numerator by |lc(den)| > 0,
+    so no sign differs from the sequence over Q."""
+    chain = [_primitive(a), _primitive(b)]
     while chain[-1]:
-        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+        num, den = chain[-2], chain[-1]
+        scale, sign = abs(den[0]), (den[0] > 0) - (den[0] < 0)
+        while len(num) >= len(den):
+            q = sign * num[0]
+            num = _trim([scale * c - q * e for c, e
+                         in zip_longest(num[1:], den[1:], fillvalue=0)])
+        chain.append(_primitive([-c for c in num]))
     return chain[:-1]
 
 
@@ -139,8 +143,12 @@ def _changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    return _changes(poly_eval(poly, x) for poly in chain)
+def _sign_changes(chain, x) -> int:
+    return _changes(poly_sign(poly, x) for poly in chain)
+
+
+def _count(chain, lo, hi) -> int:  # distinct roots in (lo, hi], by Sturm
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 def _line_index(a: Sequence, b: Sequence) -> tuple:
@@ -154,39 +162,35 @@ def _line_index(a: Sequence, b: Sequence) -> tuple:
 
 def count_real_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi], by Sturm's theorem."""
-    chain = _sturm_chain(coeffs, poly_deriv(coeffs))
-    return _sign_changes(chain, Fraction(lo)) - _sign_changes(chain, Fraction(hi))
+    return _count(_sturm_chain(coeffs, poly_deriv(coeffs)), lo, hi)
 
 
 def cauchy_bound(coeffs: Sequence) -> Fraction:
-    if len(coeffs) <= 1:
-        return Fraction(1)
-    lead = coeffs[0]
-    return 1 + max(Fraction(abs(c)) / abs(lead) for c in coeffs[1:])
+    return 1 + max((Fraction(abs(c)) / abs(coeffs[0]) for c in coeffs[1:]),
+                   default=Fraction(0))
 
 
 def isolate_real_roots(coeffs: Sequence) -> list:
     """Disjoint rational intervals (lo, hi], one simple real root in each."""
-    chain = _sturm_chain(coeffs, poly_deriv(coeffs))
-    bound = cauchy_bound(coeffs)
+    return _isolate(_sturm_chain(coeffs, poly_deriv(coeffs)),
+                    cauchy_bound(coeffs))
+
+
+def _isolate(chain, bound) -> list:
     out = []
-
-    def split(lo, hi, nlo, nhi):
-        k = nlo - nhi
-        if k == 0:
-            return
-        if k == 1:
+    todo = [(-bound, bound, _sign_changes(chain, -bound),
+             _sign_changes(chain, bound))]
+    while todo:
+        lo, hi, nlo, nhi = todo.pop()
+        if nlo - nhi == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        # nudge off a root so interval endpoints stay regular
-        while poly_eval(coeffs, mid) == 0:
-            mid += (hi - lo) / 1000003
-        nm = _sign_changes(chain, mid)
-        split(lo, mid, nlo, nm)
-        split(mid, hi, nm, nhi)
-
-    split(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))
+        elif nlo - nhi > 1:
+            mid = (lo + hi) / 2
+            # nudge off a root so interval endpoints stay regular
+            while poly_sign(chain[0], mid) == 0:
+                mid += (hi - lo) / 1000003
+            nm = _sign_changes(chain, mid)
+            todo += [(lo, mid, nlo, nm), (mid, hi, nm, nhi)]
     return sorted(out)
 
 
@@ -197,8 +201,9 @@ def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
     one root.
 
     The interval is kept as integers [a / D, b / D] with D = d0 2^k at level
-    k, and p is signed by integer Horner on D^deg L p(a / D), L the lcm of
-    the coefficient denominators, so no Fraction is normalised in the loop.
+    k, and p is signed by integer Horner on D^deg c p(a / D), c p > 0 the
+    integer head of p's Sturm chain, so no Fraction is normalised in the
+    loop.
     Bisection ends in the level-K cell that holds the root, K the least level
     of width <= eps.  When Sturm's count finds one root in (lo, hi], a
     Newton step from the cell's midpoint picks the cell at about twice the
@@ -207,14 +212,16 @@ def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
     one bisection step is taken.  Either way the result is bisection's.
     Returns (lo, hi), or (r, r) when an endpoint or a midpoint r is a root.
     """
+    return _refine(_sturm_chain(coeffs, poly_deriv(coeffs)), lo, hi, eps)
+
+
+def _refine(chain: list, lo, hi, eps) -> tuple:
+    """:func:`refine_real_root` of chain[0], given its Sturm chain."""
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    coeffs = [Fraction(c) for c in coeffs]
-    lcm_den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (lcm_den // c.denominator) for c in coeffs]
     d0 = lcm(lo.denominator, hi.denominator)
     # at x = a / (d0 2^k) the t-th coefficient, leading first, carries
     # (d0 2^k)^t
-    scaled = [c * d0 ** t for t, c in enumerate(ints)]
+    scaled = [c * d0 ** t for t, c in enumerate(chain[0])]
 
     def sign(a: int, k: int) -> int:
         acc = 0
@@ -233,7 +240,7 @@ def refine_real_root(coeffs: Sequence, lo: Fraction, hi: Fraction,
         raise InvalidInput("interval endpoints must bracket a sign change")
     w = b - a
     over, unit = w * eps.denominator, eps.numerator * d0
-    newton = unit > 0 and over > unit and count_real_roots(coeffs, lo, hi) == 1
+    newton = unit > 0 and over > unit and _count(chain, lo, hi) == 1
     if newton:
         last = (-(-over // unit) - 1).bit_length()  # K: over <= unit 2^K
     k = 0
@@ -277,26 +284,30 @@ class AlgebraicReal:
 
     The polynomial need not be minimal, but [lo, hi] must hold exactly one
     real root, and it must be simple (a sign change); the first is checked
-    here by Sturm's theorem, the second when the root is refined.
+    here on the Sturm chain, built once and kept for :meth:`refine`, the
+    second when the root is refined.
     """
 
     coeffs: tuple
     lo: Fraction
     hi: Fraction
+    chain: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 2 or self.coeffs[0] == 0:
             raise InvalidInput(
                 "need a polynomial of degree >= 1, leading coefficient first")
-        roots = (count_real_roots(self.coeffs, self.lo, self.hi)
-                 + (poly_eval(self.coeffs, Fraction(self.lo)) == 0))
+        chain = _sturm_chain(self.coeffs, poly_deriv(self.coeffs))
+        object.__setattr__(self, "chain", chain)
+        roots = (_count(chain, self.lo, self.hi)
+                 + (poly_sign(chain[0], self.lo) == 0))
         if roots != 1:
             raise InvalidInput(
                 f"[{self.lo}, {self.hi}] must hold exactly one real root of "
                 f"{self.coeffs}; it holds {max(roots, 0)}")
 
     def refine(self, eps) -> tuple:
-        return refine_real_root(self.coeffs, self.lo, self.hi, eps)
+        return _refine(self.chain, self.lo, self.hi, eps)
 
 
 # ------------------------------------------------------- Pisot certification
@@ -311,16 +322,8 @@ class PisotReport:
 
 
 def _abs_interval(iv) -> tuple:
-    lo, hi = iv
-    if hi < 0:
-        return (-hi, -lo)
-    if lo > 0:
-        return (lo, hi)
-    return (Fraction(0), max(-lo, hi))
-
-
-def _straddles_one(iv) -> bool:
-    return iv[0] <= 1 <= iv[1]
+    """The interval of |x| over x in the interval iv."""
+    return max(iv[0], -iv[1], Fraction(0)), max(-iv[0], iv[1])
 
 
 def count_roots_in_disk(coeffs: Sequence, r) -> Optional[int]:
@@ -365,71 +368,68 @@ def count_roots_in_disk(coeffs: Sequence, r) -> Optional[int]:
 
 
 def is_pisot(coeffs: Sequence) -> PisotReport:
-    """Decide whether a monic irreducible integer polynomial defines a Pisot
-    number: a real root > 1 all of whose algebraic conjugates have modulus
-    strictly below 1.
+    """Decide whether a monic integer polynomial p is the minimal polynomial
+    of a Pisot number: a real root beta > 1 whose algebraic conjugates all
+    have modulus < 1.
 
-    Real roots are isolated by exact Sturm bisection and refined by integer
-    bisection (:func:`refine_real_root`) until each |root| is decisively
-    above or below 1.  The non-real roots of modulus < r number
-    :func:`count_roots_in_disk` less the real roots in (-r, r), and r is
-    bisected on that count from (0, Cauchy bound) until each enclosure of
-    their moduli excludes 1.  A conjugate on the unit circle, which the
-    count at r = 1 detects exactly, stops the bisection at width 2^-64
-    instead.  The verdict: a dominant real root > 1, and every conjugate
-    enclosure below 1.  Everything is exact, so every input is decided.
+    The gate: p(0) p(1) p(-1) != 0, and the Sturm chain of p and p' ends in
+    a constant (no repeated root); a p that fails it is not Pisot and gets
+    no enclosures.  Behind the gate, the root condition (one real root
+    beta > 1, every other root of modulus < 1) implies that p is
+    irreducible, so nothing is factored: by Gauss's lemma a monic factor of
+    p over Q is integral, and a factor that lacks beta has all its roots in
+    the open unit disk, so its constant term would be a nonzero integer of
+    modulus < 1.  Without the p(+-1) term, the refinement below would never
+    place a root at +-1 on either side of 1.
+
+    Real roots are isolated and refined until each |root| is decisively
+    above or below 1.  Non-real roots of modulus < r number
+    :func:`count_roots_in_disk` less the real roots in (-r, r) on the gate's
+    chain; r is bisected on that count from (0, Cauchy bound) until each
+    modulus enclosure excludes 1 (to width 2^-64 when the count at r = 1
+    finds a root on the unit circle).  Pisot: a dominant real root > 1 and
+    every conjugate enclosure below 1.  Every input is decided exactly.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) < 2:
         raise InvalidInput("polynomial must have degree >= 1")
     if coeffs[0] != 1:
         raise NotAlgebraicInteger("polynomial must be monic")
-    import sympy  # imported on first use: it dominates the package import
-    poly = sympy.Poly(coeffs, sympy.Symbol("x"))
-    if not poly.is_irreducible:
-        raise ReduciblePolynomial(f"{poly.as_expr()} factors over Q")
-    coeffs = tuple(coeffs)
-    degree = len(coeffs) - 1
-
-    if degree == 1:
+    chain = _sturm_chain(coeffs, poly_deriv(coeffs))
+    if 0 in [poly_sign(coeffs, x) for x in (0, 1, -1)] or len(chain[-1]) > 1:
+        return PisotReport(coeffs, None, (), False)
+    if len(coeffs) == 2:
         root = Fraction(-coeffs[1])
         dominant = (root, root) if root > 1 else None
         return PisotReport(coeffs, dominant, (), root > 1)
 
     # Real roots, refined until each |root| is decisively above or below 1
-    # (irreducibility rules out roots exactly at +-1, so this terminates).
+    # (the gate rules out roots exactly at +-1, so this terminates).
     eps = width = Fraction(1, 1 << 64)
-    refined = [refine_real_root(coeffs, lo, hi, eps)
-               for lo, hi in isolate_real_roots(coeffs)]
-    while any(_straddles_one(_abs_interval(iv)) for iv in refined):
+    refined = [_refine(chain, lo, hi, eps)
+               for lo, hi in _isolate(chain, cauchy_bound(coeffs))]
+    while any(lo <= 1 <= hi for lo, hi in map(_abs_interval, refined)):
         eps /= 1 << 32
-        refined = [refine_real_root(coeffs, lo, hi, eps) for lo, hi in refined]
+        refined = [_refine(chain, lo, hi, eps) for lo, hi in refined]
     above_one = [iv for iv in refined if iv[0] > 1]
     dominant = max(above_one, key=lambda iv: iv[0]) if above_one else None
-
-    def complex_inside(r):
-        inside = count_roots_in_disk(coeffs, r)
-        return None if inside is None else (
-            inside - count_real_roots(coeffs, -r, r))
 
     # no root lies on a circle through an endpoint, so the roots counted
     # between two endpoints lie strictly between them
     on_circle = count_roots_in_disk(coeffs, 1) is None
-    moduli = []
-
-    def split(lo, hi, n_lo, n_hi):
-        if n_lo == n_hi:
-            return
-        if not _straddles_one((lo, hi)) or (on_circle and hi - lo <= width):
-            moduli.extend([(lo, hi)] * (n_hi - n_lo))
-            return
+    moduli, todo = [], [(Fraction(0), cauchy_bound(coeffs), 0,
+                         len(coeffs) - 1 - len(refined))]
+    while todo:
+        lo, hi, n_lo, n_hi = todo.pop()
+        if (n_lo == n_hi or not lo <= 1 <= hi
+                or (on_circle and hi - lo <= width)):
+            moduli += [(lo, hi)] * (n_hi - n_lo)
+            continue
         mid = (lo + hi) / 2
-        while (n_mid := complex_inside(mid)) is None:
+        while (inside := count_roots_in_disk(coeffs, mid)) is None:
             mid += (hi - lo) / 1000003
-        split(lo, mid, n_lo, n_mid)
-        split(mid, hi, n_mid, n_hi)
-
-    split(Fraction(0), cauchy_bound(coeffs), 0, degree - len(refined))
+        n_mid = inside - _count(chain, -mid, mid)  # the non-real roots
+        todo += [(mid, hi, n_mid, n_hi), (lo, mid, n_lo, n_mid)]
     conj = moduli + [_abs_interval(iv) for iv in refined if iv is not dominant]
     verdict = dominant is not None and all(hi < 1 for _, hi in conj)
     # x^d p(1/x) == p(0) p(x): the roots pair z <-> 1/z

@@ -27,7 +27,7 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
-from .fourier import MAX_BANDS
+from .fourier import MAX_BANDS, MIN_TOL
 from .ifs import load_system
 from .sampling import MAX_DIGITS, MAX_PRECISION_BITS
 
@@ -75,9 +75,10 @@ _precision_bits = _checked(int, lambda v: 1 <= v <= MAX_PRECISION_BITS,
 # one band of the decay profile per j = 0 .. --j-max
 _j_max = _checked(int, lambda v: 0 <= v <= MAX_BANDS,
                   f"between 0 and {MAX_BANDS}")
-# NaN fails every comparison, so it would switch off the truncation tests
-_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0,
-                      "finite and > 0")
+# NaN fails every comparison, so it would switch off the truncation tests;
+# below MIN_TOL the transform's bound would not cover its float rounding
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= MIN_TOL,
+                      f"finite and >= {MIN_TOL}")
 # a NaN threshold passes no sample, and NaN or infinity is not JSON
 _finite = _checked(float, math.isfinite, "finite")
 

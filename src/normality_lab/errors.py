@@ -47,10 +47,6 @@ class InvalidInput(ValidationError):
     """An argument violates a documented precondition."""
 
 
-class ReduciblePolynomial(ValidationError):
-    """Polynomial is reducible over Q; minimal polynomials must be irreducible."""
-
-
 class NotAlgebraicInteger(ValidationError):
     """Polynomial is not monic with integer coefficients."""
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigParseError, InvalidInput, SymbolOutOfRange
 from .fourier import (
     DEFAULT_NODE_BUDGET,
+    MIN_TOL,
     FourierValue,
     fourier_exact,  # unused here, but the benchmark's tracer patches it
     fourier_tree,
@@ -298,8 +299,8 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
             float(q)
         except OverflowError:
             raise InvalidInput("q must lie within the float range") from None
-    if not tol > 0:
-        raise InvalidInput("tol must be positive")
+    if not tol >= MIN_TOL:
+        raise InvalidInput(f"tol must be >= {MIN_TOL}")
     slope = _homogeneous_slope(system)
     support = max(abs(float(system.hull[0])), abs(float(system.hull[1])), 1.0)
     shape = (len(qs), len(records))

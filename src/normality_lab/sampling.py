@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraicReal, poly_eval
+from .algebra import AlgebraicReal, poly_sign
 from .balls import floor_int, interval_ints, mul_ints
 from .errors import (
     BallStraddlesCut,
@@ -540,7 +540,7 @@ def _multiplier_enclosure(factor) -> tuple:
     lo, hi = _enclosure(factor, bits)
     if lo <= 1 < hi and isinstance(factor, AlgebraicReal):
         p_one = sum(factor.coeffs)
-        if p_one != 0 and (p_one > 0) == (poly_eval(factor.coeffs, lo) > 0):
+        if p_one != 0 and (p_one > 0) == (poly_sign(factor.coeffs, lo) > 0):
             while lo <= 1:
                 bits *= 2
                 lo, hi = _enclosure(factor, bits)

@@ -5,10 +5,10 @@ library: brute-force enumeration and a per-point window loop for
 correlations, Monte Carlo sampling and closed forms for the Fourier
 transform, straight interval iteration for hulls, prime factorizations for
 log-commensurability, bisection on integer polynomials for real roots,
-mpmath's numeric root finder for root moduli, modular powering for exact
-x^n mod 1, uncancelled integer pairs for exact beta orbits and balls held
-as pairs of Fractions, with every rounding decided on them, for the ball
-orbit loop.
+mpmath's numeric root finder for root moduli and real-root counts, modular
+powering for exact x^n mod 1, uncancelled integer pairs for exact beta
+orbits and balls held as pairs of Fractions, with every rounding decided on
+them, for the ball orbit loop.
 Keeping them separate from the package is the point.
 """
 
@@ -201,6 +201,24 @@ def homogeneous_product_fourier(system, q, levels=120) -> complex:
     return val * np.exp(2j * np.pi * u * center)
 
 
+def cantor_product_fourier(q, dps=60) -> complex:
+    """F_q of the Cantor measure as the product of (1 + e(2 q / 3^j)) / 2
+    over j >= 1, e(x) = e^{2 pi i x}, at `dps` digits: each phase is
+    reduced mod 1 exactly, and the product stops once 2 |q| / 3^j is below
+    10^-(dps - 10), the tail then changing it by less than 10^-(dps - 12)."""
+    import mpmath
+
+    q, val, j = Fraction(q), mpmath.mpc(1), 1
+    with mpmath.workdps(dps):
+        while abs(2 * q) / 3 ** j >= Fraction(1, 10 ** (dps - 10)):
+            x = 2 * q / 3 ** j
+            x -= math.floor(x)
+            val *= (1 + mpmath.expjpi(2 * mpmath.mpf(x.numerator)
+                                      / x.denominator)) / 2
+            j += 1
+        return complex(val)
+
+
 def _special_phase(x: Fraction):
     """e^{2 pi i x} at the exact angles 0, 1/2, 1/4 and 3/4 of x mod 1."""
     r = x - math.floor(x)
@@ -382,28 +400,51 @@ def fraction_bisection(coeffs, lo, hi, eps) -> tuple:
             lo + w * Fraction(j + 1, 1 << level))
 
 
-def root_moduli(coeffs, dps=50) -> list:
-    """Moduli of the complex roots of an integer polynomial (coefficients
-    from the leading term down), with multiplicity: sympy's square-free
-    factorization, then mpmath's Durand-Kerner iteration (`polyroots`) at
-    `dps` digits on each factor.  Returns (modulus, imaginary part) pairs,
-    each the exact Fraction of its `dps`-digit value."""
+def _numeric_roots(coeffs, dps) -> list:
+    """(root, multiplicity) pairs of an integer polynomial (coefficients
+    from the leading term down): sympy's square-free factorization, then
+    mpmath's Durand-Kerner iteration (`polyroots`) at `dps` digits on each
+    factor, whose roots are distinct.  Call inside ``mpmath.workdps(dps)``."""
     import mpmath
     import sympy
 
-    def exact(x) -> Fraction:
-        man, exp = mpmath.mpf(x).man_exp
-        return Fraction(man) * Fraction(2) ** exp
-
     _, factors = sympy.sqf_list(sympy.Poly(coeffs, sympy.Symbol("x")))
-    out = []
+    return [(z, mult) for factor, mult in factors
+            for z in mpmath.polyroots([int(c) for c in factor.all_coeffs()],
+                                      maxsteps=200, extraprec=4 * dps)]
+
+
+def _exact(x) -> Fraction:
+    """The exact Fraction of an mpmath real (`man_exp` drops the sign)."""
+    import mpmath
+
+    x = mpmath.mpf(x)
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def root_moduli(coeffs, dps=50) -> list:
+    """Moduli of the complex roots of an integer polynomial, with
+    multiplicity (see `_numeric_roots`).  Returns (modulus, imaginary part)
+    pairs, each the exact Fraction of its `dps`-digit value."""
+    import mpmath
+
     with mpmath.workdps(dps):
-        for factor, mult in factors:
-            roots = mpmath.polyroots([int(c) for c in factor.all_coeffs()],
-                                     maxsteps=200, extraprec=4 * dps)
-            out += [(exact(abs(z)), exact(mpmath.im(z)))
-                    for z in roots] * mult
-    return out
+        return [(_exact(abs(z)), _exact(mpmath.im(z)))
+                for z, mult in _numeric_roots(coeffs, dps)
+                for _ in range(mult)]
+
+
+def distinct_real_roots(coeffs, dps=50, tol=Fraction(1, 10 ** 20)) -> list:
+    """The distinct real roots of an integer polynomial, as exact Fractions
+    of their `dps`-digit values: the roots (see `_numeric_roots`) whose
+    imaginary part is at most `tol` in modulus, each taken once."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return sorted(_exact(mpmath.re(z))
+                      for z, _ in _numeric_roots(coeffs, dps)
+                      if abs(_exact(mpmath.im(z))) <= tol)
 
 
 # ---------------------------------------------------------- exact orbits

@@ -1,7 +1,9 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +22,13 @@ from normality_lab.algebra import (
     isolate_real_roots,
     refine_real_root,
 )
-from normality_lab.errors import (
-    InvalidInput,
-    NotAlgebraicInteger,
-    ReduciblePolynomial,
+from normality_lab.errors import InvalidInput, NotAlgebraicInteger
+from oracles import (
+    distinct_real_roots,
+    factored_log_ratio,
+    fraction_bisection,
+    root_moduli,
 )
-from oracles import factored_log_ratio, fraction_bisection, root_moduli
 
 F = Fraction
 
@@ -117,6 +120,26 @@ class TestRootIsolation:
         # golden ratio = 1.618033988749894848...
         assert lo <= F("1.61803398874989") <= hi
         assert hi - lo <= F(1, 10 ** 12)
+
+    @given(coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=13)
+           .filter(lambda c: c[0] != 0),
+           ends=st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)),
+                         min_size=2, max_size=2, unique=True).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_count_matches_numeric_roots(self, coeffs, ends):
+        lo, hi = ends
+        roots = distinct_real_roots(coeffs)
+        near = F(1, 10 ** 20)
+        assume(all(abs(x - end) > near for x in roots for end in ends))
+        assert count_real_roots(coeffs, lo, hi) == sum(1 for x in roots
+                                                       if lo < x <= hi)
+
+    def test_degree_60_chain_is_fast(self):
+        rng = random.Random(60)
+        coeffs = [1] + [rng.randint(-10 ** 6, 10 ** 6) for _ in range(60)]
+        start = time.process_time()
+        count_real_roots(coeffs, F(-1), F(1))
+        assert time.process_time() - start < 1.0
 
     def test_algebraic_real_refine(self):
         golden = AlgebraicReal((1, -1, -1), F(1), F(2))
@@ -311,8 +334,17 @@ class TestIsPisot:
         assert is_pisot([1, -1, 1]).is_pisot is False
 
     def test_reducible_rejected(self):
-        with pytest.raises(ReduciblePolynomial):
-            is_pisot([1, 0, -1])
+        # x^2 - 1, (x - 1)(x^2 - x - 1), (x^2 - x - 1)^2 and x^2 - 2x: a root
+        # at +-1, a repeated root, and p(0) = 0, the only test that stops
+        # x^2 - 2x, whose roots 2 and 0 meet the root condition
+        for coeffs in ([1, 0, -1], [1, -2, 0, 1], [1, -2, -1, 2, 1],
+                       [1, -2, 0]):
+            rep = is_pisot(coeffs)
+            assert rep.is_pisot is False
+            assert rep.dominant_root is None and rep.conjugate_moduli == ()
+        # (x^2 - x - 1)(x + 2) passes the gate; its root -2 breaks the root
+        # condition
+        assert is_pisot([1, 1, -3, -2]).is_pisot is False
 
     def test_non_monic_rejected(self):
         with pytest.raises(NotAlgebraicInteger):
@@ -376,9 +408,9 @@ class TestIsPisotByRootCounts:
     @settings(max_examples=150, deadline=None)
     def test_enclosures_hold_the_numeric_moduli(self, tail):
         coeffs = (1, *tail)
-        try:
-            rep = is_pisot(coeffs)
-        except ReduciblePolynomial:
+        rep = is_pisot(coeffs)
+        if not sympy.Poly(coeffs, sympy.Symbol("x")).is_irreducible:
+            assert rep.is_pisot is False
             assume(False)
         roots = root_moduli(coeffs)
         pairs = sorted(m for m, im in roots if abs(im) > _ON_CIRCLE)

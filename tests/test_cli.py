@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import random
 import signal
 import subprocess
 import sys
@@ -320,6 +321,12 @@ class TestExitCodes:
           "100000", "--samples", "20"], 4),
         (["martingale", "--base", "2", "--N-list", "20000",
           "--samples", "3"], 4),
+        # below fourier.MIN_TOL the bound does not cover float rounding:
+        # at 1e-18 the true error of F_1 on Cantor was 299 times the bound
+        (["fourier", "--q", "1", "--tol", "1e-18"], 4),
+        (["decay", "--tol", "1e-14"], 4),
+        (["martingale", "--base", "2", "--q", "1", "--N-list", "50",
+          "--tol", "1e-16"], 4),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, tmp_path, argv,
                                            code):
@@ -339,6 +346,26 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         if "--out" in argv:
             assert "/nonexistent/dir/x.csv" in proc.stderr
+
+    def test_beta_poly_is_priced_at_parse_time(self, capsys):
+        # degree 40 with 2000-bit coefficients: its chain took about 27 s
+        poly = ",".join(["1"] + [str(2 ** 1999 + k) for k in range(40)])
+        start = time.perf_counter()
+        assert main(["beta-orbit", "--beta-poly", poly, "--x", "1/3"]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert ("degree 40 with 2000-bit coefficients"
+                in capsys.readouterr().err)
+
+    def test_a_degree_80_beta_poly_is_decided_quickly(self, capsys):
+        # coefficients in +-10^6: the Fraction chain took 80 s to exit 2
+        rng = random.Random(80)
+        poly = ",".join(["1"] + [str(rng.randint(-10 ** 6, 10 ** 6))
+                                 for _ in range(80)])
+        start = time.perf_counter()
+        assert main(["beta-orbit", "--beta-poly", poly, "--x", "1/3",
+                     "--length", "5"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "it holds 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("maps", 5), ("maps", [{"s": "1/3"}]), ("weights", 5),
@@ -849,7 +876,9 @@ class TestSequentialRuns:
 
     def test_import_leaves_sympy_unloaded(self):
         probe = ("import sys\n"
+                 "import normality_lab as nl\n"
                  "import normality_lab.cli\n"
+                 "assert nl.is_pisot([1, 0, -1, -1]).is_pisot\n"
                  "assert 'sympy' not in sys.modules\n"
                  "assert 'mpmath' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", probe],

@@ -17,6 +17,7 @@ from normality_lab import (
 )
 from normality_lab.errors import InsufficientBands, InvalidInput
 from normality_lab.fourier import (
+    MIN_TOL,
     DecayBand,
     DecayProfile,
     fourier_tree,
@@ -25,6 +26,7 @@ from normality_lab.fourier import (
 )
 
 from oracles import (
+    cantor_product_fourier,
     homogeneous_product_fourier,
     lebesgue_transform,
     monte_carlo_fourier,
@@ -289,6 +291,21 @@ class TestFourierExact:
         # NaN fails every comparison, so `tol <= 0` alone would let it in
         with pytest.raises(InvalidInput):
             fourier_exact(cantor, 1, tol=math.nan)
+
+    def test_tol_below_the_rounding_floor_rejected(self, cantor):
+        fourier_exact(cantor, 1, tol=MIN_TOL)
+        with pytest.raises(InvalidInput):
+            fourier_exact(cantor, 1, tol=MIN_TOL / 2)
+
+    # frequencies where phases land near half-integers or resonances 3^m
+    @given(q=st.sampled_from([1, 2, 5, 7, 3 ** 10 + 1, 3 ** 20 + 5,
+                              123456789, 10 ** 15 + 7, 3 ** 30,
+                              F(3 ** 25, 2), 10 ** 40 + 1, F(1, 7)]),
+           log_tol=st.floats(-13, -9))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_against_the_product(self, cantor, q, log_tol):
+        fv = fourier_exact(cantor, q, tol=max(MIN_TOL, 10 ** log_tol))
+        assert abs(fv.value - cantor_product_fourier(q)) <= fv.error_bound
 
     def test_monte_carlo_agreement(self, three_systems):
         rng = np.random.default_rng(101)
