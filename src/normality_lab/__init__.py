@@ -21,12 +21,9 @@ from .algebra import (
 )
 from .errors import NormalityLabError
 from .fourier import (
-    DecayFit,
     DecayProfile,
     FourierValue,
-    decay_fit,
     decay_profile,
-    del_criterion_check,
     fourier_empirical,
     fourier_exact,
 )

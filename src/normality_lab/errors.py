@@ -63,10 +63,6 @@ class BlockLongerThanStream(ValidationError):
     """Requested block length exceeds the certified digit prefix."""
 
 
-class InsufficientBands(ValidationError):
-    """Too few successful decay bands to fit a regime."""
-
-
 # ---------------------------------------------------------- precision/budget
 
 class PrecisionError(NormalityLabError):

@@ -22,8 +22,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .algebra import AlgebraicReal, classify_obstruction
-from .errors import ConfigParseError, InsufficientBands
-from .fourier import decay_fit, decay_profile, del_criterion_check, fourier_exact
+from .errors import ConfigParseError
+from .fourier import MIN_TOL, decay_profile, fourier_exact
 from .ifs import (
     SelfSimilarSystem,
     as_fraction,
@@ -83,6 +83,12 @@ def _orbits(system: SelfSimilarSystem, base: int, length: int, seed: int,
         yield ds, orbit_sequence(ds, length, seed=seed)
 
 
+def _check_tol(tol: float) -> None:
+    """ConfigParseError (exit 4) for a --tol below fourier.MIN_TOL."""
+    if tol < MIN_TOL:
+        raise ConfigParseError(f"--tol must be >= {MIN_TOL}, got {tol}")
+
+
 def _records(table: dict) -> list:
     """The rows of a table of list columns as dicts, for JSON summaries."""
     return [dict(zip(table, row)) for row in zip(*table.values())]
@@ -131,6 +137,7 @@ def run_classify(args, system: SelfSimilarSystem):
 
 
 def run_fourier(args, system: SelfSimilarSystem):
+    _check_tol(args.tol)
     fv = fourier_exact(system, as_fraction(args.q), tol=args.tol,
                        budget=args.budget)
     table = {"q": [frac_str(fv.frequency)], "re": [fv.real], "im": [fv.imag],
@@ -145,6 +152,7 @@ MAX_GRID_POINTS = 1 << 16
 
 
 def run_decay(args, system: SelfSimilarSystem):
+    _check_tol(args.tol)
     # band j holds min(per_band, 2^j) leading integers and at most one power
     # of each slope denominator: counted before any band is built
     points = sum(min(args.per_band, 1 << j) + len(system.maps)
@@ -152,9 +160,8 @@ def run_decay(args, system: SelfSimilarSystem):
     if points > MAX_GRID_POINTS:
         raise ConfigParseError(f"decay grid of up to {points} points is over "
                                f"the cap of {MAX_GRID_POINTS}")
-    profile = decay_profile(system, args.j_max, per_band=args.per_band,
-                            tol=args.tol, budget=args.budget)
-    bands = profile.bands
+    bands = decay_profile(system, args.j_max, per_band=args.per_band,
+                          tol=args.tol, budget=args.budget).bands
     table = {"band": [b.index for b in bands],
              "q_lo": [1 << b.index for b in bands],
              "q_hi": [1 << (b.index + 1) for b in bands],
@@ -162,21 +169,7 @@ def run_decay(args, system: SelfSimilarSystem):
              "argmax_q": [frac_str(b.argmax_q) for b in bands],
              "samples": [b.samples for b in bands],
              "budget_exceeded": [b.budget_exceeded for b in bands]}
-    results: dict = {"bands": _records(table)}
-    try:
-        fit = decay_fit(profile)
-    except InsufficientBands as exc:
-        results["fit"] = {"regime": "unavailable", "reason": str(exc)}
-        return table, results
-    results["fit"] = {
-        "regime": fit.regime, "alpha": fit.alpha,
-        "alpha_ci": list(fit.alpha_ci) if fit.alpha_ci else None,
-        "r_squared": fit.r_squared,
-    }
-    if fit.alpha is not None:
-        results["loglog_envelope_consistent"] = del_criterion_check(
-            profile, fit.alpha)
-    return table, results
+    return table, {"bands": _records(table)}
 
 
 def run_orbit(args, system: SelfSimilarSystem):
@@ -404,6 +397,7 @@ def _int_list(spec: str) -> list:
 
 
 def run_martingale(args, system: SelfSimilarSystem):
+    _check_tol(args.tol)
     qs, n_list = _int_list(args.q), _int_list(args.n_list)
     p, samples, seed = args.base, args.samples, args.seed
     # each sample walks to the largest N - 1

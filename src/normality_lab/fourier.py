@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientBands, InvalidInput
+from .errors import InvalidInput
 from .ifs import SelfSimilarSystem
 from .sampling import SequenceSample
 
@@ -302,9 +302,6 @@ class DecayProfile:
     bands: tuple
     tol: float
 
-    def successful(self) -> list:
-        return [b for b in self.bands if not b.budget_exceeded]
-
 
 MAX_BANDS = 40
 
@@ -331,10 +328,8 @@ def decay_profile(system: SelfSimilarSystem, j_max: int,
                   per_band: int = 512, tol: float = 1e-6,
                   budget: int = DEFAULT_NODE_BUDGET) -> DecayProfile:
     """Sup of |F_q| over a documented grid in each dyadic band j <= j_max."""
-    if j_max > MAX_BANDS:
-        raise InvalidInput(f"j_max capped at {MAX_BANDS}")
-    if j_max < 0:
-        raise InvalidInput("j_max must be >= 0")
+    if not 0 <= j_max <= MAX_BANDS:
+        raise InvalidInput(f"j_max must be between 0 and {MAX_BANDS}")
     cache: dict = {}
     bands = []
     for j in range(j_max + 1):
@@ -347,110 +342,3 @@ def decay_profile(system: SelfSimilarSystem, j_max: int,
                 sup, arg = fv.modulus, fv.frequency
         bands.append(DecayBand(j, sup, arg, len(grid), budget_exceeded=hit))
     return DecayProfile(tuple(bands), tol)
-
-
-# ---------------------------------------------------------------- regime fit
-
-@dataclass(frozen=True)
-class DecayFit:
-    regime: str                       # polynomial | logarithmic | loglog | none
-    alpha: Optional[float]
-    alpha_ci: Optional[tuple]
-    r_squared: Optional[float]
-
-
-_MIN_BANDS_FOR_FIT = 8
-
-
-def _ols(x: np.ndarray, y: np.ndarray):
-    """Least squares y = c - alpha * x; returns (alpha, rss, se_alpha)."""
-    n = len(x)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0:
-        return None
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
-    resid = y - (ym + slope * (x - xm))
-    rss = float((resid ** 2).sum())
-    dof = max(n - 2, 1)
-    se = math.sqrt(rss / dof / sxx)
-    return -slope, rss, se
-
-
-def decay_fit(profile: DecayProfile) -> DecayFit:
-    """Pick the decay regime whose regressor best explains log sup_j.
-
-    Regressors per regime: log q for polynomial decay q^-alpha, log log q for
-    1 / (log q)^alpha, and log log log q for the doubly logarithmic rate.
-    Regime "none" when the best fit explains under half the variance or the
-    band sups do not actually decrease.
-    """
-    bands = [b for b in profile.successful() if b.sup_modulus > 0]
-    if len(bands) < _MIN_BANDS_FOR_FIT:
-        raise InsufficientBands(
-            f"need {_MIN_BANDS_FOR_FIT} successful bands, have {len(bands)}")
-    ln2 = math.log(2.0)
-    j = np.array([b.index for b in bands], dtype=float)
-    sup = np.array([max(b.sup_modulus, 1e-300) for b in bands])
-    y = np.log(sup)
-
-    regressors = {}
-    regressors["polynomial"] = (j * ln2, j >= 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x_log = np.log(j * ln2)
-        regressors["logarithmic"] = (x_log, j >= 1)
-        x_loglog = np.log(x_log)
-        regressors["loglog"] = (x_loglog, j * ln2 > 1.0)
-
-    best = None
-    for name, (x, mask) in regressors.items():
-        mask = mask & np.isfinite(x)
-        if mask.sum() < _MIN_BANDS_FOR_FIT - 2:
-            continue
-        fit = _ols(x[mask], y[mask])
-        if fit is None:
-            continue
-        alpha, rss, se = fit
-        tss = float(((y[mask] - y[mask].mean()) ** 2).sum())
-        if alpha <= 0:
-            continue
-        if best is None or rss < best[1]:
-            best = (name, rss, alpha, se, tss)
-
-    decreasing = _sups_decrease(sup)
-    if best is None or not decreasing:
-        return DecayFit("none", None, None, None)
-    name, rss, alpha, se, tss = best
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    if r2 < 0.5:
-        return DecayFit("none", None, None, r2)
-    ci = (alpha - 2 * se, alpha + 2 * se)
-    return DecayFit(name, alpha, ci, r2)
-
-
-def _sups_decrease(sup: np.ndarray, factor: float = 0.9) -> bool:
-    head = np.median(sup[:3])
-    tail = np.median(sup[-3:])
-    return tail < factor * head
-
-
-def del_criterion_check(profile: DecayProfile, alpha: float) -> Optional[bool]:
-    """Consistency of the observed envelope with a doubly-logarithmic decay
-    law sup_j <= C / (log log 2^j)^(1 + alpha).
-
-    The constant is fitted on the first half of the usable bands and tested
-    on the rest; returns None (indeterminate) when fewer than six bands reach
-    past the point where log log 2^j is positive.  Diagnostic only: a True
-    answer is evidence, not a proof of the decay law.
-    """
-    if alpha <= 0:
-        raise InvalidInput("alpha must be positive")
-    usable = [(b.index, b.sup_modulus) for b in profile.successful()
-              if b.index >= 2]
-    if len(usable) < 6:
-        return None
-    ln2 = math.log(2.0)
-    weights = [(j, s, math.log(j * ln2) ** (1.0 + alpha)) for j, s in usable]
-    half = len(weights) // 2
-    c_fit = max(s * w for _, s, w in weights[:half])
-    return all(s * w <= c_fit * (1 + 1e-9) for _, s, w in weights[half:])

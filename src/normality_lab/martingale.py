@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConfigParseError, InvalidInput, SymbolOutOfRange
 from .fourier import (
     DEFAULT_NODE_BUDGET,
-    MIN_TOL,
     FourierValue,
     fourier_exact,  # unused here, but the benchmark's tracer patches it
     fourier_tree,
@@ -196,16 +195,18 @@ def _homogeneous_slope(system: SelfSimilarSystem):
 def _float_chains(system: SelfSimilarSystem, slope: Fraction,
                   u: Sequence[float], tol: float):
     """F_u for a homogeneous system by the truncated product, in floats, for
-    every frequency in `u` at once; returns arrays (re, im, error bound).
+    every frequency in `u` at once; returns arrays (re, im, error bound)
+    and the indices of the chains left unfinished.
 
     Valid for |u| <= _FLOAT_CHAIN_MAX_FREQ: phase arguments never exceed a
     few thousand radians, so accumulated rounding stays below the
     _FLOAT_CHAIN_SLACK allowance added to the error bound.  A chain leaves
-    the batch once its truncation bound is within `tol`.  The complex
-    products are written out in real arithmetic in the order Python's
-    complex type rounds them (a float weight times a phase is (p + 0j) *
-    phase, and a sum starts from 0), so each value is the one a scalar loop
-    over Python complex numbers gives, bit for bit.
+    the batch once its truncation bound is within `tol`, or is left
+    unfinished after _FLOAT_CHAIN_MAX_STEPS steps (a slope near 1).  The
+    complex products are written out in real arithmetic in the order
+    Python's complex type rounds them (a float weight times a phase is
+    (p + 0j) * phase, and a sum starts from 0), so each value is the one a
+    scalar loop over Python complex numbers gives, bit for bit.
     """
     s = float(slope)
     lo, hi = float(system.hull[0]), float(system.hull[1])
@@ -217,11 +218,9 @@ def _float_chains(system: SelfSimilarSystem, slope: Fraction,
     re = np.ones_like(u)
     im = np.zeros_like(u)
     live = np.flatnonzero(math.tau * np.abs(u) * half > tol)
-    steps = 0
-    while live.size:
-        steps += 1
-        if steps > _FLOAT_CHAIN_MAX_STEPS:
-            raise InvalidInput("chain failed to contract")
+    for _ in range(_FLOAT_CHAIN_MAX_STEPS):
+        if not live.size:
+            break
         ul = u[live]
         w = math.tau * ul
         tr = ti = 0.0
@@ -238,18 +237,20 @@ def _float_chains(system: SelfSimilarSystem, slope: Fraction,
     trunc = math.tau * np.abs(u) * half
     w = math.tau * u * center
     c, sn = np.cos(w), np.sin(w)
-    return re * c - im * sn, re * sn + im * c, trunc + _FLOAT_CHAIN_SLACK
+    return re * c - im * sn, re * sn + im * c, trunc + _FLOAT_CHAIN_SLACK, live
 
 
 def _round_frequency(num: int, den: int):
-    """Dyadic rounding for huge exact frequencies num/den (lowest terms,
-    den > 0); returns (u', extra error) with u' a reduced (num, den) pair.
+    """num/den (den > 0) in lowest terms, dyadically rounded when huge;
+    returns (u', extra error) with u' a reduced (num, den) pair.
 
     |F_u - F_u'| <= 2 pi |u - u'| sup|x| over the support, and rounding to
     the 2^-48 grid keeps |u - u'| below 2^-49; only applied when the exact
     denominator is too large to be worth carrying through the recursion.
     The rounded pair is reduced by stripping its common powers of two.
     """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     if den.bit_length() <= 64:
         return (num, den), 0.0
     q, rem = divmod(num << _FREQ_ROUND_BITS, den)
@@ -290,6 +291,8 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     all those modes at once; every other mode is a root of one fourier_tree
     walk at q r (dyadically rounded when its reduced denominator is huge),
     q outer and records inner, with `cache` and `budget` passed through.
+    A chain the float product cannot finish within _FLOAT_CHAIN_MAX_STEPS
+    is one more root of that walk, after all the others.
     """
     qs = tuple(qs)
     if not all(isinstance(q, int) for q in qs):
@@ -299,8 +302,6 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
             float(q)
         except OverflowError:
             raise InvalidInput("q must lie within the float range") from None
-    if not tol >= MIN_TOL:
-        raise InvalidInput(f"tol must be >= {MIN_TOL}")
     slope = _homogeneous_slope(system)
     support = max(abs(float(system.hull[0])), abs(float(system.hull[1])), 1.0)
     shape = (len(qs), len(records))
@@ -310,8 +311,7 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
     budget_exceeded = np.zeros(shape, dtype=bool)
 
     r_float = [rec.P / rec.C for rec in records]
-    chain_at, chain_u, chain_phase = [], [], []
-    exact_at, exact_u = [], []
+    chain_at, chain_u, chain_phase, exact_at = [], [], [], []
     for k, q in enumerate(qs):
         for j, rec in enumerate(records):
             phase = ratio_phase(q * rec.X, rec.C)
@@ -320,28 +320,30 @@ def cylinder_modes(system: SelfSimilarSystem, records: Sequence, qs: Sequence,
                 chain_at.append((k, j))
                 chain_u.append(u_float)
                 chain_phase.append(phase)
-                continue
-            num, den = q * rec.P, rec.C
-            g = math.gcd(num, den)
-            u, extra = _round_frequency(num // g, den // g)
-            exact_at.append((k, j, phase, extra * support))
-            exact_u.append(u)
-
-    walked = fourier_tree(system, exact_u, tol=tol, budget=budget, cache=cache)
-    for (k, j, phase, extra), (val, err, n, hit) in zip(exact_at, walked):
-        values[k, j] = phase * val
-        error_bounds[k, j] = err + extra
-        nodes[k, j] = n
-        budget_exceeded[k, j] = hit
+            else:
+                exact_at.append((k, j, phase))
 
     if chain_at:
-        cr, ci, cerr = _float_chains(system, slope, chain_u, tol)
+        cr, ci, cerr, left = _float_chains(system, slope, chain_u, tol)
         pr = np.array([ph.real for ph in chain_phase])
         pi = np.array([ph.imag for ph in chain_phase])
         rows, cols = np.array(chain_at).T
         values.real[rows, cols] = pr * cr - pi * ci
         values.imag[rows, cols] = pr * ci + pi * cr
         error_bounds[rows, cols] = cerr
+        # the chains left at the step cap are overwritten by the walk
+        exact_at += [(*chain_at[i], chain_phase[i]) for i in left]
+
+    rounded = [_round_frequency(qs[k] * records[j].P, records[j].C)
+               for k, j, _ in exact_at]
+    walked = fourier_tree(system, [u for u, _ in rounded], tol=tol,
+                          budget=budget, cache=cache)
+    for (k, j, phase), (_, extra), (val, err, n, hit) in zip(
+            exact_at, rounded, walked):
+        values[k, j] = phase * val
+        error_bounds[k, j] = err + extra * support
+        nodes[k, j] = n
+        budget_exceeded[k, j] = hit
     return CylinderModes(values, error_bounds, nodes, budget_exceeded)
 
 

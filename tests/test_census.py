@@ -6,9 +6,8 @@ A path names a float inside `results`, with "*" for a list index and for a
 key that is data rather than a name (a digit, "q=1,N=10").  Kinds:
 
 - EXACT: the number is the stated quantity itself, up to the last float
-  rounding: an echoed input, a ratio of integer counts, a certified bound,
-  or a statistic of numbers the same output reports (the decay fit of the
-  band sups);
+  rounding: an echoed input, a ratio of integer counts, or a certified
+  bound;
 - bounded(field): an estimate whose error bound is the sibling `field`,
   which must be present and finite;
 - UNBOUNDED: an estimate that carries no bound yet.
@@ -42,9 +41,6 @@ CENSUS = {
     },
     "decay": {
         ("bands", "*", "sup_modulus"): UNBOUNDED,
-        ("fit", "alpha"): EXACT,
-        ("fit", "alpha_ci", "*"): EXACT,
-        ("fit", "r_squared"): EXACT,
     },
     "orbit": {
         ("accuracy",): EXACT,
@@ -94,8 +90,7 @@ UNBOUNDED_AT_MOST = {
     ("martingale", ("median_gaps", "*")),
 }
 
-# one small run per subcommand; decay runs on an inhomogeneous system so
-# that its fit is available
+# one small run per subcommand
 RUNS = {
     "validate": ["--system", "{cantor}"],
     "classify": ["--system", "{cantor}", "--base", "3"],

@@ -313,6 +313,10 @@ class TestExitCodes:
           "--samples", "100"], 4),
         (["correlations", "--source", "uniform", "--length", "100000",
           "--samples", "100"], 4),
+        # a window of half the circle holds about N^2 / 2 pairs: priced
+        # from the window sizes before any is enumerated (3.3 s before)
+        (["correlations", "--source", "uniform", "--length", "20000",
+          "--k", "2", "--box", "2000"], 4),
         (["correlations", "--source", "power", "--x", "3/2", "--length",
           "0", "--samples", str(10 ** 12)], 4),
         (["spacings", "--source", "power", "--x", "3/2", "--length", "20",
@@ -327,6 +331,16 @@ class TestExitCodes:
         (["decay", "--tol", "1e-14"], 4),
         (["martingale", "--base", "2", "--q", "1", "--N-list", "50",
           "--tol", "1e-16"], 4),
+        # ... a floor only the runners that read --tol check: orbit ignores
+        # the flag (it exited 4 here when the floor was checked at parse time)
+        (["orbit", "--base", "2", "--length", "5", "--tol", "1e-14"], 0),
+        # slope 999/1000: the float chain stops at its step cap, and the
+        # modes it leaves take the exact walk (it exited 2 with "chain
+        # failed to contract")
+        (["martingale", "--base", "2", "--q", "1", "--N-list", "1", "--tol",
+          "1e-2", "--system", {"maps": [{"s": "999/1000", "t": "0"},
+                                        {"s": "999/1000", "t": "1/1000"}]}],
+         0),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, tmp_path, argv,
                                            code):
@@ -422,6 +436,17 @@ class TestExitCodes:
         assert main(["beta-orbit", "--system", cantor_file, "--beta", "5/2",
                      "--length", "7200"]) == 4
         assert "over the caps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runner, argv", [
+        ("fourier_exact", ["fourier", "--q", "1"]),
+        ("decay_profile", ["decay"]),
+        ("martingale_gaps", ["martingale", "--base", "2", "--N-list", "5"]),
+    ])
+    def test_the_tol_floor_is_checked_before_any_work(
+            self, cantor_file, monkeypatch, capsys, runner, argv):
+        monkeypatch.setattr(exp, runner, lambda *a, **k: pytest.fail(runner))
+        assert main(argv + ["--system", cantor_file, "--tol", "1e-14"]) == 4
+        assert "--tol must be >= 1e-13" in capsys.readouterr().err
 
     def test_a_decay_grid_over_the_cap_exits_4_at_once(self, cantor_file,
                                                        capsys):
@@ -597,6 +622,20 @@ class TestOutputs:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_decay_json_holds_the_csv_rows_only(self, cantor_file, capsys):
+        argv = ["decay", "--system", cantor_file, "--j-max", "10",
+                "--per-band", "8"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        rows = list(csv.DictReader(
+            line for line in out.splitlines() if not line.startswith("#")))
+        code, out = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert list(results) == ["bands"]
+        assert [{k: str(v) for k, v in band.items()}
+                for band in results["bands"]] == rows
 
     def test_csv_metadata_header(self, cantor_file, capsys):
         code, out = run_cli(["digits", "--system", cantor_file, "--base", "3",

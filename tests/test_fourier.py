@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normality_lab import (
-    decay_fit,
     decay_profile,
-    del_criterion_check,
     fourier_empirical,
     fourier_exact,
     make_system,
     uniform_sample,
 )
-from normality_lab.errors import InsufficientBands, InvalidInput
+from normality_lab.errors import InvalidInput
 from normality_lab.fourier import (
     MIN_TOL,
-    DecayBand,
-    DecayProfile,
     fourier_tree,
     ratio_phase,
     unit_phase,
@@ -358,43 +354,3 @@ class TestDecay:
     def test_jmax_guard(self, cantor):
         with pytest.raises(InvalidInput):
             decay_profile(cantor, 41)
-
-    def _synthetic(self, sup_fn, j_max=16):
-        bands = tuple(DecayBand(j, sup_fn(j), F(1 << j), 1)
-                      for j in range(j_max + 1))
-        return DecayProfile(bands, 1e-9)
-
-    def test_fit_polynomial(self):
-        fit = decay_fit(self._synthetic(lambda j: 2.0 ** (-j / 2)))
-        assert fit.regime == "polynomial"
-        assert abs(fit.alpha - 0.5) <= 0.05
-
-    def test_fit_logarithmic(self):
-        fit = decay_fit(self._synthetic(lambda j: 1.0 / max(j, 1)))
-        assert fit.regime == "logarithmic"
-        assert abs(fit.alpha - 1.0) <= 0.1
-
-    def test_fit_loglog(self):
-        ln2 = math.log(2.0)
-        fit = decay_fit(self._synthetic(
-            lambda j: 1.0 / math.log(max(j, 2) * ln2) ** 2, j_max=24))
-        assert fit.regime == "loglog"
-        assert abs(fit.alpha - 2.0) <= 0.4
-
-    def test_fit_constant_is_none(self):
-        fit = decay_fit(self._synthetic(lambda j: 0.5))
-        assert fit.regime == "none"
-
-    def test_fit_needs_bands(self):
-        with pytest.raises(InsufficientBands):
-            decay_fit(self._synthetic(lambda j: 0.5, j_max=3))
-
-    def test_del_criterion(self):
-        assert del_criterion_check(
-            self._synthetic(lambda j: 2.0 ** -j), 1.0) is True
-        assert del_criterion_check(
-            self._synthetic(lambda j: 0.5), 1.0) is False
-        assert del_criterion_check(
-            self._synthetic(lambda j: 0.5, j_max=3), 1.0) is None
-        with pytest.raises(InvalidInput):
-            del_criterion_check(self._synthetic(lambda j: 0.5), -1.0)

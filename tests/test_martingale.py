@@ -356,6 +356,26 @@ class TestCylinderModesBatch:
         assert (modes.nodes > 0).all()
         assert (modes.error_bounds > 1e-12).all()
 
+    def test_chains_past_the_step_cap_take_the_exact_path(self):
+        # slope 999/1000: at tol 1e-2 a chain at |u| near 1 needs about 5,750
+        # steps, past the float chain's 4,000; q = 0 is done at once
+        system = make_system([("999/1000", "0"), ("999/1000", "1/1000")])
+        records = stopping_records(system, WordStream(system, 0), 1, 2)
+        modes = cylinder_modes(system, records, [0, 1], tol=1e-2)
+        assert modes.values[0].tolist() == [1, 1]
+        assert (modes.nodes[0] == 0).all() and (modes.nodes[1] > 4000).all()
+        for j, rec in enumerate(records):
+            u, extra = F(rec.P, rec.C), 0.0
+            if u.denominator.bit_length() > 64:   # the record at n = 1
+                top, rem = divmod(u.numerator << 48, u.denominator)
+                u = F(top + (2 * rem >= u.denominator), 1 << 48)
+                extra = 2.0 * math.pi * 2.0 ** -49
+            fv = fourier_exact(system, u, tol=1e-2)
+            want = ratio_phase(rec.X, rec.C) * fv.value
+            assert _bits(modes.values[1, j]) == _bits(want)
+            assert modes.error_bounds[1, j] == fv.error_bound + extra
+            assert modes.nodes[1, j] == fv.nodes
+
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_invalid_tol_rejected(self, cantor, cantor_records, tol):
         with pytest.raises(InvalidInput):

@@ -19,8 +19,10 @@ from normality_lab import (
     weyl_report,
     WordStream,
 )
+from normality_lab import stats
 from normality_lab.errors import (
     BlockLongerThanStream,
+    ConfigParseError,
     InvalidInput,
     KOutOfRange,
     SupportTooWide,
@@ -305,6 +307,21 @@ class TestKLevelCorrelation:
         assert peak < 32 * 2 ** 20
         want = windowed_k_level_correlation(xs, k, "box", halfwidth)
         assert float(got).hex() == float(want).hex()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_wide_windows_are_priced_before_enumeration(self, monkeypatch,
+                                                        k):
+        # 40 equal points: every window holds all 40, so k = 2 and 3 visit
+        # 1,600 entries and k = 4 visits 2 x 40 x 40^2 = 128,000
+        xs = [0.25] * 40
+        entries = 1600 if k < 4 else 128_000
+        monkeypatch.setattr(stats, "MAX_WINDOW_ENTRIES", entries)
+        assert _same_as_windowed_loop(xs, k, TFn.box(F(1, 2))) > 0
+        monkeypatch.setattr(stats, "MAX_WINDOW_ENTRIES", entries - 1)
+        monkeypatch.setattr(stats, "_chunks",
+                            lambda sizes: pytest.fail("enumerated"))
+        with pytest.raises(ConfigParseError, match="window entries"):
+            k_level_correlation(xs, k, TFn.box(F(1, 2)))
 
     @pytest.mark.parametrize("halfwidth", [F(1, 4), F(1, 2), F(1)])
     def test_r2_converges_to_box_mass(self, halfwidth):
