@@ -53,7 +53,7 @@ print("seed  discrepancy  max |F_q| (q <= 10)")
 for seed in range(5):
     stream = WordStream(system, seed)
     ds = digits(system, stream, 2, orbit_digit_count(2, 10_000))
-    orbit = orbit_sequence(ds, 10_000, seed=seed)
+    orbit = orbit_sequence(ds, 10_000)
     rep = weyl_report(orbit, 10)
     print(f"{seed:4d}  {discrepancy(orbit):11.4f}  {rep.moduli.max():.4f}")
 print("\nSmall discrepancy and Weyl sums: the base-2 orbit of a Cantor point")

@@ -41,7 +41,7 @@ sequences["(3/2)^n mod 1"] = power_orbit(Fraction(3, 2), N)
 cantor = cantor_system()
 stream = WordStream(cantor, seed=5)
 ds = digits(cantor, stream, 2, N + 100)
-sequences["T_2 orbit, Cantor point"] = orbit_sequence(ds, N, seed=5)
+sequences["T_2 orbit, Cantor point"] = orbit_sequence(ds, N)
 
 print(f"{'sequence':26s} {'D*_N':>8s} {'R_2(box)':>9s} {'R_2(tri)':>9s} "
       f"{'KS to 1-e^-s':>13s}")

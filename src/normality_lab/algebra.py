@@ -21,7 +21,7 @@ from itertools import dropwhile, zip_longest
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InvalidInput, NotAlgebraicInteger
+from .errors import InvalidInput
 from .ifs import AffineMap, SelfSimilarSystem, normalize
 
 
@@ -314,7 +314,6 @@ class AlgebraicReal:
 
 @dataclass(frozen=True)
 class PisotReport:
-    polynomial: tuple
     dominant_root: Optional[tuple]   # rational enclosure (lo, hi), root > 1
     conjugate_moduli: tuple          # rational enclosures (lo, hi) per conjugate
     is_pisot: bool
@@ -394,14 +393,14 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
     if len(coeffs) < 2:
         raise InvalidInput("polynomial must have degree >= 1")
     if coeffs[0] != 1:
-        raise NotAlgebraicInteger("polynomial must be monic")
+        raise InvalidInput("polynomial must be monic")
     chain = _sturm_chain(coeffs, poly_deriv(coeffs))
     if 0 in [poly_sign(coeffs, x) for x in (0, 1, -1)] or len(chain[-1]) > 1:
-        return PisotReport(coeffs, None, (), False)
+        return PisotReport(None, (), False)
     if len(coeffs) == 2:
         root = Fraction(-coeffs[1])
         dominant = (root, root) if root > 1 else None
-        return PisotReport(coeffs, dominant, (), root > 1)
+        return PisotReport(dominant, (), root > 1)
 
     # Real roots, refined until each |root| is decisively above or below 1
     # (the gate rules out roots exactly at +-1, so this terminates).
@@ -435,7 +434,7 @@ def is_pisot(coeffs: Sequence) -> PisotReport:
     # x^d p(1/x) == p(0) p(x): the roots pair z <-> 1/z
     p0 = coeffs[-1]
     reciprocal = abs(p0) == 1 and coeffs[::-1] == tuple(p0 * c for c in coeffs)
-    return PisotReport(coeffs, dominant, tuple(conj), verdict, reciprocal)
+    return PisotReport(dominant, tuple(conj), verdict, reciprocal)
 
 
 # --------------------------------------------------------- obstruction check
@@ -458,7 +457,6 @@ class MapObstruction:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    base: int
     conjugator: AffineMap
     per_map: tuple
     verdict: ObstructionVerdict
@@ -500,7 +498,7 @@ def classify_obstruction(system: SelfSimilarSystem, b: int) -> ObstructionReport
         verdict = ObstructionVerdict.FAILS_ITEM2
     else:
         verdict = ObstructionVerdict.MATCHES_OBSTRUCTION_FORM
-    return ObstructionReport(b, g, tuple(per_map), verdict)
+    return ObstructionReport(g, tuple(per_map), verdict)
 
 
 def incommensurable_slope_witness(system: SelfSimilarSystem, b: int):

@@ -2,6 +2,13 @@
 
 Three broad families map onto CLI exit codes: validation failures (exit 2),
 precision/budget exhaustion (exit 3), and configuration problems (exit 4).
+The CLI tells errors apart by family alone, so a leaf class stays only where
+some code needs its name: `validate` reports the four system-invariant
+leaves by name (WeightSumError, NonContractingMap, HullNotInvariant,
+DegenerateFixedPoints), and NonContractingMap, BallStraddlesCut and
+StreamExhausted are caught by type.  Every other failure raises its
+family's plain leaf, InvalidInput or PrecisionExhausted, with a message
+that says what went wrong.
 """
 
 
@@ -31,36 +38,8 @@ class DegenerateFixedPoints(ValidationError):
     """All maps share one fixed point, so the attractor is a single point."""
 
 
-class DegenerateHull(ValidationError):
-    """The hull is a single point and cannot be normalized to [0, 1]."""
-
-
-class SymbolOutOfRange(ValidationError):
-    """A word symbol does not index a map of the system."""
-
-
-class BasePointOutsideHull(ValidationError):
-    """The coding-map base point must lie in the hull."""
-
-
 class InvalidInput(ValidationError):
     """An argument violates a documented precondition."""
-
-
-class NotAlgebraicInteger(ValidationError):
-    """Polynomial is not monic with integer coefficients."""
-
-
-class SupportTooWide(ValidationError):
-    """Test-function support exceeds half the sequence length."""
-
-
-class KOutOfRange(ValidationError):
-    """Correlation order k outside the supported range 2..4."""
-
-
-class BlockLongerThanStream(ValidationError):
-    """Requested block length exceeds the certified digit prefix."""
 
 
 # ---------------------------------------------------------- precision/budget
@@ -73,16 +52,8 @@ class PrecisionExhausted(PrecisionError):
     """Could not reach the required precision within the allowed depth."""
 
 
-class NonConvergence(PrecisionError):
-    """Hull iteration/solving failed; a non-contracting input slipped through."""
-
-
 class BallStraddlesCut(PrecisionError):
     """A certified ball straddles an integer cut of the mod-1 map."""
-
-
-class InsufficientDigits(PrecisionError):
-    """Digit stream too short for the requested orbit length."""
 
 
 class StreamExhausted(PrecisionError):

@@ -76,11 +76,11 @@ def _orbits(system: SelfSimilarSystem, base: int, length: int, seed: int,
     ConfigParseError (exit 4), before any sample is drawn, when the digits
     of all samples hold more than MAX_DIGITS bits."""
     count = orbit_digit_count(base, length)
-    check_digit_bits(base, count, guard, samples)
+    check_digit_bits(system, base, count, guard, samples)
     for task in range(samples):
         stream = WordStream(system, seed, spawn_key=(task,) if task else ())
         ds = digits(system, stream, base, count, guard=guard)
-        yield ds, orbit_sequence(ds, length, seed=seed)
+        yield ds, orbit_sequence(ds, length)
 
 
 def _check_tol(tol: float) -> None:
@@ -198,9 +198,18 @@ def run_digits(args, system: SelfSimilarSystem):
 
 
 # The Sturm chain of a degree-d polynomial with b-bit coefficients holds
-# integers of up to about B = 2 d (b + log2 d) bits, and building it costs
-# about 1e-12 d^2 B^2 s (2-core x86-64, Python 3.11): about 2 s at the cap
-MAX_CHAIN_WORK = 2 * 10 ** 12
+# integers of about B = 2 d (b + log2(d) / 2) bits (Hadamard's bound on its
+# subresultants), and building it takes about 1.4e-11 d^2.1 B^(5/3) s of
+# CPU, a least-squares fit on log time over d = 5..320 and b = 1..16000
+# (2-core x86-64, Python 3.11): the slowest chain at the cap takes about 2 s
+MAX_CHAIN_WORK = 10 ** 11
+
+
+def chain_work(degree: int, bits: int) -> float:
+    """d^2.1 B^(5/3) for the Sturm chain of a degree-d polynomial with b-bit
+    coefficients, the price that MAX_CHAIN_WORK caps."""
+    chain_bits = 2 * degree * (bits + math.log2(max(degree, 1)) / 2)
+    return degree ** 2.1 * chain_bits ** (5 / 3)
 
 
 def parse_beta(beta: Optional[str], beta_poly: Optional[str],
@@ -215,8 +224,7 @@ def parse_beta(beta: Optional[str], beta_poly: Optional[str],
         raise ConfigParseError(f"bad polynomial {beta_poly!r}") from exc
     degree = len(coeffs) - 1
     bits = max(abs(c).bit_length() for c in coeffs)
-    chain_bits = 2 * degree * (bits + math.log2(max(degree, 1)))
-    if degree ** 2 * chain_bits ** 2 > MAX_CHAIN_WORK:
+    if chain_work(degree, bits) > MAX_CHAIN_WORK:
         raise ConfigParseError(
             f"--beta-poly of degree {degree} with {bits}-bit coefficients is "
             f"over the Sturm-chain work cap of {MAX_CHAIN_WORK}")
@@ -235,7 +243,7 @@ def run_beta_orbit(args, system: Optional[SelfSimilarSystem]):
         point = sampled_point(system, WordStream(system, args.seed), radius)
     else:
         raise ConfigParseError("need --x or --system to choose the point")
-    sam = beta_orbit(point, beta_spec, args.length, seed=args.seed,
+    sam = beta_orbit(point, beta_spec, args.length,
                      min_prec=args.precision_bits)
     start = sam.metadata.get("start_index", 1)
     table = {"n": range(start, start + len(sam)), "value": sam.values}
@@ -245,7 +253,7 @@ def run_beta_orbit(args, system: Optional[SelfSimilarSystem]):
 
 
 def run_power_orbit(args, system: Optional[SelfSimilarSystem]):
-    sam = power_orbit(as_fraction(args.x), args.length, seed=args.seed,
+    sam = power_orbit(as_fraction(args.x), args.length,
                       min_prec=args.precision_bits)
     table = {"n": range(1, len(sam) + 1), "value": sam.values}
     results = {"length": len(sam), "metadata": sam.metadata,
@@ -315,8 +323,8 @@ def _per_sample(args, system, stat) -> list:
     if args.source == "power":
         if args.x is None:
             raise ConfigParseError("power source needs --x")
-        return [stat(power_orbit(as_fraction(args.x), args.length,
-                                 seed=args.seed))] * args.samples
+        sam = power_orbit(as_fraction(args.x), args.length)
+        return [stat(sam)] * args.samples
     if args.source == "uniform":
         return [stat(uniform_sample(args.length, args.seed,
                                     (task,) if task else ()))
@@ -401,7 +409,7 @@ def run_martingale(args, system: SelfSimilarSystem):
     qs, n_list = _int_list(args.q), _int_list(args.n_list)
     p, samples, seed = args.base, args.samples, args.seed
     # each sample walks to the largest N - 1
-    check_stopping_size(max(n_list) - 1, p, samples)
+    check_stopping_size(system, max(n_list) - 1, p, samples)
     runs = []
     for task in range(samples):
         task_seed = seed if samples == 1 else int(

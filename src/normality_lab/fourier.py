@@ -300,7 +300,6 @@ class DecayBand:
 @dataclass(frozen=True)
 class DecayProfile:
     bands: tuple
-    tol: float
 
 
 MAX_BANDS = 40
@@ -341,4 +340,4 @@ def decay_profile(system: SelfSimilarSystem, j_max: int,
             if fv.modulus > sup:
                 sup, arg = fv.modulus, fv.frequency
         bands.append(DecayBand(j, sup, arg, len(grid), budget_exceeded=hit))
-    return DecayProfile(tuple(bands), tol)
+    return DecayProfile(tuple(bands))

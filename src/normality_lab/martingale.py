@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidInput, SymbolOutOfRange
+from .errors import ConfigParseError, InvalidInput
 from .fourier import (
     DEFAULT_NODE_BUDGET,
     FourierValue,
@@ -36,7 +36,7 @@ from .fourier import (
     fourier_tree,
     ratio_phase,
 )
-from .ifs import SelfSimilarSystem, integer_triples
+from .ifs import SelfSimilarSystem, integer_growth, integer_triples
 from .sampling import (
     FixedWord,
     WordStream,
@@ -86,26 +86,31 @@ class StoppingRecord:
 
 
 # The records of a walk to n_max keep, for every n, three integers of about
-# n log2(p) bits, some 1.5 n_max^2 log2(p) bits in all: n_max^2 log2(p) is
-# capped so that they stay below about 200 MB
+# n log2(p) r bits (r the system's :func:`ifs.integer_growth`), some
+# 1.5 n_max^2 log2(p) r bits in all: n_max^2 log2(p) r is capped so that
+# they stay below about 200 MB
 MAX_STOPPING_SIZE = 1 << 30
 
 
-def check_stopping_size(n_max: int, p: int, samples: int = 1) -> None:
-    """ConfigParseError (exit 4) when `samples` walks to n_max in base p
-    are over MAX_STOPPING_SIZE in all; InvalidInput (exit 2) for p < 2 or
-    n_max < 0."""
+def check_stopping_size(system: SelfSimilarSystem, n_max: int, p: int,
+                        samples: int = 1) -> None:
+    """ConfigParseError (exit 4) when `samples` walks on `system` to n_max
+    in base p are over MAX_STOPPING_SIZE in all; InvalidInput (exit 2) for
+    p < 2 or n_max < 0."""
     if not isinstance(p, int) or p < 2:
         raise InvalidInput("p must be an integer >= 2")
     if n_max < 0:
         raise InvalidInput("n_max must be >= 0")
-    size = samples * n_max * n_max * math.log2(p)
+    r = integer_growth(system)
+    size = samples * n_max * n_max * math.log2(p) * r
     if size > MAX_STOPPING_SIZE:
         each = f"{samples} samples x " if samples > 1 else ""
+        cap = f"n^2 log2(p) <= {MAX_STOPPING_SIZE}"
+        if r > 1:
+            cap = f"n^2 log2(p) r <= {MAX_STOPPING_SIZE}, r = {r:.4g}"
         raise ConfigParseError(
             f"{each}stopping records to n = {n_max} in base {p} hold about "
-            f"{1.5 * size:.3g} bits, over the cap of {each}n^2 log2(p) <= "
-            f"{MAX_STOPPING_SIZE}")
+            f"{1.5 * size:.3g} bits, over the cap of {each}{cap}")
 
 
 def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
@@ -119,10 +124,10 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
     X <- p X mod C, so each step divides by C with a small quotient.  The
     comparison |slope| < p^-n is |P| < C on integers, never floats, and
     each record keeps the integers as they stand: no gcd in the walk.
-    ConfigParseError (exit 4), before the walk, when n_max^2 log2(p) is
+    ConfigParseError (exit 4), before the walk, when n_max^2 log2(p) r is
     over MAX_STOPPING_SIZE.
     """
-    check_stopping_size(n_max, p)
+    check_stopping_size(system, n_max, p)
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     triples = integer_triples(system)
@@ -136,7 +141,7 @@ def stopping_records(system: SelfSimilarSystem, stream, n_max: int,
         while abs(P) >= C:
             s = stream.symbol(depth)
             if not 0 < s <= n_maps:
-                raise SymbolOutOfRange(
+                raise InvalidInput(
                     f"symbol {s} outside alphabet 1..{n_maps}")
             a, b, c = triples[s - 1]
             C *= c
@@ -365,13 +370,10 @@ class GapSeries:
     """|empirical mode - cylinder-average mode| along a schedule of N."""
 
     q: int
-    p: int
     n_values: tuple
     empirical: tuple        # complex empirical modes per N
     cylinder: tuple         # complex cylinder-average modes per N
     gaps: tuple
-    seed: Optional[int] = None
-    tol: float = 1e-6
 
 
 def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
@@ -390,7 +392,7 @@ def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
 
     records = stopping_records(system, stream, n_max - 1, p)
     ds = digits(system, stream, p, orbit_digit_count(p, n_max))
-    orbit = orbit_sequence(ds, n_max, seed=seed)
+    orbit = orbit_sequence(ds, n_max)
     cyl = cylinder_modes(system, records, qs, tol=tol, cache={},
                          budget=budget).values
 
@@ -406,6 +408,6 @@ def martingale_gaps(system: SelfSimilarSystem, seed: int, qs: Sequence[int],
             empirical.append(e)
             cylinder.append(c)
             gaps.append(abs(e - c))
-        out.append(GapSeries(q, p, tuple(n_list), tuple(empirical),
-                             tuple(cylinder), tuple(gaps), seed=seed, tol=tol))
+        out.append(GapSeries(q, tuple(n_list), tuple(empirical),
+                             tuple(cylinder), tuple(gaps)))
     return out

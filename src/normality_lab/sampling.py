@@ -1,6 +1,6 @@
 """Sampling from the coding space and certified orbit machinery.
 
-Points are produced as exact rational enclosures of x_w = lim f_{w|m}(x0) for
+Points are produced as exact rational enclosures of x_w = lim f_{w|m}(x) for
 lazily sampled words w.  The word prefix is composed into one integer triple
 (:func:`ifs.compose_triples`): its leaves fold at once as int64 vectors and
 a balanced product tree joins them, so a certified digit stream costs a few
@@ -34,18 +34,16 @@ from .algebra import AlgebraicReal, poly_sign
 from .balls import floor_int, interval_ints, mul_ints
 from .errors import (
     BallStraddlesCut,
-    BasePointOutsideHull,
     ConfigParseError,
-    InsufficientDigits,
     InvalidInput,
     PrecisionExhausted,
     StreamExhausted,
-    SymbolOutOfRange,
 )
 from .ifs import (
     SelfSimilarSystem,
     compose,
     compose_triples,
+    integer_growth,
     integer_triples,
     join_triples,
 )
@@ -122,7 +120,7 @@ class FixedWord(WordStream):
     def __init__(self, word: Sequence[int]):
         buf = np.asarray(word)
         if buf.size and buf.dtype.kind not in "iu":
-            raise SymbolOutOfRange(f"symbols must be integers: {buf.dtype}")
+            raise InvalidInput(f"symbols must be integers: {buf.dtype}")
         self._buf = buf.astype(np.intp)
         self._n = len(self._buf)
 
@@ -146,38 +144,26 @@ def sample_word(system: SelfSimilarSystem, m: int, seed: int) -> tuple:
 class PointApproximation:
     """Exact rational enclosure of a coded point x_w.
 
-    `center` is f_w(x0) and `radius` = |f_w'| * hull width, so the true point
-    lies in [center - radius, center + radius].  `lo`/`hi` give the exact
-    image interval f_w(hull), a nested (in word depth) and generally tighter
-    enclosure.
+    `center` is f_w at the hull midpoint and `radius` = |f_w'| * hull width,
+    so the true point lies in [center - radius, center + radius].  `lo`/`hi`
+    give the exact image interval f_w(hull), a nested (in word depth) and
+    generally tighter enclosure.
     """
 
     center: Fraction
     radius: Fraction
     lo: Fraction
     hi: Fraction
-    word: tuple
-    x0: Fraction
-
-    def interval(self) -> tuple:
-        return self.lo, self.hi
 
 
-def point_of_word(system: SelfSimilarSystem, word: Sequence[int],
-                  x0: Optional[Fraction] = None) -> PointApproximation:
+def point_of_word(system: SelfSimilarSystem,
+                  word: Sequence[int]) -> PointApproximation:
     """Certified enclosure of x_w from a finite word prefix."""
-    if x0 is None:
-        x0 = (system.hull[0] + system.hull[1]) / 2
-    x0 = Fraction(x0)
-    if not (system.hull[0] <= x0 <= system.hull[1]):
-        raise BasePointOutsideHull(f"x0 = {x0} outside hull")
     comp = compose(system, word)
     lo, hi = comp.image(*system.hull)
     return PointApproximation(
-        center=comp(x0),
-        radius=abs(comp.slope) * system.hull_width,
-        lo=lo, hi=hi, word=tuple(word), x0=x0,
-    )
+        center=comp((system.hull[0] + system.hull[1]) / 2),
+        radius=abs(comp.slope) * system.hull_width, lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -333,21 +319,25 @@ def digits_of_rational(x, base: int, count: int) -> DigitStream:
 
 _MAX_DEPTH_DOUBLINGS = 8
 # The integers of a digit stream hold at most MAX_DIGITS bits: count + guard
-# digits of base b take (count + guard) log2(b) bits.  The command line caps
-# a sequence that need not come from digits at MAX_DIGITS values.
+# digits of base b take (count + guard) log2(b) r bits, r the system's
+# :func:`ifs.integer_growth`.  The command line caps a sequence that need
+# not come from digits at MAX_DIGITS values.
 MAX_DIGITS = 1 << 22
 
 
-def check_digit_bits(base: int, count: int, guard: int,
-                     samples: int = 1) -> None:
+def check_digit_bits(system: SelfSimilarSystem, base: int, count: int,
+                     guard: int, samples: int = 1) -> None:
     """ConfigParseError (exit 4) when `samples` streams of count + guard
-    base-b digits (a base >= 2) hold more than MAX_DIGITS bits in all."""
-    bits = samples * (count + guard) * math.log2(base)
+    base-b digits (a base >= 2) of a point of `system` hold more than
+    MAX_DIGITS bits in all."""
+    r = integer_growth(system)
+    bits = samples * (count + guard) * math.log2(base) * r
     if bits > MAX_DIGITS:
         each = f"{samples} samples x " if samples > 1 else ""
+        at_r = f" at r = {r:.4g} word bits per digit bit" if r > 1 else ""
         raise ConfigParseError(
             f"{each}{count} base-{base} digits with guard {guard} need "
-            f"{bits:.0f} bits, over the cap of {MAX_DIGITS}")
+            f"{bits:.0f} bits{at_r}, over the cap of {MAX_DIGITS}")
 
 
 def digits(system: SelfSimilarSystem, stream, base: int, count: int,
@@ -374,7 +364,7 @@ def digits(system: SelfSimilarSystem, stream, base: int, count: int,
     _check_base(base)
     if count < 1:
         raise InvalidInput("need count >= 1")
-    check_digit_bits(base, count, guard)
+    check_digit_bits(system, base, count, guard)
     if isinstance(stream, (tuple, list)):
         stream = FixedWord(stream)
     rho = float(system.contraction)
@@ -436,14 +426,9 @@ class SequenceSample:
     values: np.ndarray
     accuracy: float
     source: str
-    seed: Optional[int] = None
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def n(self) -> int:
         return len(self.values)
 
 
@@ -464,13 +449,12 @@ def orbit_digit_count(base: int, n_points: int) -> int:
     return n_points + _tail_digit_count(base) + 1
 
 
-def orbit_sequence(digit_stream: DigitStream, n_points: int,
-                   seed: Optional[int] = None) -> SequenceSample:
+def orbit_sequence(digit_stream: DigitStream, n_points: int) -> SequenceSample:
     """Orbit values b^n x mod 1 for n = 0..N-1, read as shifted digit tails."""
     base = digit_stream.base
     k_tail = _tail_digit_count(base)
     if digit_stream.certified_length < n_points + k_tail:
-        raise InsufficientDigits(
+        raise PrecisionExhausted(
             f"need {n_points + k_tail} certified digits, have "
             f"{digit_stream.certified_length}")
     b_tail = base ** k_tail
@@ -487,7 +471,6 @@ def orbit_sequence(digit_stream: DigitStream, n_points: int,
     acc = base ** -float(k_tail) + _FLOAT_SLACK
     return SequenceSample(values, acc,
                           source=f"orbit(base={base}, {digit_stream.source})",
-                          seed=seed,
                           metadata={"base": base, "generator": GENERATOR_ID,
                                     "tail_digits": k_tail,
                                     "depth": digit_stream.depth})
@@ -757,7 +740,6 @@ def _multiply_orbit(factor, start, n_points: int, reduce: bool,
 
 
 def beta_orbit(x, beta: BetaLike, n_points: int,
-               seed: Optional[int] = None,
                min_prec: Optional[int] = None) -> SequenceSample:
     """Orbit of the beta-transformation x -> beta * x mod 1, certified.
 
@@ -774,10 +756,10 @@ def beta_orbit(x, beta: BetaLike, n_points: int,
         x, beta = Fraction(x), Fraction(beta)
     values, acc, meta = _multiply_orbit(beta, x, n_points, True, min_prec)
     return SequenceSample(values, acc, source=f"beta-orbit({beta})",
-                          seed=seed, metadata={"beta": str(beta), **meta})
+                          metadata={"beta": str(beta), **meta})
 
 
-def power_orbit(x, n_points: int, seed: Optional[int] = None,
+def power_orbit(x, n_points: int,
                 min_prec: Optional[int] = None) -> SequenceSample:
     """The sequence x^n mod 1 for n = 1..N, certified to 2**-50.
 
@@ -791,7 +773,7 @@ def power_orbit(x, n_points: int, seed: Optional[int] = None,
         x = Fraction(x)
     values, acc, meta = _multiply_orbit(x, Fraction(1), n_points, False,
                                         min_prec)
-    return SequenceSample(values, acc, source=f"power({x})", seed=seed,
+    return SequenceSample(values, acc, source=f"power({x})",
                           metadata={"x": str(x), **meta})
 
 
@@ -823,5 +805,5 @@ def uniform_sample(n_points: int, seed: int,
     ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
     rng = np.random.Generator(np.random.Philox(ss))
     values = rng.random(n_points)
-    return SequenceSample(values, _FLOAT_SLACK, source="uniform", seed=seed,
+    return SequenceSample(values, _FLOAT_SLACK, source="uniform",
                           metadata={"generator": GENERATOR_ID})

@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BlockLongerThanStream,
-    ConfigParseError,
-    InvalidInput,
-    KOutOfRange,
-    SupportTooWide,
-)
+from .errors import ConfigParseError, InvalidInput
 from .fourier import fourier_empirical
 from .sampling import DigitStream, SequenceSample
 
@@ -56,8 +50,6 @@ def discrepancy(sample) -> float:
 
 @dataclass(frozen=True)
 class DigitFrequencyTable:
-    base: int
-    block_length: int
     counts: dict          # block tuple -> occurrence count
     total: int
 
@@ -77,7 +69,7 @@ def digit_frequencies(stream: DigitStream, block_length: int) -> DigitFrequencyT
         raise InvalidInput("block length must be >= 1")
     m = stream.certified_length
     if block_length > m:
-        raise BlockLongerThanStream(
+        raise InvalidInput(
             f"block length {block_length} exceeds certified prefix {m}")
     base = stream.base
     if base ** block_length > 1 << 63:
@@ -90,7 +82,7 @@ def digit_frequencies(stream: DigitStream, block_length: int) -> DigitFrequencyT
         code = code * base + windows[:, j]
     _, first, counts = np.unique(code, return_index=True, return_counts=True)
     table = dict(zip(map(tuple, windows[first].tolist()), counts.tolist()))
-    return DigitFrequencyTable(base, block_length, table, len(code))
+    return DigitFrequencyTable(table, len(code))
 
 
 # -------------------------------------------------------------- test functions
@@ -167,8 +159,6 @@ class TestFunction:
 class CorrelationResult:
     k: int
     value: float
-    test_function: str
-    n: int
     integral: Fraction
     deviation: float
 
@@ -243,10 +233,10 @@ def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
     xs = _values(sample)
     n = len(xs)
     if not 2 <= k <= 4:
-        raise KOutOfRange("k must be between 2 and 4")
+        raise InvalidInput("k must be between 2 and 4")
     # exactly first: float() of a half-width past the float range overflows
     if not (f.halfwidth < Fraction(n, 2) and float(f.halfwidth) < n / 2):
-        raise SupportTooWide(
+        raise InvalidInput(
             f"support half-width {f.halfwidth} must be < N/2 = {n / 2}")
     radius = float(f.halfwidth) / n * (1.0 + 1e-9) + 1e-15
     s = np.sort(xs)
@@ -314,8 +304,7 @@ def k_level_correlation(sample, k: int, f: TestFunction) -> CorrelationResult:
         total = _add_in_order(total, terms)
     value = total / n
     integral = f.integral(k - 1)
-    return CorrelationResult(k, value, f.describe(), n, integral,
-                             abs(value - float(integral)))
+    return CorrelationResult(k, value, integral, abs(value - float(integral)))
 
 
 # ------------------------------------------------------------ level spacings
@@ -326,10 +315,6 @@ class SpacingReport:
     s_grid: np.ndarray
     g_empirical: np.ndarray       # empirical CDF on the grid
     sup_distance: float           # exact KS distance to 1 - exp(-s)
-
-    @property
-    def n(self) -> int:
-        return len(self.scaled_gaps)
 
 
 def level_spacings(sample, s_grid: Optional[Sequence[float]] = None) -> SpacingReport:
@@ -367,7 +352,6 @@ class WeylReport:
     q_values: np.ndarray
     moduli: np.ndarray
     error_bounds: np.ndarray
-    threshold: float
     flagged: tuple
 
     def modulus(self, q: int) -> float:
@@ -386,4 +370,4 @@ def weyl_report(sample, q_max: int, threshold: float = 0.05) -> WeylReport:
         moduli[i] = fv.modulus
         errs[i] = fv.error_bound
     flagged = tuple(int(q) for q, m in zip(qs, moduli) if m > threshold)
-    return WeylReport(qs, moduli, errs, threshold, flagged)
+    return WeylReport(qs, moduli, errs, flagged)

@@ -32,6 +32,13 @@ def mixed():
 
 
 @pytest.fixture(scope="session")
+def slow():
+    """Slope 999/1000: a symbol adds log2(1000) bits to the composed
+    integers but only log2(1000/999) bits of precision, r = 6,904."""
+    return make_system([("999/1000", "0"), ("999/1000", "1/1000")])
+
+
+@pytest.fixture(scope="session")
 def beta_52():
     return beta_pair_system(Fraction(5, 2))
 

@@ -45,7 +45,7 @@ def _report(num: int, ok: bool, detail: str, t0: float):
 def _orbit(system, base, length, seed, task=0):
     stream = WordStream(system, seed, spawn_key=(task,) if task else ())
     ds = digits(system, stream, base, orbit_digit_count(base, length))
-    return orbit_sequence(ds, length, seed=seed)
+    return orbit_sequence(ds, length)
 
 
 class TestAcceptance:

@@ -22,7 +22,7 @@ from normality_lab.algebra import (
     isolate_real_roots,
     refine_real_root,
 )
-from normality_lab.errors import InvalidInput, NotAlgebraicInteger
+from normality_lab.errors import InvalidInput
 from oracles import (
     distinct_real_roots,
     factored_log_ratio,
@@ -347,7 +347,7 @@ class TestIsPisot:
         assert is_pisot([1, 1, -3, -2]).is_pisot is False
 
     def test_non_monic_rejected(self):
-        with pytest.raises(NotAlgebraicInteger):
+        with pytest.raises(InvalidInput, match="must be monic"):
             is_pisot([2, -3])
 
 

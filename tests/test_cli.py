@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
 from normality_lab import cantor_system, cli, experiments as exp, save_system
+from normality_lab import sampling
 from normality_lab.cli import _write_csv, build_parser, main
+from normality_lab.errors import ConfigParseError
 from normality_lab.ifs import system_to_dict
 
 SCHEMA = json.loads(
@@ -341,6 +343,9 @@ class TestExitCodes:
           "1e-2", "--system", {"maps": [{"s": "999/1000", "t": "0"},
                                         {"s": "999/1000", "t": "1/1000"}]}],
          0),
+        # only k = 2..4 are defined
+        (["correlations", "--source", "uniform", "--length", "10",
+          "--k", "5"], 2),
     ])
     def test_bad_input_exits_with_its_code(self, cantor_file, tmp_path, argv,
                                            code):
@@ -361,6 +366,27 @@ class TestExitCodes:
         if "--out" in argv:
             assert "/nonexistent/dir/x.csv" in proc.stderr
 
+    @pytest.mark.parametrize("argv, owner, name, r", [
+        (["digits", "--base", "2", "--count", "4000"], sampling,
+         "compose_triples", "at r = 6904 word bits per digit bit"),
+        (["martingale", "--base", "2", "--N-list", "800"], exp,
+         "martingale_gaps", "n^2 log2(p) r <= 1073741824, r = 6904"),
+    ])
+    def test_slow_contraction_is_priced_before_any_integer(
+            self, tmp_path, monkeypatch, capsys, argv, owner, name, r):
+        # slope 999/1000: a symbol adds log2(1000) bits to the integers for
+        # log2(1000/999) bits of precision, and both caps count the ratio
+        # (these inputs ran for 88 s and for minutes)
+        from normality_lab import make_system
+        path = tmp_path / "slow.json"
+        save_system(make_system([("999/1000", "0"), ("999/1000", "1/1000")]),
+                    path)
+        monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail(name))
+        start = time.perf_counter()
+        assert main(argv + ["--system", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert r in capsys.readouterr().err
+
     def test_beta_poly_is_priced_at_parse_time(self, capsys):
         # degree 40 with 2000-bit coefficients: its chain took about 27 s
         poly = ",".join(["1"] + [str(2 ** 1999 + k) for k in range(40)])
@@ -369,6 +395,49 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert ("degree 40 with 2000-bit coefficients"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("poly", ["1,-1,-1", "1,0,-3,-1",
+                                      "1," + "0," * 10 + "-1000"])
+    def test_the_beta_poly_cap_is_inclusive(self, monkeypatch, capsys,
+                                            poly):
+        coeffs = [int(c) for c in poly.split(",")]
+        price = exp.chain_work(len(coeffs) - 1,
+                               max(abs(c).bit_length() for c in coeffs))
+        argv = ["beta-orbit", "--beta-poly", poly, "--beta-lo", "1",
+                "--beta-hi", "4", "--x", "1/3", "--length", "5"]
+        monkeypatch.setattr(exp, "MAX_CHAIN_WORK", price)
+        assert main(argv) == 0
+        monkeypatch.setattr(exp, "MAX_CHAIN_WORK", price - 1)
+        monkeypatch.setattr(exp, "AlgebraicReal",
+                            lambda *a: pytest.fail("chain was built"))
+        assert main(argv) == 4
+        assert "over the Sturm-chain work cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree, bits, accepted", [
+        # the old price d^2 B^2 over-charged low coefficient bits: degree
+        # 285 with +-1 coefficients exited 4 though its chain takes about
+        # 1.2 s, while (100, 64), about 1.7 s, was accepted
+        (285, 1, True), (297, 1, True), (298, 1, False),
+        (95, 64, True), (100, 64, False), (10, 8000, True),
+        (80, 20, True), (40, 2000, False),
+    ])
+    def test_beta_poly_price_follows_the_fitted_time(self, monkeypatch,
+                                                     degree, bits, accepted):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(exp, "AlgebraicReal", reached)
+        coeffs = [1] + [-1] * (degree - 1) + [-(1 << (bits - 1))]
+        poly = ",".join(map(str, coeffs))
+        if accepted:
+            with pytest.raises(Reached):
+                exp.parse_beta(None, poly, None, None)
+        else:
+            with pytest.raises(ConfigParseError, match="work cap"):
+                exp.parse_beta(None, poly, None, None)
 
     def test_a_degree_80_beta_poly_is_decided_quickly(self, capsys):
         # coefficients in +-10^6: the Fraction chain took 80 s to exit 2

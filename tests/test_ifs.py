@@ -19,8 +19,8 @@ from normality_lab.errors import (
     ConfigParseError,
     DegenerateFixedPoints,
     HullNotInvariant,
+    InvalidInput,
     NonContractingMap,
-    SymbolOutOfRange,
     WeightSumError,
 )
 from normality_lab.ifs import (
@@ -87,7 +87,7 @@ class TestCompose:
         assert (m.slope, m.offset) == (F(1, 9), F(2, 3))
 
     def test_symbol_out_of_range(self, cantor):
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(InvalidInput, match="outside alphabet"):
             compose(cantor, (1, 3))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
@@ -103,11 +103,11 @@ class TestCompose:
                                       np.array([2.0, 1.0])])
     def test_non_integer_symbols_are_refused(self, cantor, word):
         # compose_triples truncated 1.7 to symbol 1
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(InvalidInput, match="symbols must be integers"):
             compose(cantor, word)
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(InvalidInput, match="symbols must be integers"):
             compose_triples(integer_triples(cantor), word)
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(InvalidInput, match="symbols must be integers"):
             digits(cantor, list(word), 2, 5)
 
     @given(w1=st.lists(st.integers(1, 2), max_size=8),

@@ -20,7 +20,6 @@ from normality_lab.errors import (
     ConfigParseError,
     InvalidInput,
     StreamExhausted,
-    SymbolOutOfRange,
 )
 from normality_lab.fourier import ratio_phase
 from normality_lab.martingale import (
@@ -126,7 +125,7 @@ class TestStoppingTime:
         # symbol 0 and -1 were both read as map 2, through triples[-1]
         word = (1, 2, 2, 1, 2) * 40
         for bad_word in [(bad,) + word, word[:2] + (bad,) + word]:
-            with pytest.raises(SymbolOutOfRange):
+            with pytest.raises(InvalidInput, match="outside alphabet"):
                 stopping_records(cantor, wrap(bad_word), 3, 3)
 
     def test_walk_cap_is_checked_before_the_walk(self, cantor):
@@ -145,6 +144,15 @@ class TestStoppingTime:
             stopping_records(cantor, (), 2 ** 14 + 1, 16)
         with pytest.raises(ConfigParseError):
             stopping_records(cantor, (), 10 ** 12, 10)
+
+    def test_walk_cap_counts_the_bits_a_symbol_adds(self, slow):
+        # a symbol of `slow` adds log2(1000) bits to C while the slope
+        # shrinks by 999/1000, r = 6,904: a walk to n = 160 held 31.8 MB
+        # and one to 32,768 was accepted
+        with pytest.raises(StreamExhausted):
+            stopping_records(slow, (), 394, 2)
+        with pytest.raises(ConfigParseError, match="r <= .*, r = 6904"):
+            stopping_records(slow, (), 395, 2)
 
 
 class TestStoppingRecordFields:
